@@ -145,9 +145,14 @@ def _load_config(path) -> dict:
 
 
 def _graph_from_config(cfg: dict, config_dir: Path) -> tuple:
-    """(graph, params) from either a bare graph spec or {"graph": ...}."""
+    """(graph, params) from either a bare graph spec or {"graph": ...}.
+
+    The params are the config's keys other than the graph's own.
+    """
     if "vertices" in cfg:
-        return build_graph(cfg), {}
+        graph_keys = ("variant", "vertices", "edges")
+        return build_graph(cfg), {k: v for k, v in cfg.items()
+                                  if k not in graph_keys}
     if "graph" not in cfg:
         raise ConfigError('config needs a graph spec or a "graph" key')
     g = cfg["graph"]
@@ -247,9 +252,7 @@ def _cmd_simulate(args) -> int:
         "sample_stride": _opt(params, "sample-stride", default=1),
     }
     y0, v0, osc = _initial_data(graph, _opt(params, "initial", default={}))
-    coupling = _opt(params, "circuit-coupling", default="per-node")
-    series = run(graph, run_cfg, y0=y0, v0=v0, osc=osc,
-                 circuit_coupling=coupling)
+    series = run(graph, run_cfg, y0=y0, v0=v0, osc=osc)
     em = Emitter(Path(args.out), "simulate", args.config, params)
     em.csv("energy.csv", ["t", "E", "D", "R"],
            zip(series.t.tolist(), series.E.tolist(),
@@ -314,12 +317,15 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     graph, params = _graph_from_config(cfg, Path(args.config).parent)
     beta = _opt(params, "beta", default={"min": 0.0, "max": 50.0, "count": 51})
-    if isinstance(beta, dict):
-        grid = np.linspace(float(beta.get("min", 0.0)),
-                           float(beta.get("max", 50.0)),
-                           int(beta.get("count", 51)))
-    else:
-        grid = np.asarray([float(b) for b in beta])
+    try:
+        if isinstance(beta, dict):
+            grid = np.linspace(float(beta.get("min", 0.0)),
+                               float(beta.get("max", 50.0)),
+                               int(beta.get("count", 51)))
+        else:
+            grid = np.asarray([float(b) for b in beta])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f'bad "beta": {exc}') from None
     ladder = _opt(params, "mesh-ladder")
     report = sweep(graph, grid, ladder)
     em = Emitter(Path(args.out), "sweep", args.config, params)
@@ -383,6 +389,8 @@ def _cmd_chain_check(args) -> int:
 def _cmd_counterexample(args) -> int:
     params = {"variant": args.variant, "length": args.length,
               "probes": args.probes}
+    if args.probes < 1:
+        raise ConfigError("--probes must be at least 1")
     pairs = dirichlet_convergents(args.length, args.probes)
     em = Emitter(Path(args.out), "counterexample", None, params)
     rows = []

@@ -1,16 +1,17 @@
 """Finite-dimensional generator and resolvent-norm sweeps.
 
-The first-order system z' = A z over z = (y, v, p, q) is discretized with
-second-order centered stencils on the same lumped grid as the time-domain
-scheme, with Dirichlet vertices eliminated.  The discrete energy inner
-product <z, z>_W = y'Ky + v'Mv + sum p^2 + sum m q^2 makes the generator
-exactly dissipative: Re<A_h z, z>_W = -sum of v^2 at the damped vertices.
+The first-order system z' = A z over z = (y, v, p, q) is assembled from the
+semi-discrete operator (K, M, C, B) that drives the time-domain scheme, with
+Dirichlet vertices eliminated.  The discrete energy inner product
+<z, z>_W = y'Ky + v'Mv + sum p^2 + sum m q^2 makes the generator exactly
+dissipative: Re<A_h z, z>_W = -sum of v^2 at the damped vertices.
 
 Resolvent norms ||(i beta - A_h)^{-1}||_W are computed by power iteration on
 the W-self-adjoint operator L^{-H} W L^{-1} W^{-1}-style composition, using
-one sparse LU factorization of L per frequency.  Since a finite matrix always
-has finite norms, boundedness on the axis is judged only through a
-mesh-refinement ladder, as recorded in the sweep verdict.
+one sparse LU factorization of L per frequency, which by time-reversal
+symmetry also serves the W-adjoint (W is never factored).  Since a finite
+matrix always has finite norms, boundedness on the axis is judged only
+through a mesh-refinement ladder, as recorded in the sweep verdict.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ class DiscreteGenerator:
 
 
 def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
-    """Build A_h and W_h with target grid spacing h (>= 4 cells per edge)."""
+    """Build A_h and W_h with target grid spacing h (>= 4 cells per edge)
+    from the semi-discrete operator of `make_layout`, Dirichlet DOFs sliced
+    out."""
     if not h > 0:
         raise ResolventError("h must be positive")
     min_ell = min(e.ell for e in graph.edges)
@@ -72,78 +75,39 @@ def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
             f"h={h} under-resolves an edge of length {min_ell}; "
             f"need at least {MIN_CELLS} cells"
         )
-    cells_per_unit = 1.0 / h
-    layout = make_layout(graph, cells_per_unit)
-
-    dirichlet = {layout.vertex_dof[v.id] for v in graph.dirichlet_vertices}
-    keep = np.array([i for i in range(layout.ndof) if i not in dirichlet])
-    red = -np.ones(layout.ndof, dtype=int)
-    red[keep] = np.arange(len(keep))
-    nf = len(keep)
-
-    # stiffness K (graph Laplacian of the 1-d meshes, Dirichlet eliminated)
-    rows, cols, vals = [], [], []
-    for e in graph.edges:
-        idx = layout.edge_nodes[e.id]
-        w = 1.0 / layout.edge_h[e.id]
-        for a, b in zip(idx[:-1], idx[1:]):
-            ra, rb = red[a], red[b]
-            if ra >= 0:
-                rows.append(ra), cols.append(ra), vals.append(w)
-            if rb >= 0:
-                rows.append(rb), cols.append(rb), vals.append(w)
-            if ra >= 0 and rb >= 0:
-                rows += [ra, rb]
-                cols += [rb, ra]
-                vals += [-w, -w]
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(nf, nf))
-    Mdiag = layout.lumped_mass[keep]
-
-    mass_ids = [v.id for v in graph.mass_vertices]
-    nm = len(mass_ids)
-    masses = np.array([graph.vertex(vid).mass for vid in mass_ids])
-    n = 2 * nf + 2 * nm
-
-    damped = {red[layout.vertex_dof[v.id]] for v in graph.controlled_vertices}
-    if graph.variant == "circuit":
-        damped |= {red[layout.vertex_dof[vid]] for vid in mass_ids}
-    Cdiag = np.zeros(nf)
-    Cdiag[list(damped)] = 1.0
-
-    Minv = sp.diags(1.0 / Mdiag)
-    I_f = sp.identity(nf)
-    # rows: y' = v ; v' = M^{-1}(-K y + B q - C v) ; p' = q ;
-    #       q' = -(p + v(a_k)) / m_k
-    if nm:
-        B = sp.lil_matrix((nf, nm))
-        Bt = sp.lil_matrix((nm, nf))
-        for k, vid in enumerate(mass_ids):
-            B[red[layout.vertex_dof[vid]], k] = 1.0
-            Bt[k, red[layout.vertex_dof[vid]]] = 1.0
-        A = sp.bmat(
-            [
-                [None, I_f, None, None],
-                [Minv @ (-K), Minv @ (-sp.diags(Cdiag)), None, Minv @ B.tocsr()],
-                [None, None, None, sp.identity(nm)],
-                [None, sp.diags(-1.0 / masses) @ Bt.tocsr(),
-                 sp.diags(-1.0 / masses), None],
-            ],
-            format="csr",
-        )
-        W = sp.block_diag(
-            [K, sp.diags(Mdiag), sp.identity(nm), sp.diags(masses)], format="csr"
-        )
-    else:
-        A = sp.bmat(
-            [[None, I_f], [Minv @ (-K), Minv @ (-sp.diags(Cdiag))]], format="csr"
-        )
-        W = sp.block_diag([K, sp.diags(Mdiag)], format="csr")
+    layout = make_layout(graph, 1.0 / h)
+    keep = np.setdiff1d(np.arange(layout.ndof), layout.dirichlet)
+    nf, nm = len(keep), len(layout.mass_ids)
+    K = layout.stiffness[keep][:, keep]
+    M = layout.lumped_mass[keep]
+    C = sp.diags(layout.damping[keep])
+    B = sp.csr_matrix(
+        (np.ones(nm), (np.searchsorted(keep, layout.mass_dofs), np.arange(nm))),
+        shape=(nf, nm))
+    Minv = sp.diags(1.0 / M)
+    m_inv = sp.diags(1.0 / layout.masses)
+    # rows: y' = v ; v' = M^{-1}(-K y - C v + B q) ; p' = q ;
+    #       q' = -(p + B^T v) / m
+    A = sp.bmat(
+        [
+            [None, sp.identity(nf), None, None],
+            [Minv @ (-K), Minv @ (-C), None, Minv @ B],
+            [None, None, None, sp.identity(nm)],
+            [None, -m_inv @ B.T, -m_inv, None],
+        ],
+        format="csr",
+    )
+    W = sp.block_diag(
+        [K, sp.diags(M), sp.identity(nm), sp.diags(layout.masses)], format="csr"
+    )
     h_max = max(layout.edge_h.values())
-    return DiscreteGenerator(graph, layout, A, W, keep, mass_ids, h_max)
+    return DiscreteGenerator(graph, layout, A, W, keep, list(layout.mass_ids),
+                             h_max)
 
 
 def dissipation_defect(gen: DiscreteGenerator, z: np.ndarray) -> float:
-    """Re<A_h z, z>_W + (damped-vertex dissipation); zero up to round-off."""
+    """Re<A_h z, z>_W, which equals minus the sum of v^2 at the damped
+    vertices: never positive, up to round-off."""
     az = gen.A @ z
     return float(np.real(np.vdot(gen.W @ az, z)))
 
@@ -162,19 +126,24 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float,
         lu = splu(L)
     except RuntimeError:
         return HUGE
-    Wc = gen.W.tocsc().astype(complex)
-    wlu = splu(Wc)
-
+    W = gen.W
+    # time reversal J = diag(1, -1, -1, 1) on (y, v, p, q) and the energy
+    # identity W A + A^T W = -2 diag(0, C, 0, 0) give J A J = -A - 2 W^{-1}
+    # diag(0, C, 0, 0), hence W^{-1} L^{-H} W = J L(-beta)^{-1} J, and
+    # L(-beta) = conj L(beta) since A is real: the W-adjoint of L^{-1}
+    # reuses the factor of L and needs none of W
+    nf, nm = gen.nfield, len(gen.mass_ids)
+    J = np.concatenate([np.ones(nf), -np.ones(nf + nm), np.ones(nm)])
     rng = np.random.default_rng(12345)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= math.sqrt(abs(np.vdot(x, Wc @ x).real))
+    x /= math.sqrt(abs(np.vdot(x, W @ x).real))
     prev = 0.0
     for it in range(POWER_MAXIT):
         # y = L^{-1} x ; x_next = W^{-1} L^{-H} W y  (W-adjoint of R applied)
         y = lu.solve(x)
-        z = wlu.solve(lu.solve((Wc @ y), trans="H"))
-        rho = abs(np.vdot(x, Wc @ z).real)  # = ||R x||_W^2 growth factor
-        nz = math.sqrt(abs(np.vdot(z, Wc @ z).real))
+        z = J * np.conj(lu.solve(np.conj(J * y)))
+        rho = abs(np.vdot(x, W @ z).real)  # = ||R x||_W^2 growth factor
+        nz = math.sqrt(abs(np.vdot(z, W @ z).real))
         if not np.isfinite(nz) or nz > HUGE:
             return HUGE
         x = z / nz

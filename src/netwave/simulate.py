@@ -1,17 +1,21 @@
 """Explicit time-domain simulation of the damped wave network.
 
-Each edge carries a uniform grid and the interior points advance by the
-classical leapfrog stencil.  Vertex values are genuine unknowns: half-cell
-lumping of the wave equation at a vertex reproduces, as the mesh is refined,
-the Kirchhoff flux law with the oscillator source (interior masses), the
+Each edge carries a uniform grid whose nodes, vertices included, are the
+unknowns of one semi-discrete system (see `GridLayout`)
+
+    M y'' + C y' + K y = B q,    m_k s_k'' + s_k = -(B^T y')_k,    q = s'.
+
+Half-cell lumping at a vertex reproduces, as the mesh is refined, the
+Kirchhoff flux law with the oscillator source (interior masses), the
 absorbing impedance y_x = -y_t (controlled leaves) or the Dirichlet pin.
-Each interior mass couples to its oscillator through a local 2x2 solve per
-step, so the scheme stays explicit apart from these scalar systems.
+Leapfrog in time takes one product K y per step; the damped vertices and the
+vertex-oscillator pairs are implicit but local, so each mass costs one 2x2
+solve.
 
 Alongside the physical energy the run loop tracks the staggered (half-step)
 leapfrog energy, which obeys an exact discrete dissipation identity: it
 decreases at every step by dt times the squared centered velocity at the
-damped vertices.
+damped vertices.  Both are quadratic forms in K, M and the masses.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import MetricGraph
 
@@ -36,14 +41,28 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridLayout:
-    """Global degree-of-freedom numbering: one DOF per vertex, then the
-    interior nodes of each edge in tail-to-head order."""
+    """Global degree-of-freedom numbering and the semi-discrete operator.
+
+    One DOF per vertex, then the interior nodes of each edge in tail-to-head
+    order.  K is the stiffness of the piecewise-linear meshes over all DOFs
+    (Dirichlet vertices included; their rows are pinned by the users of K),
+    M the lumped mass, C the unit damping at the controlled leaves (and, in
+    the circuit variant, at the mass vertices) and B the unit injection of
+    each oscillator at its mass vertex.  M and C are kept as diagonals, B as
+    the DOF index of each oscillator's unit entry.
+    """
 
     vertex_dof: dict
     edge_nodes: dict  # edge id -> int array of DOF indices, tail..head
     edge_h: dict  # edge id -> grid spacing
     ndof: int
-    lumped_mass: np.ndarray  # h on interior nodes, sum of h_j/2 at vertices
+    lumped_mass: np.ndarray  # M: h on interior nodes, sum of h_j/2 at vertices
+    stiffness: sp.csr_matrix  # K: sum over cells of (e_a - e_b)(e_a - e_b)^T / h
+    damping: np.ndarray  # C: 1 at the damped DOFs, 0 elsewhere
+    dirichlet: np.ndarray
+    mass_ids: tuple  # the oscillators, in graph order
+    mass_dofs: np.ndarray  # B: the vertex DOF each oscillator drives
+    masses: np.ndarray
 
 
 def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
@@ -57,21 +76,37 @@ def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
                 f"edge {e.id!r}: {n} cells < {MIN_CELLS}; refusing an "
                 f"under-resolved edge (raise cells-per-unit-length)"
             )
-        idx = np.empty(n + 1, dtype=int)
+        idx = np.empty(n + 1, dtype=np.int32)  # halves the assembly's memory
         idx[0] = vertex_dof[e.tail]
         idx[-1] = vertex_dof[e.head]
         idx[1:-1] = np.arange(nd, nd + n - 1)
         nd += n - 1
         edge_nodes[e.id] = idx
         edge_h[e.id] = e.ell / n
-    lumped = np.zeros(nd)
-    for e in graph.edges:
-        h = edge_h[e.id]
-        idx = edge_nodes[e.id]
-        lumped[idx[1:-1]] += h
-        lumped[idx[0]] += h / 2.0
-        lumped[idx[-1]] += h / 2.0
-    return GridLayout(vertex_dof, edge_nodes, edge_h, nd, lumped)
+    # every cell (a, b) of width h adds h/2 to M at both ends and the
+    # element stiffness [[1, -1], [-1, 1]] / h to K
+    cells = [(idx[:-1], idx[1:], np.full(len(idx) - 1, edge_h[eid]))
+             for eid, idx in edge_nodes.items()]
+    a, b, h = (np.concatenate(c) for c in zip(*cells))
+    lumped = np.bincount(a, h / 2.0, nd) + np.bincount(b, h / 2.0, nd)
+    w = 1.0 / h
+    stiffness = sp.csr_matrix(
+        (np.concatenate([w, w, -w, -w]),
+         (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+        shape=(nd, nd))
+
+    def dofs(vertices):
+        return np.array([vertex_dof[v.id] for v in vertices], dtype=int)
+
+    damping = np.zeros(nd)
+    damping[dofs(graph.controlled_vertices)] = 1.0
+    if graph.variant == "circuit":
+        damping[dofs(graph.mass_vertices)] = 1.0
+    return GridLayout(
+        vertex_dof, edge_nodes, edge_h, nd, lumped, stiffness, damping,
+        dofs(graph.dirichlet_vertices),
+        tuple(v.id for v in graph.mass_vertices), dofs(graph.mass_vertices),
+        np.array([v.mass for v in graph.mass_vertices], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -87,13 +122,11 @@ class NetworkState:
     t: float
     y_prev: np.ndarray | None = None  # field one step back (leapfrog memory)
     p_prev: dict | None = None
-    circuit_coupling: str = "per-node"  # or "first-node": the alternative
-    # reading where every inner node is driven by the first oscillator
+    ky_prev: np.ndarray | None = None  # K @ y_prev, left by the step
 
 
 def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
-               cells_per_unit: float = 16.0,
-               circuit_coupling: str = "per-node") -> NetworkState:
+               cells_per_unit: float = 16.0) -> NetworkState:
     """Sample initial data onto the grid.
 
     y0 and v0 map edge ids to callables of the arclength x in [0, l_j]
@@ -101,8 +134,6 @@ def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
     Missing entries mean zero.  y0 must be continuous at shared vertices and
     vanish at Dirichlet vertices.
     """
-    if circuit_coupling not in ("per-node", "first-node"):
-        raise SimulationError(f"unknown circuit coupling {circuit_coupling!r}")
     layout = make_layout(graph, cells_per_unit)
     y = np.zeros(layout.ndof)
     v = np.zeros(layout.ndof)
@@ -137,84 +168,49 @@ def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
             raise SimulationError(
                 f"initial data nonzero ({val}) at clamped vertex {vert.id!r}"
             )
-        y[layout.vertex_dof[vert.id]] = 0.0
-        v[layout.vertex_dof[vert.id]] = 0.0
+    y[layout.dirichlet] = 0.0
+    v[layout.dirichlet] = 0.0
 
     p, q = {}, {}
-    for vert in graph.mass_vertices:
-        s0, s1 = osc.get(vert.id, (0.0, 0.0))
-        p[vert.id] = float(s0)
-        q[vert.id] = float(s1)
-    return NetworkState(graph, layout, y, v, p, q, 0.0,
-                        circuit_coupling=circuit_coupling)
+    for vid in layout.mass_ids:
+        s0, s1 = osc.get(vid, (0.0, 0.0))
+        p[vid] = float(s0)
+        q[vid] = float(s1)
+    return NetworkState(graph, layout, y, v, p, q, 0.0)
 
 
 def min_spacing(layout: GridLayout) -> float:
     return min(layout.edge_h.values())
 
 
-def _damped_vertices(graph: MetricGraph):
-    """Vertices whose trace velocity enters the dissipation."""
-    out = [v.id for v in graph.controlled_vertices]
-    if graph.variant == "circuit":
-        out += [v.id for v in graph.mass_vertices]
-    return out
-
-
-def _vertex_flux(graph, layout, y, vid):
-    """Sum over incident edges of (nearest node - vertex value)/h."""
-    dv = layout.vertex_dof[vid]
-    total = 0.0
-    for e, d in graph.incident(vid):
-        idx = layout.edge_nodes[e.id]
-        u = y[idx[1]] if d == -1 else y[idx[-2]]
-        total += (u - y[dv]) / layout.edge_h[e.id]
-    return total
-
-
-def _acceleration(graph, layout, y, v, p, q, coupling):
-    """Spatial operator applied to (y, v): used only to bootstrap leapfrog."""
-    acc = np.zeros(layout.ndof)
-    for e in graph.edges:
-        idx = layout.edge_nodes[e.id]
-        h = layout.edge_h[e.id]
-        ye = y[idx]
-        acc[idx[1:-1]] = (ye[2:] - 2.0 * ye[1:-1] + ye[:-2]) / (h * h)
-    first_mass = graph.mass_vertices[0].id if graph.mass_vertices else None
-    for vert in graph.vertices:
-        dv = layout.vertex_dof[vert.id]
-        if vert.kind in ("root", "fixed"):
-            acc[dv] = 0.0
-        elif vert.kind == "controlled":
-            (e, _), = graph.incident(vert.id)
-            h = layout.edge_h[e.id]
-            acc[dv] = (_vertex_flux(graph, layout, y, vert.id) - v[dv]) / (h / 2.0)
-        else:
-            mv = sum(layout.edge_h[e.id] / 2.0 for e, _ in graph.incident(vert.id))
-            src = q[vert.id] if coupling == "per-node" else q[first_mass]
-            f = _vertex_flux(graph, layout, y, vert.id) + src
-            if graph.variant == "circuit":
-                f -= v[dv]
-            acc[dv] = f / mv
-    return acc
+def _osc(values: dict, layout: GridLayout) -> np.ndarray:
+    """Oscillator values keyed by mass id, as an array in layout order."""
+    return np.array([values[k] for k in layout.mass_ids], dtype=float)
 
 
 def _bootstrap(state: NetworkState, dt: float) -> NetworkState:
-    """Fill in the fictitious pre-initial field by a Taylor half-step back."""
-    graph, layout = state.graph, state.layout
-    y, v, p, q = state.y, state.v, state.p, state.q
-    acc = _acceleration(graph, layout, y, v, p, q, state.circuit_coupling)
-    y_prev = y - dt * v + 0.5 * dt * dt * acc
-    p_prev = {}
-    for vert in graph.mass_vertices:
-        vtrace = v[layout.vertex_dof[vert.id]]
-        sdd = (-p[vert.id] - vtrace) / vert.mass
-        p_prev[vert.id] = p[vert.id] - dt * q[vert.id] + 0.5 * dt * dt * sdd
-    return replace(state, y_prev=y_prev, p_prev=p_prev)
+    """Fill in the fictitious pre-initial field by a Taylor half-step back,
+    with the accelerations M^{-1}(-K y - C v + B q) and -(p + B^T v) / m."""
+    lay = state.layout
+    y, v = state.y, state.v
+    p, q = _osc(state.p, lay), _osc(state.q, lay)
+    force = -(lay.stiffness @ y) - lay.damping * v
+    force[lay.mass_dofs] += q
+    acc = force / lay.lumped_mass
+    acc[lay.dirichlet] = 0.0
+    sdd = (-p - v[lay.mass_dofs]) / lay.masses
+    p_prev = p - dt * q + 0.5 * dt * dt * sdd
+    return replace(state, y_prev=y - dt * v + 0.5 * dt * dt * acc,
+                   p_prev=dict(zip(lay.mass_ids, p_prev.tolist())),
+                   ky_prev=None)
 
 
 def step(state: NetworkState, dt: float, cfl: float = DEFAULT_CFL) -> NetworkState:
-    """Advance one time step of size dt (dt <= cfl * min grid spacing)."""
+    """Advance one time step of size dt (dt <= cfl * min grid spacing):
+
+        M (y+ - 2y + y-)/dt^2 + C (y+ - y-)/(2dt) + K y = B (p+ - p-)/(2dt),
+        m (p+ - 2p + p-)/dt^2 + p = -B^T (y+ - y-)/(2dt).
+    """
     if not dt > 0:
         raise SimulationError("dt must be positive")
     hmin = min_spacing(state.layout)
@@ -222,102 +218,62 @@ def step(state: NetworkState, dt: float, cfl: float = DEFAULT_CFL) -> NetworkSta
         raise SimulationError(f"dt={dt} violates the CFL bound {cfl}*{hmin}")
     if state.y_prev is None:
         state = _bootstrap(state, dt)
-    graph, layout = state.graph, state.layout
-    y, v, p, q = state.y, state.v, state.p, state.q
-    y_prev, p_prev = state.y_prev, state.p_prev
+    lay = state.layout
+    y, y_prev = state.y, state.y_prev
+    ky = lay.stiffness @ y
+    # interior rows: y+ = 2y - y- - dt^2 M^{-1} K y, formed in place because
+    # a fresh temporary of a fine-mesh field costs more than its arithmetic
+    y_new = ky * (-dt * dt)
+    y_new /= lay.lumped_mass
+    y_new += y
+    y_new += y
+    y_new -= y_prev
+    # the vertex rows (the first DOFs) add the damping C, and the pins
+    nv = len(lay.vertex_dof)
+    a = lay.lumped_mass[:nv] / (dt * dt)
+    b = 0.5 / dt
+    diag = a + b * lay.damping[:nv]
+    y_new[:nv] = (a * y_new[:nv] + b * lay.damping[:nv] * y_prev[:nv]) / diag
+    y_new[lay.dirichlet] = 0.0
 
-    y_new = np.empty_like(y)
-    for e in graph.edges:
-        idx = layout.edge_nodes[e.id]
-        h = layout.edge_h[e.id]
-        r2 = (dt / h) ** 2
-        ye = y[idx]
-        y_new[idx[1:-1]] = (
-            2.0 * ye[1:-1] - y_prev[idx[1:-1]] + r2 * (ye[2:] - 2.0 * ye[1:-1] + ye[:-2])
-        )
+    # the force at a mass vertex makes y+ = y_new + f (p+ - p-): eliminate
+    # y+ from the oscillator row and solve it for p+
+    j = lay.mass_dofs
+    p, p_prev = _osc(state.p, lay), _osc(state.p_prev, lay)
+    f = b / diag[j]
+    a22 = lay.masses / (dt * dt)
+    p_new = (a22 * (2.0 * p - p_prev) - p - b * (y_new[j] - y_prev[j])
+             + b * f * p_prev) / (a22 + b * f)
+    y_new[j] += f * (p_new - p_prev)
 
-    p_new = dict(p)
-    circuit = graph.variant == "circuit"
-    mass_order = graph.mass_vertices
-
-    for vert in graph.vertices:
-        dv = layout.vertex_dof[vert.id]
-        if vert.kind in ("root", "fixed"):
-            y_new[dv] = 0.0
-        elif vert.kind == "controlled":
-            (e, _), = graph.incident(vert.id)
-            h = layout.edge_h[e.id]
-            a = h / (2.0 * dt * dt)
-            b = 1.0 / (2.0 * dt)
-            flux = _vertex_flux(graph, layout, y, vert.id)
-            y_new[dv] = (flux + 2.0 * a * y[dv] - (a - b) * y_prev[dv]) / (a + b)
-
-    def advance_mass(vert, foreign_sdot=None):
-        dv = layout.vertex_dof[vert.id]
-        mv = sum(layout.edge_h[e.id] / 2.0 for e, _ in graph.incident(vert.id))
-        flux = _vertex_flux(graph, layout, y, vert.id)
-        c = 1.0 if circuit else 0.0
-        aa = mv / (dt * dt)
-        bb = 1.0 / (2.0 * dt)
-        m = vert.mass
-        if foreign_sdot is None:
-            # coupled 2x2: vertex value and own oscillator displacement
-            a11 = aa + c * bb
-            a12 = -bb
-            r1 = aa * (2.0 * y[dv] - y_prev[dv]) + flux \
-                - bb * p_prev[vert.id] + c * bb * y_prev[dv]
-            a21 = bb
-            a22 = m / (dt * dt)
-            r2 = a22 * (2.0 * p[vert.id] - p_prev[vert.id]) - p[vert.id] \
-                + bb * y_prev[dv]
-            det = a11 * a22 - a12 * a21
-            y_new[dv] = (r1 * a22 - a12 * r2) / det
-            p_new[vert.id] = (a11 * r2 - a21 * r1) / det
-        else:
-            # vertex forced by a known oscillator rate; own oscillator follows
-            a11 = aa + c * bb
-            r1 = aa * (2.0 * y[dv] - y_prev[dv]) + flux + foreign_sdot \
-                + c * bb * y_prev[dv]
-            y_new[dv] = r1 / a11
-            a22 = m / (dt * dt)
-            r2 = a22 * (2.0 * p[vert.id] - p_prev[vert.id]) - p[vert.id] \
-                - (y_new[dv] - y_prev[dv]) * bb
-            p_new[vert.id] = r2 / a22
-
-    if state.circuit_coupling == "per-node" or not mass_order:
-        for vert in mass_order:
-            advance_mass(vert)
-    else:
-        # alternative reading: every inner node driven by the first oscillator
-        first = mass_order[0]
-        advance_mass(first)
-        sdot = (p_new[first.id] - p_prev[first.id]) / (2.0 * dt)
-        for vert in mass_order[1:]:
-            advance_mass(vert, foreign_sdot=sdot)
-
-    v_new = (3.0 * y_new - 4.0 * y + y_prev) / (2.0 * dt)
-    q_new = {
-        k: (3.0 * p_new[k] - 4.0 * p[k] + p_prev[k]) / (2.0 * dt) for k in p_new
-    }
+    v_new = y_new - y  # (3y+ - 4y + y-)/(2dt), in place
+    v_new *= 3.0
+    v_new -= y
+    v_new += y_prev
+    v_new /= 2.0 * dt
+    q_new = (3.0 * p_new - 4.0 * p + p_prev) / (2.0 * dt)
     return replace(
-        state, y=y_new, v=v_new, p=p_new, q=q_new, t=state.t + dt,
-        y_prev=y, p_prev=dict(p),
+        state, y=y_new, v=v_new, p=dict(zip(lay.mass_ids, p_new.tolist())),
+        q=dict(zip(lay.mass_ids, q_new.tolist())), t=state.t + dt,
+        y_prev=y, p_prev=state.p, ky_prev=ky,
     )
+
+
+def _quadratic_energy(layout: GridLayout, v, y, ky, q, p, p0) -> float:
+    """1/2 (v'Mv + y'(K y0) + sum m q^2 + sum p p0), given ky = K y0: the
+    physical energy when y0 = y and p0 = p, the staggered one across two
+    time levels."""
+    return 0.5 * (float(np.einsum("i,i,i->", v, layout.lumped_mass, v))
+                  + float(np.dot(y, ky))
+                  + float(np.dot(layout.masses * q, q)) + float(np.dot(p, p0)))
 
 
 def energy(state: NetworkState) -> float:
     """Discrete energy: staggered |y_x|^2, lumped |y_t|^2, pointwise masses."""
-    graph, layout = state.graph, state.layout
-    total = 0.0
-    for e in graph.edges:
-        idx = layout.edge_nodes[e.id]
-        h = layout.edge_h[e.id]
-        dy = np.diff(state.y[idx])
-        total += float(np.dot(dy, dy)) / h
-    total += float(np.dot(state.v * layout.lumped_mass, state.v))
-    for vert in graph.mass_vertices:
-        total += vert.mass * state.q[vert.id] ** 2 + state.p[vert.id] ** 2
-    return 0.5 * total
+    lay = state.layout
+    p = _osc(state.p, lay)
+    return _quadratic_energy(lay, state.v, state.y, lay.stiffness @ state.y,
+                             _osc(state.q, lay), p, p)
 
 
 def shadow_energy(state: NetworkState, dt: float) -> float | None:
@@ -327,19 +283,12 @@ def shadow_energy(state: NetworkState, dt: float) -> float | None:
     """
     if state.y_prev is None:
         return None
-    graph, layout = state.graph, state.layout
-    dy = (state.y - state.y_prev) / dt
-    total = float(np.dot(dy * layout.lumped_mass, dy))
-    for e in graph.edges:
-        idx = layout.edge_nodes[e.id]
-        h = layout.edge_h[e.id]
-        total += float(
-            np.dot(np.diff(state.y[idx]), np.diff(state.y_prev[idx]))
-        ) / h
-    for vert in graph.mass_vertices:
-        dp = (state.p[vert.id] - state.p_prev[vert.id]) / dt
-        total += vert.mass * dp * dp + state.p[vert.id] * state.p_prev[vert.id]
-    return 0.5 * total
+    lay = state.layout
+    ky = state.ky_prev if state.ky_prev is not None else lay.stiffness @ state.y_prev
+    p, p_prev = _osc(state.p, lay), _osc(state.p_prev, lay)
+    v = state.y - state.y_prev
+    v /= dt
+    return _quadratic_energy(lay, v, state.y, ky, (p - p_prev) / dt, p, p_prev)
 
 
 @dataclass
@@ -357,41 +306,35 @@ class EnergySeries:
     e0: float
 
 
-def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None,
-        circuit_coupling: str = "per-node") -> EnergySeries:
-    """Simulate to time T and assemble the energy budget.
+def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergySeries:
+    """Simulate to time T through `step` and assemble the energy budget.
 
     config keys: T (required), cfl (default 0.9), cells_per_unit (default 16),
-    sample_stride (default 1).
+    sample_stride (default 1).  Every stride-th step samples the energy with
+    centered velocities, the staggered energy and the trapezoid-accumulated
+    dissipation, all from the K y product the step already formed.  Bad
+    parameters raise SimulationError.
     """
-    T = float(config["T"])
-    if not T > 0:
-        raise SimulationError("T must be positive")
-    cfl = float(config.get("cfl", DEFAULT_CFL))
-    cells = float(config.get("cells_per_unit", 16.0))
-    stride = int(config.get("sample_stride", 1))
+    try:
+        T = float(config["T"])
+        cfl = float(config.get("cfl", DEFAULT_CFL))
+        cells = float(config.get("cells_per_unit", 16.0))
+        stride = int(config.get("sample_stride", 1))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SimulationError(f"bad run parameter: {exc}") from None
+    if not (0 < T < math.inf and 0 < cfl < math.inf and 0 < cells < math.inf
+            and stride >= 1):
+        raise SimulationError(
+            f"need finite positive T, cfl and cells_per_unit and "
+            f"sample_stride >= 1; got T={T}, cfl={cfl}, cells_per_unit={cells}, "
+            f"sample_stride={stride}")
 
-    state = init_state(graph, y0, v0, osc, cells, circuit_coupling)
+    state = init_state(graph, y0, v0, osc, cells)
     layout = state.layout
     dt = cfl * min_spacing(layout)
     nsteps = max(1, int(math.ceil(T / dt)))
     dt = T / nsteps
-
-    dofs = [layout.vertex_dof[vid] for vid in _damped_vertices(graph)]
-
-    def centered_energy(y_next, y_now, y_back, p_next, p_now, p_back):
-        """Energy at the middle time level with centered velocities."""
-        total = 0.0
-        vc = (y_next - y_back) / (2.0 * dt)
-        total += float(np.dot(vc * layout.lumped_mass, vc))
-        for e in graph.edges:
-            idx = layout.edge_nodes[e.id]
-            dy = np.diff(y_now[idx])
-            total += float(np.dot(dy, dy)) / layout.edge_h[e.id]
-        for vert in graph.mass_vertices:
-            qc = (p_next[vert.id] - p_back[vert.id]) / (2.0 * dt)
-            total += vert.mass * qc * qc + p_now[vert.id] ** 2
-        return 0.5 * total
+    damped = np.flatnonzero(layout.damping)
 
     ts, es, ds, shadows = [], [], [], []
     d_acc = 0.0
@@ -403,15 +346,17 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None,
     state = _bootstrap(state, dt)
     for n in range(nsteps + 1):
         new = step(state, dt, cfl)
-        rate = sum(
-            ((new.y[dv] - state.y_prev[dv]) / (2.0 * dt)) ** 2 for dv in dofs
-        )
+        vc = (new.y[damped] - state.y_prev[damped]) / (2.0 * dt)
+        rate = float(np.dot(vc, vc))  # v'Cv with C = 1 on the damped DOFs
         if prev_rate is not None:  # trapezoid in time over the samples
             d_acc += 0.5 * dt * (prev_rate + rate)
         prev_rate = rate
         if n % stride == 0 or n == nsteps:
-            e = centered_energy(new.y, state.y, state.y_prev,
-                                new.p, state.p, state.p_prev)
+            p = _osc(state.p, layout)
+            vc = new.y - state.y_prev
+            vc /= 2.0 * dt
+            qc = (_osc(new.p, layout) - _osc(state.p_prev, layout)) / (2.0 * dt)
+            e = _quadratic_energy(layout, vc, state.y, new.ky_prev, qc, p, p)
             sh = shadow_energy(new, dt)
             # the staggered energy is exactly nonincreasing for a correct
             # scheme, so any growth there flags a genuine failure

@@ -291,12 +291,17 @@ def _count_with_retries(graph, box, rng, tries=8):
 
 def newton_refine(graph: MetricGraph, lam0: complex, tol: float = DET_TOL,
                   maxiter: int = 60) -> tuple[complex, float]:
-    """Polish a root of det M by Newton on the logarithmic derivative."""
+    """Polish a root of det M by Newton on the logarithmic derivative.
+
+    A step that lands exactly on a root leaves M(lam) singular; the iteration
+    stops there and the returned residual reports it.
+    """
     lam = complex(lam0)
     for _ in range(maxiter):
-        sys = char_matrix(graph, lam)
-        res = sys.residual()
-        ld = sys.log_derivative()
+        try:
+            ld = char_matrix(graph, lam).log_derivative()
+        except np.linalg.LinAlgError:
+            break
         if ld == 0 or not np.isfinite(ld):
             break
         step = -1.0 / ld

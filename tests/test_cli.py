@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from netwave.cli import main
 
 TREE_SPEC = {
@@ -166,3 +168,29 @@ def test_counterexample_rational_length_exit_two(tmp_path, capsys):
                "--probes", "5", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "eigenvalue" in capsys.readouterr().err
+
+
+def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
+    cfg = write(tmp_path, "sim.json", {**TREE_SPEC, "T": 0.5,
+                                       "cells-per-unit-length": 24})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["T"] == 0.5
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"] == {"T": 0.5, "cells-per-unit-length": 24}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "sample-stride": 0}),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "cfl": 0}),
+    (["simulate"], {"graph": TREE_SPEC, "T": "abc"}),
+    (["sweep"], {"graph": TREE_SPEC, "beta": {"count": -1}}),
+    (["counterexample", "--variant", "star", "--length", "sqrt(2)",
+      "--probes", "0"], None),
+], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
+        "probes-0"])
+def test_bad_input_exit_two(tmp_path, capsys, argv, config):
+    if config is not None:
+        argv = argv + ["--config", write(tmp_path, "cfg.json", config)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from netwave.graph import build_graph, make_circuit, make_star, make_tree_chain
+from netwave.resolvent import assemble_generator
 from netwave.simulate import (
     SimulationError,
+    energy,
     init_state,
     run,
     shadow_energy,
@@ -84,6 +86,24 @@ def test_shadow_energy_exactly_conserved_without_damping():
     assert abs(last - first) <= 1e-12 * first
 
 
+def test_energy_is_the_generator_weight():
+    # the simulator and A_h share one operator: E = 1/2 z'W_h z for
+    # z = (y, v off the Dirichlet DOFs, p, q)
+    rng = np.random.default_rng(13)
+    for graph in GRAPHS:
+        gen = assemble_generator(graph, 1.0 / 16.0)
+        state = init_state(graph, *random_initial(graph, rng),
+                           cells_per_unit=16)
+        dt = 0.5 * min(state.layout.edge_h.values())
+        for _ in range(40):
+            state = step(state, dt)
+        z = np.concatenate([state.y[gen.keep], state.v[gen.keep],
+                            [state.p[k] for k in gen.mass_ids],
+                            [state.q[k] for k in gen.mass_ids]])
+        e = energy(state)
+        assert abs(e - 0.5 * z @ (gen.W @ z)) <= 1e-12 * e
+
+
 def test_superposition():
     graph = make_tree_chain(["1", "0.9"], [1.0])
     rng = np.random.default_rng(21)
@@ -116,8 +136,7 @@ def test_time_reversal_without_damping():
     back = fwd.__class__(
         graph=fwd.graph, layout=fwd.layout, y=fwd.y_prev, v=-fwd.v,
         p={k: -v for k, v in fwd.p_prev.items()}, q=dict(fwd.q), t=0.0,
-        y_prev=fwd.y, p_prev={k: -v for k, v in fwd.p.items()},
-        circuit_coupling=fwd.circuit_coupling)
+        y_prev=fwd.y, p_prev={k: -v for k, v in fwd.p.items()})
     for _ in range(80):
         back = step(back, dt)
     assert np.max(np.abs(back.y - state0.y)) <= 1e-9
@@ -190,11 +209,7 @@ def test_cfl_violation_detected():
 def test_circuit_coupling_variants_both_dissipate():
     graph = make_circuit("sqrt(2)")
     y0 = {"e1": smooth_bump(1.0)}
-    for coupling in ("per-node", "first-node"):
-        series = run(graph, {"T": 4.0, "cells_per_unit": 24}, y0=y0,
-                     circuit_coupling=coupling)
-        assert series.E[-1] < series.e0
-    # only the per-node feedback has the exact discrete dissipation identity
-    series = run(graph, {"T": 4.0, "cells_per_unit": 24}, y0=y0,
-                 circuit_coupling="per-node")
+    series = run(graph, {"T": 4.0, "cells_per_unit": 24}, y0=y0)
+    assert series.E[-1] < series.e0
+    # the per-node feedback has the exact discrete dissipation identity
     assert np.all(np.diff(series.shadow) <= 1e-12)

@@ -55,6 +55,17 @@ def test_resolvent_norm_symmetric_in_beta():
         assert abs(n1 - n2) <= 1e-3 * n1
 
 
+def test_resolvent_norm_matches_dense_svd():
+    # ||R||_W = ||G R G^{-1}||_2 with W = G'G, on every variant's generator
+    for graph in GRAPHS:
+        gen = assemble_generator(graph, 1.0 / 8.0)
+        G = np.linalg.cholesky(gen.W.toarray()).T
+        for beta in (0.5, 2.0):
+            R = np.linalg.inv(1j * beta * np.eye(gen.dim) - gen.A.toarray())
+            exact = np.linalg.norm(G @ R @ np.linalg.inv(G), 2)
+            assert abs(resolvent_norm(gen, beta) - exact) <= 1e-5 * exact
+
+
 def test_resolvent_norm_mesh_converged_on_stable_graph():
     graph = make_tree_chain(["1", "0.9"], [1.0])
     vals = []

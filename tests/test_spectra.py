@@ -98,6 +98,16 @@ def test_find_eigenvalues_reports_left_half_plane():
         assert r.residual <= 1e-9
 
 
+def test_find_eigenvalues_survives_newton_landing_on_a_root():
+    # a Newton step lands exactly on a root here, where M(lam) is singular
+    g = make_tree_chain(["43/50", "57/50"], [1.0])
+    report = find_eigenvalues(g, (-3.0, 0.5, -12.0, 12.0))
+    assert len(report.roots) == 8
+    for r in report.roots:
+        assert r.lam.real < 0
+        assert r.residual <= 1e-9
+
+
 def test_find_eigenvalues_skips_mass_resonance():
     # stable chain: the cleared factor roots at i/sqrt(m) are not reported
     g = make_tree_chain(["1", "0.9"], [1.0])
