@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import sys
 import time
@@ -178,12 +179,30 @@ def _opt(params: dict, *names, default=None):
     return default
 
 
+def _check_keys(params: dict, *names):
+    """Reject any key that is not one of names in a spelling `_opt` accepts."""
+    known = set(names) | {n.replace("-", "_") for n in names}
+    for key in params:
+        if key not in known:
+            close = difflib.get_close_matches(key, sorted(known), n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigError(f"unknown config key {key!r}{hint}")
+
+
+def _float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 
 def _cmd_check(args) -> int:
     cfg = _load_config(args.config)
     graph, params = _graph_from_config(cfg, Path(args.config).parent)
+    _check_keys(params)
     verdict: dict = {"variant": graph.variant, "vertices": len(graph.vertices),
                      "edges": len(graph.edges)}
     stable = None
@@ -216,10 +235,13 @@ def _initial_data(graph: MetricGraph, spec: dict):
     velocity (bool: load v instead of y), oscillators {id: [s, s']}.
     """
     spec = spec or {}
+    if not isinstance(spec, dict):
+        raise ConfigError('"initial" must be an object')
+    _check_keys(spec, "kind", "edges", "amplitude", "velocity", "oscillators")
     kind = spec.get("kind", "bump")
     edges = spec.get("edges")
-    amp = float(spec.get("amplitude", 1.0))
-    osc = {k: (float(v[0]), float(v[1]))
+    amp = _float(spec.get("amplitude", 1.0), '"initial" amplitude')
+    osc = {k: (_float(v[0], f"oscillator {k!r}"), _float(v[1], f"oscillator {k!r}"))
            for k, v in (spec.get("oscillators") or {}).items()}
 
     def profile(ell):
@@ -244,6 +266,8 @@ def _initial_data(graph: MetricGraph, spec: dict):
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     graph, params = _graph_from_config(cfg, Path(args.config).parent)
+    _check_keys(params, "T", "cfl", "cells-per-unit-length", "cells_per_unit",
+                "sample-stride", "initial")
     run_cfg = {
         "T": _opt(params, "T", default=10.0),
         "cfl": _opt(params, "cfl", default=0.9),
@@ -284,11 +308,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
     graph, params = _graph_from_config(cfg, Path(args.config).parent)
+    _check_keys(params, "box", "tol")
     box = _opt(params, "box", default=[-5.0, 0.5, -20.0, 20.0])
     if not (isinstance(box, list) and len(box) == 4):
         raise ConfigError('"box" must be [re_min, re_max, im_min, im_max]')
-    report = find_eigenvalues(graph, tuple(float(b) for b in box),
-                              tol=float(_opt(params, "tol", default=1e-9)))
+    report = find_eigenvalues(graph, tuple(_float(b, '"box" entry') for b in box),
+                              tol=_float(_opt(params, "tol", default=1e-9), '"tol"'))
     em = Emitter(Path(args.out), "spectrum", args.config, params)
     rows = [(r.lam.real, r.lam.imag, r.residual, r.box_count)
             for r in report.roots]
@@ -316,6 +341,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     graph, params = _graph_from_config(cfg, Path(args.config).parent)
+    _check_keys(params, "beta", "mesh-ladder")
     beta = _opt(params, "beta", default={"min": 0.0, "max": 50.0, "count": 51})
     try:
         if isinstance(beta, dict):
@@ -359,6 +385,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_chain_check(args) -> int:
     cfg = _load_config(args.config)
+    _check_keys(cfg, "lengths", "masses")
     try:
         chain = ChainSpec(tuple(float(l) for l in cfg["lengths"]),
                           tuple(float(m) for m in cfg["masses"]))

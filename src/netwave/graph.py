@@ -152,20 +152,6 @@ class MetricGraph:
     def dirichlet_vertices(self) -> list[Vertex]:
         return [v for v in self.vertices if v.kind in ("root", "fixed")]
 
-    def incidence_matrix(self) -> list[list[int]]:
-        rows = []
-        for v in self.vertices:
-            row = []
-            for e in self.edges:
-                d = 0
-                if e.head == v.id:
-                    d = +1
-                elif e.tail == v.id:
-                    d = -1
-                row.append(d)
-            rows.append(row)
-        return rows
-
     def total_length(self) -> float:
         return sum(e.ell for e in self.edges)
 

@@ -197,7 +197,12 @@ def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
     base = max(MIN_CELLS / min_ell, bmax / MESH_BETA_PRODUCT, 8.0)
     if mesh_ladder is None:
         mesh_ladder = [base, 1.5 * base, 2.0 * base]
-    mesh_ladder = sorted(float(m) for m in mesh_ladder)
+    try:
+        mesh_ladder = sorted(float(m) for m in mesh_ladder)
+    except (TypeError, ValueError):
+        raise ResolventError(f"mesh ladder {mesh_ladder!r} must list numbers") from None
+    if not mesh_ladder or min(mesh_ladder) <= 0:
+        raise ResolventError(f"mesh ladder {mesh_ladder} needs positive cell counts")
 
     curves = []
     for cells in mesh_ladder:

@@ -180,17 +180,32 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
     assert manifest["parameters"] == {"T": 0.5, "cells-per-unit-length": 24}
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "sample-stride": 0}),
-    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "cfl": 0}),
-    (["simulate"], {"graph": TREE_SPEC, "T": "abc"}),
-    (["sweep"], {"graph": TREE_SPEC, "beta": {"count": -1}}),
+@pytest.mark.parametrize("argv, config, message", [
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "sample-stride": 0}, ""),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "cfl": 0}, ""),
+    (["simulate"], {"graph": TREE_SPEC, "T": "abc"}, ""),
+    (["sweep"], {"graph": TREE_SPEC, "beta": {"count": -1}}, ""),
     (["counterexample", "--variant", "star", "--length", "sqrt(2)",
-      "--probes", "0"], None),
+      "--probes", "0"], None, ""),
+    (["spectrum"], {"graph": TREE_SPEC, "box": ["a", 0, 0, 1]}, "box"),
+    (["spectrum"], {"graph": TREE_SPEC, "tol": "abc"}, "tol"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": [1.0], "mesh-ladder": [0]}, "mesh"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": [1.0], "mesh-ladder": ["x"]}, "mesh"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {"amplitude": "x"}},
+     "amplitude"),
+    (["spectrum"], {"graph": TREE_SPEC, "bx": [-3.0, 0.5, -10.0, 10.0]}, "box"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "circuit-coupling": "first-node"},
+     "circuit-coupling"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {"amplitud": 2.0}},
+     "amplitude"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
-        "probes-0"])
-def test_bad_input_exit_two(tmp_path, capsys, argv, config):
+        "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
+        "amplitude-x", "unknown-key-bx", "unknown-key-circuit-coupling",
+        "unknown-initial-key"])
+def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netwave.graph import build_graph, make_circuit, make_tree_chain
+from netwave.chaincrit import ChainSpec, chain_stable
+from netwave.graph import build_graph, make_chain, make_circuit, make_tree_chain
 from netwave.spectral import (
     SpectralError,
     char_det,
@@ -155,3 +158,72 @@ def test_winding_count_matches_roots():
     # conjugate pairing of the located roots
     ims = sorted(round(r.lam.imag, 6) for r in report.roots)
     assert ims == sorted(-v for v in ims)
+
+
+def double_root_tree():
+    """root -1- A (m = 1) with three identical branches A -7/10- B_i (m = 2)
+    -6/5- controlled leaf: the branch symmetry doubles some roots."""
+    vertices = [{"id": "r", "kind": "root"}, {"id": "A", "kind": "mass", "mass": 1.0}]
+    edges = [{"id": "e0", "tail": "r", "head": "A", "length": "1"}]
+    for i in range(3):
+        vertices += [{"id": f"B{i}", "kind": "mass", "mass": 2.0},
+                     {"id": f"L{i}", "kind": "controlled"}]
+        edges += [{"id": f"a{i}", "tail": "A", "head": f"B{i}", "length": "7/10"},
+                  {"id": f"b{i}", "tail": f"B{i}", "head": f"L{i}", "length": "6/5"}]
+    return build_graph({"variant": "tree", "vertices": vertices, "edges": edges})
+
+
+@pytest.mark.parametrize("graph, box, count", [
+    (make_tree_chain(["1"] * 7, [1.0] * 6), (-3.0, 0.5, -12.0, 12.0), 58),
+    (make_tree_chain(["1"] * 7, [1.0] * 6), (-3.3, 0.7, -12.4, 12.4), 58),
+    (make_chain(["1", "1.5", "0.7"], [1.0, 2.0]), (-5.0, 0.5, -20.0, 20.0), 32),
+    (double_root_tree(), (-3.0, 0.5, -6.0, 6.0), 14),
+], ids=["unit-chain-7", "unit-chain-7-wider", "chain-3", "double-root-tree"])
+def test_find_eigenvalues_counts_roots(graph, box, count):
+    report = find_eigenvalues(graph, box)
+    assert len(report.roots) == count
+    for r in report.roots:
+        assert r.residual <= 1e-9
+        assert box[0] <= r.lam.real <= box[1] and box[2] <= r.lam.imag <= box[3]
+
+
+def test_find_eigenvalues_reports_multiplicity():
+    g = double_root_tree()
+    doubles = [r.lam for r in find_eigenvalues(g, (-3.0, 0.5, -6.0, 6.0)).roots
+               if r.box_count == 2]
+    expected = (-0.0339 + 0.6137j, -0.0339 - 0.6137j,
+                -1.8473 + 2.9890j, -1.8473 - 2.9890j)
+    assert len(doubles) == 4
+    for lam in expected:
+        assert min(abs(d - lam) for d in doubles) <= 1e-4
+    for lam in doubles:
+        assert eigenfunction(g, lam).null_space_dim == 2
+
+
+def test_find_eigenvalues_rejects_reversed_box():
+    with pytest.raises(SpectralError):
+        find_eigenvalues(pi_chain(), (0.5, -3.0, -12.0, 12.0))
+
+
+@st.composite
+def chains(draw):
+    k = draw(st.integers(2, 4))
+    lengths = [f"{draw(st.integers(50, 150))}/100" for _ in range(k)]
+    masses = [draw(st.sampled_from((0.5, 1.0, 2.0))) for _ in range(k - 1)]
+    if draw(st.booleans()):  # resonant: a unit last mass behind a pi edge
+        lengths.append("pi*1")
+        masses.append(1.0)
+    return make_chain(lengths, masses)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(chains())
+def test_spectrum_agrees_with_chain_predicate(graph):
+    roots = find_eigenvalues(graph, (-3.0, 0.5, -12.0, 12.0)).roots
+    spec = ChainSpec(tuple(e.ell for e in graph.edges),
+                     tuple(v.mass for v in graph.mass_vertices))
+    axis = any(r.lam.real >= -1e-12 for r in roots)
+    assert axis == (not chain_stable(spec).stable)
+    for r in roots:
+        assert r.residual <= 1e-9
+        assert min(abs(s.lam - r.lam.conjugate()) for s in roots) <= 1e-8 * (1 + abs(r.lam))
