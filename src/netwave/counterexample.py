@@ -432,12 +432,13 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
         r[1] = c / (2 * beta)
         M[2, 2] = s3
         M[2, 3] = c3
-        # center flux with the oscillator eliminated:
-        # sum_j y_j'(0) = beta^2 Y / (1 - beta^2)
+        # center flux with the oscillator eliminated: sum d y' = q with
+        # q = beta^2 Y / (1 - beta^2) and d = -1 at the center, so
+        # sum_j y_j'(0) = -beta^2 Y / (1 - beta^2)
         M[3, 0] = beta
         M[3, 1] = beta
         M[3, 2] = beta
-        M[3, 3] = -(beta**2) / (1 - beta**2)
+        M[3, 3] = beta**2 / (1 - beta**2)
         r[3] = 1 / (2 * beta)
         try:
             a1, a2, a3, Y = mp.lu_solve(M, r)

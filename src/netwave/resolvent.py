@@ -52,7 +52,6 @@ class DiscreteGenerator:
     W: sp.csr_matrix
     keep: np.ndarray  # reduced index -> layout DOF
     mass_ids: list
-    h_max: float
 
     @property
     def nfield(self) -> int:
@@ -100,9 +99,7 @@ def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
     W = sp.block_diag(
         [K, sp.diags(M), sp.identity(nm), sp.diags(layout.masses)], format="csr"
     )
-    h_max = max(layout.edge_h.values())
-    return DiscreteGenerator(graph, layout, A, W, keep, list(layout.mass_ids),
-                             h_max)
+    return DiscreteGenerator(graph, layout, A, W, keep, list(layout.mass_ids))
 
 
 def dissipation_defect(gen: DiscreteGenerator, z: np.ndarray) -> float:

@@ -111,17 +111,18 @@ def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
 
 @dataclass(frozen=True)
 class NetworkState:
-    """Sampled fields y, v on the global grid plus oscillator pairs (p, q)."""
+    """Sampled fields y, v on the global grid plus oscillator pairs (p, q),
+    the oscillators in `layout.mass_ids` order."""
 
     graph: MetricGraph
     layout: GridLayout
     y: np.ndarray
     v: np.ndarray
-    p: dict
-    q: dict
+    p: np.ndarray
+    q: np.ndarray
     t: float
     y_prev: np.ndarray | None = None  # field one step back (leapfrog memory)
-    p_prev: dict | None = None
+    p_prev: np.ndarray | None = None
     ky_prev: np.ndarray | None = None  # K @ y_prev, left by the step
 
 
@@ -171,11 +172,9 @@ def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
     y[layout.dirichlet] = 0.0
     v[layout.dirichlet] = 0.0
 
-    p, q = {}, {}
-    for vid in layout.mass_ids:
-        s0, s1 = osc.get(vid, (0.0, 0.0))
-        p[vid] = float(s0)
-        q[vid] = float(s1)
+    pairs = [osc.get(vid, (0.0, 0.0)) for vid in layout.mass_ids]
+    p = np.array([float(s0) for s0, _ in pairs])
+    q = np.array([float(s1) for _, s1 in pairs])
     return NetworkState(graph, layout, y, v, p, q, 0.0)
 
 
@@ -183,17 +182,11 @@ def min_spacing(layout: GridLayout) -> float:
     return min(layout.edge_h.values())
 
 
-def _osc(values: dict, layout: GridLayout) -> np.ndarray:
-    """Oscillator values keyed by mass id, as an array in layout order."""
-    return np.array([values[k] for k in layout.mass_ids], dtype=float)
-
-
 def _bootstrap(state: NetworkState, dt: float) -> NetworkState:
     """Fill in the fictitious pre-initial field by a Taylor half-step back,
     with the accelerations M^{-1}(-K y - C v + B q) and -(p + B^T v) / m."""
     lay = state.layout
-    y, v = state.y, state.v
-    p, q = _osc(state.p, lay), _osc(state.q, lay)
+    y, v, p, q = state.y, state.v, state.p, state.q
     force = -(lay.stiffness @ y) - lay.damping * v
     force[lay.mass_dofs] += q
     acc = force / lay.lumped_mass
@@ -201,8 +194,7 @@ def _bootstrap(state: NetworkState, dt: float) -> NetworkState:
     sdd = (-p - v[lay.mass_dofs]) / lay.masses
     p_prev = p - dt * q + 0.5 * dt * dt * sdd
     return replace(state, y_prev=y - dt * v + 0.5 * dt * dt * acc,
-                   p_prev=dict(zip(lay.mass_ids, p_prev.tolist())),
-                   ky_prev=None)
+                   p_prev=p_prev, ky_prev=None)
 
 
 def step(state: NetworkState, dt: float, cfl: float = DEFAULT_CFL) -> NetworkState:
@@ -239,7 +231,7 @@ def step(state: NetworkState, dt: float, cfl: float = DEFAULT_CFL) -> NetworkSta
     # the force at a mass vertex makes y+ = y_new + f (p+ - p-): eliminate
     # y+ from the oscillator row and solve it for p+
     j = lay.mass_dofs
-    p, p_prev = _osc(state.p, lay), _osc(state.p_prev, lay)
+    p, p_prev = state.p, state.p_prev
     f = b / diag[j]
     a22 = lay.masses / (dt * dt)
     p_new = (a22 * (2.0 * p - p_prev) - p - b * (y_new[j] - y_prev[j])
@@ -252,11 +244,8 @@ def step(state: NetworkState, dt: float, cfl: float = DEFAULT_CFL) -> NetworkSta
     v_new += y_prev
     v_new /= 2.0 * dt
     q_new = (3.0 * p_new - 4.0 * p + p_prev) / (2.0 * dt)
-    return replace(
-        state, y=y_new, v=v_new, p=dict(zip(lay.mass_ids, p_new.tolist())),
-        q=dict(zip(lay.mass_ids, q_new.tolist())), t=state.t + dt,
-        y_prev=y, p_prev=state.p, ky_prev=ky,
-    )
+    return replace(state, y=y_new, v=v_new, p=p_new, q=q_new, t=state.t + dt,
+                   y_prev=y, p_prev=p, ky_prev=ky)
 
 
 def _quadratic_energy(layout: GridLayout, v, y, ky, q, p, p0) -> float:
@@ -271,9 +260,8 @@ def _quadratic_energy(layout: GridLayout, v, y, ky, q, p, p0) -> float:
 def energy(state: NetworkState) -> float:
     """Discrete energy: staggered |y_x|^2, lumped |y_t|^2, pointwise masses."""
     lay = state.layout
-    p = _osc(state.p, lay)
     return _quadratic_energy(lay, state.v, state.y, lay.stiffness @ state.y,
-                             _osc(state.q, lay), p, p)
+                             state.q, state.p, state.p)
 
 
 def shadow_energy(state: NetworkState, dt: float) -> float | None:
@@ -285,7 +273,7 @@ def shadow_energy(state: NetworkState, dt: float) -> float | None:
         return None
     lay = state.layout
     ky = state.ky_prev if state.ky_prev is not None else lay.stiffness @ state.y_prev
-    p, p_prev = _osc(state.p, lay), _osc(state.p_prev, lay)
+    p, p_prev = state.p, state.p_prev
     v = state.y - state.y_prev
     v /= dt
     return _quadratic_energy(lay, v, state.y, ky, (p - p_prev) / dt, p, p_prev)
@@ -352,11 +340,11 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
             d_acc += 0.5 * dt * (prev_rate + rate)
         prev_rate = rate
         if n % stride == 0 or n == nsteps:
-            p = _osc(state.p, layout)
             vc = new.y - state.y_prev
             vc /= 2.0 * dt
-            qc = (_osc(new.p, layout) - _osc(state.p_prev, layout)) / (2.0 * dt)
-            e = _quadratic_energy(layout, vc, state.y, new.ky_prev, qc, p, p)
+            qc = (new.p - state.p_prev) / (2.0 * dt)
+            e = _quadratic_energy(layout, vc, state.y, new.ky_prev, qc, state.p,
+                                  state.p)
             sh = shadow_energy(new, dt)
             # the staggered energy is exactly nonincreasing for a correct
             # scheme, so any growth there flags a genuine failure

@@ -1,11 +1,12 @@
 """Characteristic-system spectral analysis of the network generator.
 
-On each edge an eigenfield solves y'' = lam^2 y, written in the entire basis
-{cosh(lam x), sinh(lam x)/lam} so that nothing degenerates at lam = 0.  The
-vertex laws assemble into a square complex matrix M(lam) acting on the edge
-coefficient pairs (alpha_j, gamma_j); eigenvalues of the generator are the
-zeros of det M.  Oscillator unknowns are eliminated row-wise, clearing the
-denominators (m_k lam^2 + 1) so every entry stays entire in lam.
+On each edge an eigenfield solves y'' = lam^2 y in the entire basis
+{cosh(lam x), sinh(lam x)/lam}, so nothing degenerates at lam = 0.  The
+characteristic matrix factors as M(lam) = R(lam) T(lam): T takes the edge
+coefficients (alpha_j, gamma_j) to the traces y and d y' at both ends of every
+edge, and the law table R writes each vertex law once as a row over those
+traces, cubic in lam once the oscillator denominators (m_k lam^2 + 1) are
+cleared, so every entry stays entire.  The eigenvalues are the zeros of det M.
 
 Roots are located by contour integrals of M(lam)^{-1} (Beyn's block-moment
 method, one ellipse per horizontal strip of the search box) and polished by
@@ -16,6 +17,7 @@ d/dlam log det M = tr(M^{-1} M'), with M' assembled analytically.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,21 +32,86 @@ class SpectralError(RuntimeError):
     pass
 
 
-def _basis(lam: complex, x: float):
-    """cosh(lam x), sinh(lam x)/lam and their lam-derivatives."""
+def _basis(lam: complex, x: float) -> tuple:
+    """The field y = alpha cosh(lam x) + gamma sinh(lam x)/lam at x: the
+    coefficients of y(x) on (alpha, gamma) and their lam-derivatives, then
+    those of y'(x)."""
     z = lam * x
     if abs(z) < 1e-4:
         z2 = z * z
         ch = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
-        sh_over = x * (1.0 + z2 / 6.0 + z2 * z2 / 120.0)
+        sh = x * (1.0 + z2 / 6.0 + z2 * z2 / 120.0)  # sinh(lam x)/lam
         dsh = lam * x**3 * (1.0 / 3.0 + z2 / 30.0)
     else:
         ch = cmath.cosh(z)
-        sh = cmath.sinh(z)
-        sh_over = sh / lam
-        dsh = (x * ch - sh_over) / lam
-    dch = x * lam * sh_over  # x * sinh(lam x)
-    return ch, sh_over, dch, dsh
+        sh = cmath.sinh(z) / lam
+        dsh = (x * ch - sh) / lam
+    dch = x * lam * sh  # x * sinh(lam x)
+    lam2 = lam * lam
+    return (ch, sh, dch, dsh, lam2 * sh, ch, 2.0 * lam * sh + lam2 * dsh, dch)
+
+
+def _ends(graph: MetricGraph) -> list:
+    """Per vertex, the offsets of its edge ends in the trace vector: 4j for
+    the tail of edge j, 4j + 2 for its head.  The trace vector holds y at an
+    end's offset and the outward flux d y' right after it."""
+    offset = {e.id: 4 * j for j, e in enumerate(graph.edges)}
+    return [[offset[e.id] + (2 if d == 1 else 0) for e, d in graph.incident(v.id)]
+            for v in graph.vertices]
+
+
+@functools.lru_cache(maxsize=64)
+def _law_table(graph: MetricGraph) -> np.ndarray:
+    """The vertex laws, each written once as a row over the 4E edge-end
+    traces: R(lam) = sum_k lam^k L_k, returned as the rows of L_0..L_3
+    flattened, shape (4, 2E * 4E)."""
+    ne = len(graph.edges)
+    table = np.zeros((4, 2 * ne, 4 * ne), dtype=complex)
+    row = 0
+    for v, ends in zip(graph.vertices, _ends(graph)):
+        ref = ends[0]
+        if v.kind in ("root", "fixed"):  # y = 0
+            table[0, row, ref] = 1.0
+        elif v.kind == "controlled":  # d y' + lam y = 0
+            table[0, row, ref + 1] = 1.0
+            table[1, row, ref] = 1.0
+        else:  # interior mass
+            for end in ends[1:]:  # continuity: y - y_ref = 0
+                table[0, row, end] = 1.0
+                table[0, row, ref] = -1.0
+                row += 1
+            # flux law with the oscillator eliminated, its denominator
+            # (m lam^2 + 1) cleared: (m lam^2 + 1) sum d y' + lam^2 y = 0;
+            # the circuit variant damps the mass too: + lam (m lam^2 + 1) y
+            fluxes = [end + 1 for end in ends]
+            table[0, row, fluxes] = 1.0
+            table[2, row, fluxes] = v.mass
+            table[2, row, ref] = 1.0
+            if graph.variant == "circuit":
+                table[1, row, ref] = 1.0
+                table[3, row, ref] = v.mass
+        row += 1
+    table = table.reshape(4, -1)
+    table.flags.writeable = False
+    return table
+
+
+# the tail traces in the layout of _basis: y(0) = alpha, -y'(0) = -gamma
+_TAIL = (1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0)
+
+
+def _trace_map(graph: MetricGraph, lam: complex) -> np.ndarray:
+    """[T(lam), T'(lam)], shape (4E, 2 * 2E).  T takes the edge coefficients
+    (alpha_j, gamma_j) to the edge-end traces, y and d y' at the tail (x = 0,
+    d = -1) and then at the head (x = l, d = +1) of every edge: one 4x2 block
+    per edge."""
+    ne = len(graph.edges)
+    # edge, trace, T or T', edge, coefficient
+    blocks = np.zeros((ne, 4, 2, ne, 2), dtype=complex)
+    j = np.arange(ne)
+    blocks[j, :, :, j] = np.array([_TAIL + _basis(lam, e.ell) for e in graph.edges],
+                                  dtype=complex).reshape(ne, 4, 2, 2)
+    return blocks.reshape(4 * ne, 4 * ne)
 
 
 @dataclass
@@ -85,99 +152,22 @@ class CharacteristicSystem:
 
 
 def char_matrix(graph: MetricGraph, lam: complex) -> CharacteristicSystem:
-    """Assemble the characteristic system at spectral parameter lam."""
+    """Assemble the characteristic system M(lam) = R(lam) T(lam) at spectral
+    parameter lam, with M' = R' T + R T'."""
     lam = complex(lam)
-    ne = len(graph.edges)
-    n = 2 * ne
-    mat = np.zeros((n, n), dtype=complex)
-    dmat = np.zeros((n, n), dtype=complex)
-    col = {e.id: 2 * j for j, e in enumerate(graph.edges)}
-
-    def value_coeffs(edge, d):
-        """(coeffs, dcoeffs) of y at the endpoint with incidence d."""
-        if d == -1:  # tail, x = 0
-            return (1.0, 0.0), (0.0, 0.0)
-        ch, sh, dch, dsh = _basis(lam, edge.ell)
-        return (ch, sh), (dch, dsh)
-
-    def deriv_coeffs(edge, d):
-        """(coeffs, dcoeffs) of d_kj * y'(a_k)."""
-        if d == -1:  # -y'(0) = -gamma
-            return (0.0, -1.0), (0.0, 0.0)
-        ch, sh, dch, dsh = _basis(lam, edge.ell)
-        return (lam * lam * sh, ch), (2.0 * lam * sh + lam * lam * dsh, dch)
-
-    row = 0
-    for v in graph.vertices:
-        inc = graph.incident(v.id)
-        if v.kind in ("root", "fixed"):
-            (edge, d), = inc
-            (c, dc) = value_coeffs(edge, d)
-            j = col[edge.id]
-            mat[row, j : j + 2] = c
-            dmat[row, j : j + 2] = dc
-            row += 1
-        elif v.kind == "controlled":
-            (edge, d), = inc
-            (vc, dvc) = value_coeffs(edge, d)
-            (pc, dpc) = deriv_coeffs(edge, d)
-            j = col[edge.id]
-            # d * y' + lam * y = 0
-            mat[row, j] = pc[0] + lam * vc[0]
-            mat[row, j + 1] = pc[1] + lam * vc[1]
-            dmat[row, j] = dpc[0] + vc[0] + lam * dvc[0]
-            dmat[row, j + 1] = dpc[1] + vc[1] + lam * dvc[1]
-            row += 1
-        else:  # interior mass
-            ref_edge, ref_d = inc[0]
-            (rc, drc) = value_coeffs(ref_edge, ref_d)
-            jr = col[ref_edge.id]
-            for edge, d in inc[1:]:
-                (c, dc) = value_coeffs(edge, d)
-                j = col[edge.id]
-                mat[row, j] += c[0]
-                mat[row, j + 1] += c[1]
-                mat[row, jr] -= rc[0]
-                mat[row, jr + 1] -= rc[1]
-                dmat[row, j] += dc[0]
-                dmat[row, j + 1] += dc[1]
-                dmat[row, jr] -= drc[0]
-                dmat[row, jr + 1] -= drc[1]
-                row += 1
-            # flux row, denominator (m lam^2 + 1) cleared:
-            #   (m lam^2 + 1) sum_j d_kj y' + lam^2 y = 0
-            # circuit variant adds the inner-node feedback -y_t:
-            #   ... + lam (m lam^2 + 1) y = 0
-            m = v.mass
-            den = m * lam * lam + 1.0
-            dden = 2.0 * m * lam
-            for edge, d in inc:
-                (pc, dpc) = deriv_coeffs(edge, d)
-                j = col[edge.id]
-                for t in range(2):
-                    mat[row, j + t] += den * pc[t]
-                    dmat[row, j + t] += dden * pc[t] + den * dpc[t]
-            lam2 = lam * lam
-            coeff = lam2
-            dcoeff = 2.0 * lam
-            if graph.variant == "circuit":
-                coeff = lam2 + lam * den
-                dcoeff = 2.0 * lam + den + lam * dden
-            mat[row, jr] += coeff * rc[0]
-            mat[row, jr + 1] += coeff * rc[1]
-            dmat[row, jr] += dcoeff * rc[0] + coeff * drc[0]
-            dmat[row, jr + 1] += dcoeff * rc[1] + coeff * drc[1]
-            row += 1
-    assert row == n
-
-    scale = np.ones(n)
+    n = 2 * len(graph.edges)
+    lam2 = lam * lam
+    powers = np.array(((1.0, lam, lam2, lam2 * lam), (0.0, 1.0, 2.0 * lam, 3.0 * lam2)))
+    laws = (powers @ _law_table(graph)).reshape(2 * n, 2 * n)  # [R; R']
+    traces = _trace_map(graph, lam)  # [T, T']
+    col_scale = np.ones(n)
     a = abs(lam.real)
     if a * max(e.ell for e in graph.edges) > 30.0:
-        for j, e in enumerate(graph.edges):
-            scale[2 * j] = scale[2 * j + 1] = math.exp(-a * e.ell)
-    mat *= scale
-    dmat *= scale
-    return CharacteristicSystem(lam, mat, dmat, scale)
+        col_scale = np.repeat(np.exp(-a * np.array([e.ell for e in graph.edges])), 2)
+        traces *= np.tile(col_scale, 2)
+    prod = laws @ traces
+    return CharacteristicSystem(lam, prod[:n, :n], prod[n:, :n] + prod[:n, n:],
+                                col_scale)
 
 
 def char_det(graph: MetricGraph, lam: complex) -> complex:
@@ -201,10 +191,6 @@ class EigenReport:
     box: tuple
     tol: float
 
-    @property
-    def count(self) -> int:
-        return sum(r.box_count for r in self.roots)
-
 
 def newton_refine(graph: MetricGraph, lam0: complex, tol: float = DET_TOL,
                   maxiter: int = 60) -> tuple[complex, float]:
@@ -225,8 +211,7 @@ def newton_refine(graph: MetricGraph, lam0: complex, tol: float = DET_TOL,
         lam = lam + step
         if abs(step) < 1e-14 * (1.0 + abs(lam)):
             break
-    sys = char_matrix(graph, lam)
-    return lam, sys.residual()
+    return lam, char_matrix(graph, lam).residual()
 
 
 # -- contour-integral root search --------------------------------------------
@@ -345,7 +330,7 @@ def find_eigenvalues(graph: MetricGraph, box, tol: float = DET_TOL) -> EigenRepo
         raise SpectralError(f"box {box} needs finite re0 < re1 and im0 < im1")
     roots = [r for strip in _strips(box) for r in _strip_roots(graph, strip, tol)]
     roots = _dedupe(roots)
-    roots = [r for r in roots if not _spurious_resonance(graph, r, tol)]
+    roots = [r for r in roots if not _spurious_resonance(graph, r)]
     roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
     return EigenReport(roots, box, tol)
 
@@ -358,13 +343,12 @@ def _dedupe(roots):
     return kept
 
 
-def _spurious_resonance(graph, record, tol):
+def _spurious_resonance(graph, record):
     """Drop roots at +-i/sqrt(m_k) unless the system is genuinely singular."""
     for v in graph.mass_vertices:
         pole = 1.0 / math.sqrt(v.mass)
         if min(abs(record.lam - 1j * pole), abs(record.lam + 1j * pole)) < 1e-6:
-            sys = char_matrix(graph, record.lam)
-            s = np.linalg.svd(sys.matrix, compute_uv=False)
+            s = np.linalg.svd(char_matrix(graph, record.lam).matrix, compute_uv=False)
             return not s[-1] <= 1e-6 * s[0]
     return False
 
@@ -409,29 +393,19 @@ def eigenfunction(graph: MetricGraph, lam: complex, tol: float = 1e-7) -> EigenF
         e.id: (coeff[2 * j], coeff[2 * j + 1]) for j, e in enumerate(graph.edges)
     }
 
+    # y and d y' at every edge end, read through the map the laws are written on
+    traces = _trace_map(graph, lam)[:, :len(coeff)] @ coeff
     p, q = {}, {}
-    for v in graph.mass_vertices:
-        inc = graph.incident(v.id)
-        edge, d = inc[0]
-        a, g = coefficients[edge.id]
-        ch, sh, _, _ = _basis(lam, edge.ell)
-        yk = a if d == -1 else a * ch + g * sh
+    for v, ends in zip(graph.vertices, _ends(graph)):
+        if v.kind != "mass":
+            continue
         den = v.mass * lam * lam + 1.0
         if abs(den) > 1e-8:
-            pk = -lam * yk / den
+            pk = -lam * traces[ends[0]] / den
         else:
-            # resonant mass: recover p from the flux jump instead
-            flux = 0.0
-            for e2, d2 in inc:
-                a2, g2 = coefficients[e2.id]
-                if d2 == -1:
-                    flux += -g2
-                else:
-                    ch2, sh2, _, _ = _basis(lam, e2.ell)
-                    flux += a2 * lam * lam * sh2 + g2 * ch2
-            if graph.variant == "circuit":
-                flux += lam * yk
-            pk = flux / lam if lam != 0 else 0.0
+            # resonant mass: the flux law forces y_k = 0 and leaves
+            # q_k = lam p_k = sum d y', in every variant
+            pk = traces[[end + 1 for end in ends]].sum() / lam
         p[v.id] = pk
         q[v.id] = lam * pk
 
@@ -454,9 +428,8 @@ def _state_norm(graph, lam, coefficients, p, q):
         xs = 0.5 * e.ell * (nodes + 1.0)
         ws = 0.5 * e.ell * weights
         for x, w in zip(xs, ws):
-            ch, sh, _, _ = _basis(lam, x)
-            y = a * ch + g * sh
-            yp = a * lam * lam * sh + g * ch
+            b = _basis(lam, x)
+            y, yp = b[0] * a + b[1] * g, b[4] * a + b[5] * g
             total += w * (abs(yp) ** 2 + abs(lam * y) ** 2)
     for v in graph.mass_vertices:
         total += abs(p[v.id]) ** 2 + v.mass * abs(q[v.id]) ** 2

@@ -151,6 +151,31 @@ def test_star_probe_is_resolvent_lower_bound():
         assert probe.norm_ratio <= 1.05 * resolvent_norm(gen, beta)
 
 
+@pytest.mark.parametrize("beta", [3.7, 5.2])
+def test_star_probe_matches_discrete_resolvent(beta):
+    # the probe's centre value against y(c) of (i beta - A_h)^{-1} f, with f
+    # the forcing -sin(beta x) in v on the clamped edge e2 (x from the centre)
+    import numpy as np
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    from netwave.graph import make_star
+    from netwave.resolvent import assemble_generator
+
+    gen = assemble_generator(make_star("1", "1", "sqrt(2)"), 1.0 / 800.0)
+    lay = gen.layout
+    forcing = np.zeros(lay.ndof)
+    nodes = lay.edge_nodes["e2"]
+    forcing[nodes] = -np.sin(beta * np.linspace(0.0, 1.0, len(nodes)))
+    nf, nm = gen.nfield, len(gen.mass_ids)
+    f = np.concatenate([np.zeros(nf), forcing[gen.keep], np.zeros(2 * nm)])
+    L = (1j * beta) * sp.identity(gen.dim, format="csc") - gen.A.tocsc()
+    z = spsolve(L, f)
+    center = z[np.searchsorted(gen.keep, lay.vertex_dof["c"])]
+    probe = star_probe(beta, "sqrt(2)")
+    assert abs(probe.center_value - center) <= 1e-3 * abs(center)
+
+
 def test_star_probe_pi_multiple_refused():
     with pytest.raises(AxisEigenvalue):
         star_probe(3.0, "pi*2")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netwave.chaincrit import ChainSpec, chain_stable
-from netwave.graph import build_graph, make_chain, make_circuit, make_tree_chain
+from netwave.graph import (build_graph, make_chain, make_circuit, make_star,
+                           make_tree_chain)
 from netwave.spectral import (
     SpectralError,
     char_det,
@@ -72,6 +73,32 @@ def test_det_conjugate_symmetry():
         d1 = char_det(g, lam)
         d2 = char_det(g, lam.conjugate())
         assert abs(d2 - d1.conjugate()) <= 1e-9 * max(1.0, abs(d1))
+
+
+@pytest.mark.parametrize(
+    "lam", [0.3 + 2.1j, -1.2 + 7.5j, 1j, -35 + 3j, 1e-6 * (1 + 1j)],
+    ids=["right", "left", "mass-resonance", "scaled", "taylor"])
+@pytest.mark.parametrize("graph", [
+    make_tree_chain(["1", "0.8", "1.3"], [1, 2]),
+    make_chain(["1", "1.5", "0.7"], [1, 2]),
+    make_circuit("sqrt(2)"),
+    make_star("1", "1", "sqrt(2)"),
+], ids=["tree", "chain", "circuit", "star"])
+def test_dmatrix_matches_finite_differences(graph, lam):
+    sys = char_matrix(graph, lam)
+    h = 1e-6 * (1.0 + abs(lam))
+
+    def unscaled(z):
+        s = char_matrix(graph, z)
+        return s.matrix / s.col_scale
+
+    fd = (unscaled(lam + h) - unscaled(lam - h)) / (2.0 * h) * sys.col_scale
+    assert np.max(np.abs(sys.dmatrix - fd)) <= 1e-6 * np.max(np.abs(sys.dmatrix))
+    # det M loses its relative accuracy further left (cosh + sinh cancel)
+    if lam.real >= -3.0:
+        fd_log = ((char_det(graph, lam + h) - char_det(graph, lam - h))
+                  / (2.0 * h * char_det(graph, lam)))
+        assert abs(sys.log_derivative() - fd_log) <= 1e-6 * abs(fd_log)
 
 
 def test_matched_edge_has_no_roots():
