@@ -7,11 +7,14 @@ Dirichlet vertices eliminated.  The discrete energy inner product
 dissipative: Re<A_h z, z>_W = -sum of v^2 at the damped vertices.
 
 Resolvent norms ||(i beta - A_h)^{-1}||_W are computed by power iteration on
-the W-self-adjoint operator L^{-H} W L^{-1} W^{-1}-style composition, using
-one sparse LU factorization of L per frequency, which by time-reversal
-symmetry also serves the W-adjoint (W is never factored).  Since a finite
-matrix always has finite norms, boundedness on the axis is judged only
-through a mesh-refinement ladder, as recorded in the sweep verdict.
+the W-self-adjoint operator L^{-H} W L^{-1} W^{-1}-style composition.  L^{-1}
+is applied through the (y, p) system: the rows y' = v and p' = q of
+L = i beta - A_h eliminate v and q exactly, which leaves the complex
+symmetric H(beta) = H0 + beta H1 + beta^2 H2 of half the size, one sparse LU
+per frequency.  By time-reversal symmetry that factor also serves the
+W-adjoint (W is never factored).  Since a finite matrix always has finite
+norms, boundedness on the axis is judged only through a mesh-refinement
+ladder, as recorded in the sweep verdict.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ class DiscreteGenerator:
     """Sparse A_h with the energy weight W_h on the reduced state space.
 
     State layout: [y nodes, v nodes, p_1..p_K, q_1..q_K], where the y/v
-    blocks run over all grid DOFs except Dirichlet vertices.
+    blocks run over all grid DOFs except Dirichlet vertices.  H0, H1 and H2
+    are the coefficients of the (y, p) system H(beta) = H0 + beta H1 +
+    beta^2 H2 of i beta - A_h, on one shared CSC pattern.
     """
 
     graph: MetricGraph
@@ -52,6 +57,9 @@ class DiscreteGenerator:
     W: sp.csr_matrix
     keep: np.ndarray  # reduced index -> layout DOF
     mass_ids: list
+    H0: sp.csc_matrix
+    H1: sp.csc_matrix
+    H2: sp.csc_matrix
 
     @property
     def nfield(self) -> int:
@@ -80,9 +88,8 @@ def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
     K = layout.stiffness[keep][:, keep]
     M = layout.lumped_mass[keep]
     C = sp.diags(layout.damping[keep])
-    B = sp.csr_matrix(
-        (np.ones(nm), (np.searchsorted(keep, layout.mass_dofs), np.arange(nm))),
-        shape=(nf, nm))
+    bpos = np.searchsorted(keep, layout.mass_dofs)
+    B = sp.csr_matrix((np.ones(nm), (bpos, np.arange(nm))), shape=(nf, nm))
     Minv = sp.diags(1.0 / M)
     m_inv = sp.diags(1.0 / layout.masses)
     # rows: y' = v ; v' = M^{-1}(-K y - C v + B q) ; p' = q ;
@@ -99,7 +106,24 @@ def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
     W = sp.block_diag(
         [K, sp.diags(M), sp.identity(nm), sp.diags(layout.masses)], format="csr"
     )
-    return DiscreteGenerator(graph, layout, A, W, keep, list(layout.mass_ids))
+    # (i beta - A)(y, v, p, q) = f with v = i beta y - f_y, q = i beta p - f_p
+    # substituted, the v rows times M and the q rows times -m:
+    #   H(beta) = [[K - beta^2 M + i beta C, -i beta B],
+    #              [-i beta B^T,             m beta^2 - 1]]
+    # as triplets over K, the diagonal and the two coupling blocks; the
+    # conversion to CSC sums duplicates and keeps explicit zeros, so the
+    # three coefficients share one pattern
+    Kt = K.tocoo()
+    diag, mass = np.arange(nf + nm), nf + np.arange(nm)
+    rows = np.concatenate([Kt.row, diag, bpos, mass])
+    cols = np.concatenate([Kt.col, diag, mass, bpos])
+    zk, zm, coupling = np.zeros(Kt.nnz), np.zeros(nm), np.full(nm, -1j)
+    H0, H1, H2 = (sp.csc_matrix((np.concatenate(d), (rows, cols)), shape=(nf + nm,) * 2)
+                  for d in ((Kt.data, np.zeros(nf), -np.ones(nm), zm, zm),
+                            (zk, 1j * C.diagonal(), zm, coupling, coupling),
+                            (zk, -M, layout.masses, zm, zm)))
+    return DiscreteGenerator(graph, layout, A, W, keep, list(layout.mass_ids),
+                             H0, H1, H2)
 
 
 def dissipation_defect(gen: DiscreteGenerator, z: np.ndarray) -> float:
@@ -114,22 +138,44 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float,
     """||(i beta I - A_h)^{-1}|| in the W_h energy geometry.
 
     Power iteration on the W-self-adjoint composition R^H_W R where
-    R = L^{-1}, L = i beta - A_h; returns the HUGE sentinel when L is
-    numerically singular (i beta an eigenvalue of A_h).
+    R = L^{-1}, L = i beta - A_h.  L^{-1} is applied through one sparse LU
+    of the (y, p) system H(beta), which is valid at every beta, the
+    oscillator resonance m beta^2 = 1 included (partial pivoting handles
+    its zero diagonal); returns the HUGE sentinel when H(beta), and so L,
+    is numerically singular (i beta an eigenvalue of A_h).
     """
-    n = gen.dim
-    L = (1j * beta) * sp.identity(n, format="csc") - gen.A.tocsc().astype(complex)
+    n, nf, nm = gen.dim, gen.nfield, len(gen.mass_ids)
+    shifted = gen.H1.data + beta * gen.H2.data  # H1 + beta H2
+    H = sp.csc_matrix((gen.H0.data + beta * shifted, gen.H0.indices, gen.H0.indptr),
+                      shape=gen.H0.shape)
     try:
-        lu = splu(L)
+        lu = splu(H)
     except RuntimeError:
         return HUGE
+    # the right-hand side of the (y, p) system is the v rows times M and the
+    # q rows times -m, with v and q substituted:
+    #   -H2 (f_v, f_q) - i (H1 + beta H2)(f_y, f_p)
+    rhs = sp.csc_matrix((-1j * shifted, gen.H0.indices, gen.H0.indptr),
+                        shape=gen.H0.shape)
+    weight = -gen.H2.diagonal()
+    pos = np.r_[0:nf, 2 * nf:2 * nf + nm]  # y, p
+    vel = np.r_[nf:2 * nf, 2 * nf + nm:n]  # v, q
+
+    def solve(f):
+        """L^{-1} f: (y, p) from H(beta), then v and q from y' = v, p' = q."""
+        fp = f[pos]
+        u = lu.solve(weight * f[vel] + rhs @ fp)
+        z = np.empty(n, dtype=complex)
+        z[pos] = u
+        z[vel] = 1j * beta * u - fp
+        return z
+
     W = gen.W
     # time reversal J = diag(1, -1, -1, 1) on (y, v, p, q) and the energy
     # identity W A + A^T W = -2 diag(0, C, 0, 0) give J A J = -A - 2 W^{-1}
     # diag(0, C, 0, 0), hence W^{-1} L^{-H} W = J L(-beta)^{-1} J, and
     # L(-beta) = conj L(beta) since A is real: the W-adjoint of L^{-1}
     # reuses the factor of L and needs none of W
-    nf, nm = gen.nfield, len(gen.mass_ids)
     J = np.concatenate([np.ones(nf), -np.ones(nf + nm), np.ones(nm)])
     rng = np.random.default_rng(12345)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -137,8 +183,8 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float,
     prev = 0.0
     for it in range(POWER_MAXIT):
         # y = L^{-1} x ; x_next = W^{-1} L^{-H} W y  (W-adjoint of R applied)
-        y = lu.solve(x)
-        z = J * np.conj(lu.solve(np.conj(J * y)))
+        y = solve(x)
+        z = J * np.conj(solve(np.conj(J * y)))
         rho = abs(np.vdot(x, W @ z).real)  # = ||R x||_W^2 growth factor
         nz = math.sqrt(abs(np.vdot(z, W @ z).real))
         if not np.isfinite(nz) or nz > HUGE:
@@ -181,10 +227,11 @@ class SweepReport:
 def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
     """Resolvent-norm curves over a frequency grid on a ladder of meshes.
 
-    The mesh ladder (cells per unit length, ascending) defaults to two
-    refinements of the coarsest mesh resolving h * beta_max <= 0.2.  Verdict:
-    "bounded" when the sup changes < 20% between the two finest meshes,
-    "unbounded" when it grows by > 2x, otherwise "inconclusive".
+    The mesh ladder (cells per unit length, at least two distinct meshes,
+    sorted ascending) defaults to two refinements of the coarsest mesh
+    resolving h * beta_max <= 0.2.  Verdict: "bounded" when the sup changes
+    < 20% between the two finest meshes, "unbounded" when it grows by > 2x,
+    otherwise "inconclusive".
     """
     beta_grid = np.asarray(list(beta_grid), dtype=float)
     if len(beta_grid) == 0:
@@ -195,11 +242,14 @@ def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
     if mesh_ladder is None:
         mesh_ladder = [base, 1.5 * base, 2.0 * base]
     try:
-        mesh_ladder = sorted(float(m) for m in mesh_ladder)
+        mesh_ladder = sorted({float(m) for m in mesh_ladder})
     except (TypeError, ValueError):
         raise ResolventError(f"mesh ladder {mesh_ladder!r} must list numbers") from None
     if not mesh_ladder or min(mesh_ladder) <= 0:
         raise ResolventError(f"mesh ladder {mesh_ladder} needs positive cell counts")
+    if len(mesh_ladder) < 2:
+        # the verdict compares the sup on the two finest meshes
+        raise ResolventError(f"mesh ladder {mesh_ladder} needs two distinct meshes")
 
     curves = []
     for cells in mesh_ladder:
@@ -207,7 +257,7 @@ def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
         norms = np.array([resolvent_norm(gen, b) for b in beta_grid])
         curves.append(MeshCurve(cells, beta_grid.copy(), norms))
 
-    fine, prev = curves[-1], curves[-2] if len(curves) > 1 else curves[-1]
+    fine, prev = curves[-1], curves[-2]
     if prev.sup > 0:
         change = abs(fine.sup - prev.sup) / prev.sup
     else:

@@ -159,7 +159,10 @@ def char_matrix(graph: MetricGraph, lam: complex) -> CharacteristicSystem:
     lam2 = lam * lam
     powers = np.array(((1.0, lam, lam2, lam2 * lam), (0.0, 1.0, 2.0 * lam, 3.0 * lam2)))
     laws = (powers @ _law_table(graph)).reshape(2 * n, 2 * n)  # [R; R']
-    traces = _trace_map(graph, lam)  # [T, T']
+    try:
+        traces = _trace_map(graph, lam)  # [T, T']
+    except OverflowError:  # cosh(lam l) beyond |Re lam| l ~ 710
+        raise SpectralError(f"M(lam) overflows at lam = {lam}") from None
     col_scale = np.ones(n)
     a = abs(lam.real)
     if a * max(e.ell for e in graph.edges) > 30.0:
@@ -197,21 +200,25 @@ def newton_refine(graph: MetricGraph, lam0: complex, tol: float = DET_TOL,
     """Polish a root of det M by Newton on the logarithmic derivative.
 
     A step that lands exactly on a root leaves M(lam) singular; the iteration
-    stops there and the returned residual reports it.
+    stops there and the returned residual reports it.  An iterate where M(lam)
+    overflows stops it too, with residual inf.
     """
     lam = complex(lam0)
-    for _ in range(maxiter):
-        try:
-            ld = char_matrix(graph, lam).log_derivative()
-        except np.linalg.LinAlgError:
-            break
-        if ld == 0 or not np.isfinite(ld):
-            break
-        step = -1.0 / ld
-        lam = lam + step
-        if abs(step) < 1e-14 * (1.0 + abs(lam)):
-            break
-    return lam, char_matrix(graph, lam).residual()
+    try:
+        for _ in range(maxiter):
+            try:
+                ld = char_matrix(graph, lam).log_derivative()
+            except np.linalg.LinAlgError:
+                break
+            if ld == 0 or not np.isfinite(ld):
+                break
+            step = -1.0 / ld
+            lam = lam + step
+            if abs(step) < 1e-14 * (1.0 + abs(lam)):
+                break
+        return lam, char_matrix(graph, lam).residual()
+    except SpectralError:
+        return lam, math.inf
 
 
 # -- contour-integral root search --------------------------------------------
@@ -272,7 +279,7 @@ def _pencil_eigenvalues(graph, strip):
         try:
             sys = char_matrix(graph, z)
             inverses[j] = sys.col_scale[:, None] * np.linalg.inv(sys.matrix)
-        except (np.linalg.LinAlgError, OverflowError) as exc:
+        except (np.linalg.LinAlgError, SpectralError) as exc:
             raise SpectralError(f"no M(lam)^-1 at contour node {z}: {exc}") from None
     powers = ((nodes - c) / rho)[None, :] ** np.arange(2 * MOMENTS)[:, None]
     moments = np.einsum("pj,jab->pab", powers * weights, inverses)

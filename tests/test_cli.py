@@ -191,6 +191,8 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
     (["spectrum"], {"graph": TREE_SPEC, "tol": "abc"}, "tol"),
     (["sweep"], {"graph": TREE_SPEC, "beta": [1.0], "mesh-ladder": [0]}, "mesh"),
     (["sweep"], {"graph": TREE_SPEC, "beta": [1.0], "mesh-ladder": ["x"]}, "mesh"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": [1.0], "mesh-ladder": [60]}, "mesh"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": [1.0], "mesh-ladder": [60, 60]}, "mesh"),
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {"amplitude": "x"}},
      "amplitude"),
     (["spectrum"], {"graph": TREE_SPEC, "bx": [-3.0, 0.5, -10.0, 10.0]}, "box"),
@@ -200,8 +202,8 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
      "amplitude"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
         "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
-        "amplitude-x", "unknown-key-bx", "unknown-key-circuit-coupling",
-        "unknown-initial-key"])
+        "mesh-ladder-single", "mesh-ladder-repeated", "amplitude-x",
+        "unknown-key-bx", "unknown-key-circuit-coupling", "unknown-initial-key"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]

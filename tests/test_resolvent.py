@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
+import netwave.resolvent
 from netwave.graph import make_circuit, make_star, make_tree_chain
 from netwave.resolvent import (
     HUGE,
@@ -60,10 +62,27 @@ def test_resolvent_norm_matches_dense_svd():
     for graph in GRAPHS:
         gen = assemble_generator(graph, 1.0 / 8.0)
         G = np.linalg.cholesky(gen.W.toarray()).T
-        for beta in (0.5, 2.0):
+        # beta = 0, and the oscillator resonances of the masses 2 and 1
+        for beta in (0.0, 0.5, 1.0 / math.sqrt(2.0), 1.0, 2.0):
             R = np.linalg.inv(1j * beta * np.eye(gen.dim) - gen.A.toarray())
             exact = np.linalg.norm(G @ R @ np.linalg.inv(G), 2)
             assert abs(resolvent_norm(gen, beta) - exact) <= 1e-5 * exact
+
+
+def test_resolvent_norm_factors_the_half_size_system(monkeypatch):
+    # one LU per beta, of the (y, p) system, not of the full first-order L
+    shapes = []
+
+    def recording_splu(matrix, *args, **kwargs):
+        shapes.append(matrix.shape)
+        return splu(matrix, *args, **kwargs)
+
+    gen = assemble_generator(make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]),
+                             1.0 / 16.0)
+    monkeypatch.setattr(netwave.resolvent, "splu", recording_splu)
+    resolvent_norm(gen, 2.0)
+    n = gen.nfield + len(gen.mass_ids)
+    assert shapes == [(n, n)]
 
 
 def test_resolvent_norm_mesh_converged_on_stable_graph():
@@ -106,6 +125,14 @@ def test_sweep_unbounded_on_pi_chain():
                    mesh_ladder=[16, 32, 64])
     assert report.verdict == "unbounded"
     assert abs(report.peak_beta - 1.0) <= 0.2
+
+
+@pytest.mark.parametrize("ladder", [[60], [60, 60]])
+def test_sweep_needs_two_distinct_meshes(ladder):
+    # one mesh cannot show the sup settling under refinement
+    graph = make_tree_chain(["1", "pi*1", "1"], [1.0, 1.0])
+    with pytest.raises(ResolventError, match="mesh"):
+        sweep(graph, np.linspace(0.0, 3.0, 7), mesh_ladder=ladder)
 
 
 def test_sweep_empty_grid_inconclusive():

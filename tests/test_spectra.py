@@ -138,6 +138,17 @@ def test_find_eigenvalues_survives_newton_landing_on_a_root():
         assert r.residual <= 1e-9
 
 
+def test_char_matrix_overflow_is_a_spectral_error():
+    # cosh(lam l) overflows once |Re lam| l exceeds about 710
+    with pytest.raises(SpectralError, match="overflows"):
+        char_det(make_tree_chain(["1", "0.9"], [1.0]), -1000.0)
+
+
+def test_newton_refine_stops_where_m_overflows():
+    _, residual = newton_refine(make_tree_chain(["1", "0.9"], [1.0]), -800.0 + 1j)
+    assert residual == math.inf
+
+
 def test_find_eigenvalues_skips_mass_resonance():
     # stable chain: the cleared factor roots at i/sqrt(m) are not reported
     g = make_tree_chain(["1", "0.9"], [1.0])
