@@ -95,7 +95,7 @@ def _span(chain: ChainSpec, group: MassGroup, r: int):
     return x, c
 
 
-def delta_closed(group: MassGroup, r: int, chain: ChainSpec, beta: float | None = None):
+def delta_closed(group: MassGroup, r: int, chain: ChainSpec):
     """Span determinant by term-by-term enumeration of the closed form.
 
     With d span edges of angles x_0..x_{d-1} and couplings c_1..c_{d-1} at
@@ -108,10 +108,6 @@ def delta_closed(group: MassGroup, r: int, chain: ChainSpec, beta: float | None 
     Exponential in the span length; serves as the oracle for the recurrence.
     """
     x, c = _span(chain, group, r)
-    if beta is not None:
-        scale = beta / group.beta
-        x = [xx * scale for xx in x]
-        c = [cc * group.beta / beta for cc in c]
     d = len(x)
     if d > MAX_CLOSED_SPAN:
         raise ValueError(f"span of {d} edges exceeds closed-form cap {MAX_CLOSED_SPAN}")
@@ -218,10 +214,10 @@ class ChainVerdict:
     tol: float
 
 
-def chain_stable(chain: ChainSpec, tol: float = DELTA_TOL) -> ChainVerdict:
+def chain_stable(chain: ChainSpec) -> ChainVerdict:
     """Exponential-stability predicate: every span determinant away from zero.
 
-    Stable iff |Delta_{r(m)}| > tol for every mass value m and every group
+    Stable iff |Delta_{r(m)}| > DELTA_TOL for every mass value m and every group
     member r, each evaluated at the resonance beta = 1/sqrt(m).
     """
     witnesses = []
@@ -231,6 +227,6 @@ def chain_stable(chain: ChainSpec, tol: float = DELTA_TOL) -> ChainVerdict:
             x, c = _span(chain, group, r)
             delta, _ = delta_recurrence(x, c)
             deltas.append((group.mass, r, delta))
-            if abs(delta) <= tol:
+            if abs(delta) <= DELTA_TOL:
                 witnesses.append((group.mass, r, delta))
-    return ChainVerdict(not witnesses, tuple(witnesses), tuple(deltas), tol)
+    return ChainVerdict(not witnesses, tuple(witnesses), tuple(deltas), DELTA_TOL)

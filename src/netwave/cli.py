@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import csv
 import difflib
+import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -72,7 +74,11 @@ def _round12(obj):
 
 
 class Emitter:
-    """Collects output files and finishes with a run manifest."""
+    """Collects output files and finishes with a run manifest.
+
+    The output directory is created at the first write, so a run that fails
+    before writing anything leaves none behind.
+    """
 
     def __init__(self, outdir: Path, subcommand: str, config_path, params):
         self.outdir = outdir
@@ -81,14 +87,11 @@ class Emitter:
         self.params = params
         self.files = []
         self.t0 = time.monotonic()
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {outdir}: {exc}")
 
     def _write(self, name: str, text: str):
         path = self.outdir / name
         try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}")
@@ -96,8 +99,6 @@ class Emitter:
         return path
 
     def csv(self, name: str, header, rows):
-        import io
-
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
@@ -123,8 +124,7 @@ class Emitter:
             "wall_clock_s": float(_fmt(time.monotonic() - self.t0)),
             "outputs": files,
         }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        (self.outdir / "manifest.json").write_text(text)
+        self._write("manifest.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return files
 
 
@@ -158,35 +158,32 @@ def _graph_from_config(cfg: dict, config_dir: Path) -> tuple:
         raise ConfigError('config needs a graph spec or a "graph" key')
     g = cfg["graph"]
     if isinstance(g, str):
-        sub = _load_config(config_dir / g)
-        graph = build_graph(sub)
-    elif isinstance(g, dict):
-        graph = build_graph(g)
-    else:
+        g = _load_config(config_dir / g)
+    elif not isinstance(g, dict):
         raise ConfigError('"graph" must be an object or a path string')
-    params = {k: v for k, v in cfg.items() if k != "graph"}
-    return graph, params
+    return build_graph(g), {k: v for k, v in cfg.items() if k != "graph"}
 
 
-def _opt(params: dict, *names, default=None):
-    """First present key among spelling variants (hyphen or underscore)."""
-    for name in names:
-        if name in params:
-            return params[name]
-        alt = name.replace("-", "_")
-        if alt in params:
-            return params[alt]
-    return default
+def _read(params, defaults: dict, what: str) -> dict:
+    """The keys of `defaults` read from the object params, defaults filled in.
 
-
-def _check_keys(params: dict, *names):
-    """Reject any key that is not one of names in a spelling `_opt` accepts."""
-    known = set(names) | {n.replace("-", "_") for n in names}
-    for key in params:
-        if key not in known:
-            close = difflib.get_close_matches(key, sorted(known), n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ConfigError(f"unknown config key {key!r}{hint}")
+    A key may be spelled with hyphens or underscores; where both spellings
+    are given, the one in `defaults` wins.  An unknown key raises
+    ConfigError naming the closest known key.
+    """
+    if not isinstance(params, dict):
+        raise ConfigError(f"{what} must be an object, got {params!r}")
+    names = {key.replace("_", "-"): key for key in defaults}
+    out = dict(defaults)
+    # the spelling of `defaults` comes last, so it overrides the other
+    for key, value in sorted(params.items(), key=lambda kv: kv[0] in defaults):
+        spelled = key.replace("_", "-")
+        if spelled not in names:
+            close = difflib.get_close_matches(spelled, sorted(names), n=1)
+            hint = f"; did you mean {names[close[0]]!r}?" if close else ""
+            raise ConfigError(f"unknown {what} key {key!r}{hint}")
+        out[names[spelled]] = value
+    return out
 
 
 def _float(value, what: str) -> float:
@@ -196,13 +193,21 @@ def _float(value, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
+def _floats(value, what: str, count: int | None = None) -> tuple:
+    """A config list of numbers, of exactly `count` entries when given."""
+    if not isinstance(value, list) or count not in (None, len(value)):
+        size = f"{count} " if count else ""
+        raise ConfigError(f"{what} must be a list of {size}numbers, got {value!r}")
+    return tuple(_float(v, what) for v in value)
+
+
 # -- subcommand handlers ----------------------------------------------------
+#
+# Each takes (graph or None, run parameters with defaults, emitter, svg) and
+# returns (summary file name, summary, whether the verdict is unstable).
 
 
-def _cmd_check(args) -> int:
-    cfg = _load_config(args.config)
-    graph, params = _graph_from_config(cfg, Path(args.config).parent)
-    _check_keys(params)
+def _cmd_check(graph: MetricGraph, p, em, svg):
     verdict: dict = {"variant": graph.variant, "vertices": len(graph.vertices),
                      "edges": len(graph.edges)}
     stable = None
@@ -212,44 +217,40 @@ def _cmd_check(args) -> int:
         verdict["pi_length_edges"] = witnesses
         stable = ok
     elif graph.variant == "chain":
-        lengths = [e.ell for e in graph.edges]
-        masses = [v.mass for v in graph.mass_vertices]
-        cv = chain_stable(ChainSpec(tuple(lengths), tuple(masses)))
+        cv = chain_stable(ChainSpec(tuple(e.ell for e in graph.edges),
+                                    tuple(v.mass for v in graph.mass_vertices)))
         verdict["chain_stable"] = cv.stable
         verdict["witnesses"] = [list(w) for w in cv.witnesses]
         stable = cv.stable
     verdict["stable"] = stable
-    em = Emitter(Path(args.out), "check", args.config, params)
-    em.json("verdict.json", verdict)
-    em.manifest()
-    print(json.dumps(_round12(verdict), sort_keys=True))
-    if args.expect_stable and stable is False:
-        return EXIT_UNSTABLE
-    return EXIT_OK
+    return "verdict.json", verdict, stable is False
 
 
-def _initial_data(graph: MetricGraph, spec: dict):
+# keys of the "initial" object of simulate
+INITIAL = {"kind": "bump", "edges": None, "amplitude": 1.0, "velocity": False,
+           "oscillators": {}}
+
+
+def _initial_data(graph: MetricGraph, spec):
     """Initial condition from config: a smooth interior bump per listed edge.
 
-    spec keys: kind ("bump" | "sine"), edges (default all), amplitude,
-    velocity (bool: load v instead of y), oscillators {id: [s, s']}.
+    spec keys (INITIAL): kind ("bump" | "sine"), edges (default all),
+    amplitude, velocity (bool: load v instead of y), oscillators {id: [s, s']}.
     """
-    spec = spec or {}
-    if not isinstance(spec, dict):
-        raise ConfigError('"initial" must be an object')
-    _check_keys(spec, "kind", "edges", "amplitude", "velocity", "oscillators")
-    kind = spec.get("kind", "bump")
-    edges = spec.get("edges")
-    amp = _float(spec.get("amplitude", 1.0), '"initial" amplitude')
-    osc = {k: (_float(v[0], f"oscillator {k!r}"), _float(v[1], f"oscillator {k!r}"))
-           for k, v in (spec.get("oscillators") or {}).items()}
+    spec = _read(spec or {}, INITIAL, '"initial"')
+    kind, edges = spec["kind"], spec["edges"]
+    amp = _float(spec["amplitude"], '"initial" amplitude')
+    if not isinstance(edges, (list, type(None))):
+        raise ConfigError(f'"initial" edges must be a list of edge ids, got {edges!r}')
+    oscillators = spec["oscillators"] or {}
+    if not isinstance(oscillators, dict):
+        raise ConfigError(f'"initial" oscillators must be an object, got {oscillators!r}')
+    osc = {k: _floats(v, f"oscillator {k!r}", 2) for k, v in oscillators.items()}
 
     def profile(ell):
         if kind == "bump":
             return lambda x: amp * (x * (ell - x) / (ell * ell / 4.0)) ** 2
         if kind == "sine":
-            import math
-
             return lambda x: amp * math.sin(math.pi * x / ell)
         raise ConfigError(f"unknown initial-data kind {kind!r}")
 
@@ -258,36 +259,27 @@ def _initial_data(graph: MetricGraph, spec: dict):
         if edges is not None and e.id not in edges:
             continue
         fields[e.id] = profile(e.ell)
-    if spec.get("velocity", False):
+    if spec["velocity"]:
         return None, fields, osc
     return fields, None, osc
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    graph, params = _graph_from_config(cfg, Path(args.config).parent)
-    _check_keys(params, "T", "cfl", "cells-per-unit-length", "cells_per_unit",
-                "sample-stride", "initial")
-    run_cfg = {
-        "T": _opt(params, "T", default=10.0),
-        "cfl": _opt(params, "cfl", default=0.9),
-        "cells_per_unit": _opt(params, "cells-per-unit-length",
-                               "cells_per_unit", default=16.0),
-        "sample_stride": _opt(params, "sample-stride", default=1),
-    }
-    y0, v0, osc = _initial_data(graph, _opt(params, "initial", default={}))
-    series = run(graph, run_cfg, y0=y0, v0=v0, osc=osc)
-    em = Emitter(Path(args.out), "simulate", args.config, params)
+def _cmd_simulate(graph: MetricGraph, p, em, svg):
+    y0, v0, osc = _initial_data(graph, p["initial"])
+    series = run(graph, {"T": p["T"], "cfl": p["cfl"],
+                         "cells_per_unit": p["cells-per-unit-length"],
+                         "sample_stride": p["sample-stride"]},
+                 y0=y0, v0=v0, osc=osc)
     em.csv("energy.csv", ["t", "E", "D", "R"],
            zip(series.t.tolist(), series.E.tolist(),
                series.D.tolist(), series.R.tolist()))
-    if args.svg:
+    if svg:
         em.svg("energy.svg", line_plot(
             series.t.tolist(), [series.E.tolist()], labels=["E(t)"],
             title="energy decay", xlabel="t", ylabel="log10 E", logy=True))
     decaying = series.fit_ok and series.omega > 1e-3
     summary = {
-        "T": float(run_cfg["T"]),
+        "T": float(p["T"]),
         "e0": series.e0,
         "e_final": float(series.E[-1]),
         "omega": series.omega,
@@ -297,71 +289,53 @@ def _cmd_simulate(args) -> int:
         if series.e0 > 0 else 0.0,
         "verdict": "decaying" if decaying else "plateau",
     }
-    em.json("summary.json", summary)
-    em.manifest()
-    print(json.dumps(_round12(summary), sort_keys=True))
-    if args.expect_stable and not decaying:
-        return EXIT_UNSTABLE
-    return EXIT_OK
+    return "summary.json", summary, not decaying
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _load_config(args.config)
-    graph, params = _graph_from_config(cfg, Path(args.config).parent)
-    _check_keys(params, "box", "tol")
-    box = _opt(params, "box", default=[-5.0, 0.5, -20.0, 20.0])
-    if not (isinstance(box, list) and len(box) == 4):
-        raise ConfigError('"box" must be [re_min, re_max, im_min, im_max]')
-    report = find_eigenvalues(graph, tuple(_float(b, '"box" entry') for b in box),
-                              tol=_float(_opt(params, "tol", default=1e-9), '"tol"'))
-    em = Emitter(Path(args.out), "spectrum", args.config, params)
+def _cmd_spectrum(graph: MetricGraph, p, em, svg):
+    box = _floats(p["box"], '"box"', 4)
+    report = find_eigenvalues(graph, box, tol=_float(p["tol"], '"tol"'))
     rows = [(r.lam.real, r.lam.imag, r.residual, r.box_count)
             for r in report.roots]
     em.csv("spectrum.csv", ["re", "im", "residual", "box_count"], rows)
-    if args.svg:
+    if svg:
         em.svg("spectrum.svg", scatter_plot(
             [r.lam.real for r in report.roots],
             [r.lam.imag for r in report.roots],
             title="characteristic roots", xlabel="Re", ylabel="Im"))
     on_axis = [r for r in report.roots if r.lam.real >= -1e-9]
     summary = {
-        "box": [float(b) for b in box],
+        "box": list(box),
         "count": len(report.roots),
         "axis_roots": len(on_axis),
         "verdict": "unstable" if on_axis else "no axis roots in box",
     }
-    em.json("summary.json", summary)
-    em.manifest()
-    print(json.dumps(_round12(summary), sort_keys=True))
-    if args.expect_stable and on_axis:
-        return EXIT_UNSTABLE
-    return EXIT_OK
+    return "summary.json", summary, bool(on_axis)
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    graph, params = _graph_from_config(cfg, Path(args.config).parent)
-    _check_keys(params, "beta", "mesh-ladder")
-    beta = _opt(params, "beta", default={"min": 0.0, "max": 50.0, "count": 51})
-    try:
-        if isinstance(beta, dict):
-            grid = np.linspace(float(beta.get("min", 0.0)),
-                               float(beta.get("max", 50.0)),
-                               int(beta.get("count", 51)))
-        else:
-            grid = np.asarray([float(b) for b in beta])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f'bad "beta": {exc}') from None
-    ladder = _opt(params, "mesh-ladder")
-    report = sweep(graph, grid, ladder)
-    em = Emitter(Path(args.out), "sweep", args.config, params)
+# keys of a "beta": {...} grid of sweep
+BETA_GRID = {"min": 0.0, "max": 50.0, "count": 51}
+
+
+def _cmd_sweep(graph: MetricGraph, p, em, svg):
+    beta = p["beta"]
+    if isinstance(beta, dict):
+        beta = _read(beta, BETA_GRID, '"beta"')
+        try:
+            grid = np.linspace(float(beta["min"]), float(beta["max"]),
+                               int(beta["count"]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f'bad "beta": {exc}') from None
+    else:
+        grid = np.asarray(_floats(beta, '"beta"'), dtype=float)
+    report = sweep(graph, grid, p["mesh-ladder"])
     rows = []
     for curve in report.curves:
         for b, n in zip(curve.beta.tolist(), curve.norm.tolist()):
             sigma = 0.0 if n >= HUGE else (1.0 / n if n > 0 else HUGE)
             rows.append((b, float(curve.cells_per_unit), sigma, n))
     em.csv("sweep.csv", ["beta", "mesh", "sigma_min", "norm"], rows)
-    if args.svg and report.curves:
+    if svg and report.curves:
         em.svg("sweep.svg", line_plot(
             report.curves[0].beta.tolist(),
             [c.norm.tolist() for c in report.curves],
@@ -375,21 +349,14 @@ def _cmd_sweep(args) -> int:
         "sups": report.sups,
         "meshes": [c.cells_per_unit for c in report.curves],
     }
-    em.json("verdict.json", summary)
-    em.manifest()
-    print(json.dumps(_round12(summary), sort_keys=True))
-    if args.expect_stable and report.verdict == "unbounded":
-        return EXIT_UNSTABLE
-    return EXIT_OK
+    return "verdict.json", summary, report.verdict == "unbounded"
 
 
-def _cmd_chain_check(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, "lengths", "masses")
+def _cmd_chain_check(graph, p, em, svg):
     try:
-        chain = ChainSpec(tuple(float(l) for l in cfg["lengths"]),
-                          tuple(float(m) for m in cfg["masses"]))
-    except (KeyError, ValueError) as exc:
+        chain = ChainSpec(_floats(p["lengths"], '"lengths"'),
+                          _floats(p["masses"], '"masses"'))
+    except ValueError as exc:
         raise ConfigError(f"bad chain config: {exc}")
     verdict = chain_stable(chain)
     payload = {
@@ -404,41 +371,32 @@ def _cmd_chain_check(args) -> int:
             {"mass": m, "r": r, "delta": d} for m, r, d in verdict.deltas
         ],
     }
-    em = Emitter(Path(args.out), "chain-check", args.config, dict(cfg))
-    em.json("verdict.json", payload)
-    em.manifest()
-    print(json.dumps(_round12(payload), sort_keys=True))
-    if args.expect_stable and not verdict.stable:
-        return EXIT_UNSTABLE
-    return EXIT_OK
+    return "verdict.json", payload, not verdict.stable
 
 
-def _cmd_counterexample(args) -> int:
-    params = {"variant": args.variant, "length": args.length,
-              "probes": args.probes}
-    if args.probes < 1:
+def _cmd_counterexample(graph, p, em, svg):
+    if p["probes"] < 1:
         raise ConfigError("--probes must be at least 1")
-    pairs = dirichlet_convergents(args.length, args.probes)
-    em = Emitter(Path(args.out), "counterexample", None, params)
+    pairs = dirichlet_convergents(p["length"], p["probes"])
     rows = []
-    if args.variant == "circuit":
-        probes = [circuit_solve(None, args.length, pair=c) for c in pairs]
+    if p["variant"] == "circuit":
+        probes = [circuit_solve(None, p["length"], pair=c) for c in pairs]
         for pr in probes:
             ratio = abs(pr.growth_ratio())
             rows.append((pr.q, float(pr.beta), float(pr.b1.real),
                          float(pr.b1.imag), float(ratio)))
-        report = growth_law(probes, args.length)
+        report = growth_law(probes, p["length"])
         summary = {
             "variant": "circuit",
-            "length": args.length,
+            "length": p["length"],
             "limit": complex(report.limit),
             "predicted_modulus": report.predicted,
             "verdict": report.verdict,
-            "eqcir_max_rel_diff": max(p.eqcir_rel_diff for p in probes),
+            "eqcir_max_rel_diff": max(pr.eqcir_rel_diff for pr in probes),
             "asymptotic_defects": asymptotic_defects(probes[-1]),
         }
     else:
-        sps = [star_probe(None, args.length, pair=c) for c in pairs]
+        sps = [star_probe(None, p["length"], pair=c) for c in pairs]
         for c, pr in zip(pairs, sps):
             rows.append((c.q, float(pr.beta), pr.center_value.real,
                          pr.center_value.imag, float(pr.norm_ratio)))
@@ -446,21 +404,32 @@ def _cmd_counterexample(args) -> int:
         growing = all(b > a for a, b in zip(ratios[-4:], ratios[-3:]))
         summary = {
             "variant": "star",
-            "length": args.length,
+            "length": p["length"],
             "max_norm_ratio": max(ratios),
             "verdict": "unbounded" if growing and ratios[-1] > 10 * ratios[0]
             else "inconclusive",
         }
     em.csv("probes.csv", ["q_n", "beta_n", "b1_re", "b1_im", "ratio"], rows)
-    em.json("summary.json", summary)
-    em.manifest()
-    print(json.dumps(_round12(summary), sort_keys=True))
-    if args.expect_stable and summary["verdict"] == "unbounded":
-        return EXIT_UNSTABLE
-    return EXIT_OK
+    return "summary.json", summary, summary["verdict"] == "unbounded"
 
 
 # -- dispatch ---------------------------------------------------------------
+
+# subcommand -> (handler, reads a graph, {run parameter: default}).  A config
+# key may use hyphens or underscores; counterexample's parameters are its
+# command-line options.
+COMMANDS = {
+    "check": (_cmd_check, True, {}),
+    "simulate": (_cmd_simulate, True, {
+        "T": 10.0, "cfl": 0.9, "cells-per-unit-length": 16.0,
+        "sample-stride": 1, "initial": {}}),
+    "spectrum": (_cmd_spectrum, True, {
+        "box": [-5.0, 0.5, -20.0, 20.0], "tol": 1e-9}),
+    "sweep": (_cmd_sweep, True, {"beta": {}, "mesh-ladder": None}),
+    "chain-check": (_cmd_chain_check, False, {"lengths": None, "masses": None}),
+    "counterexample": (_cmd_counterexample, False, {
+        "variant": None, "length": None, "probes": 8}),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -488,19 +457,30 @@ def _parser() -> argparse.ArgumentParser:
     pc.add_argument("--variant", choices=("circuit", "star"), required=True)
     pc.add_argument("--length", required=True,
                     help='edge length, e.g. "sqrt(2)" or "pi*3/2"')
-    pc.add_argument("--probes", type=int, default=8)
+    pc.add_argument("--probes", type=int,
+                    default=COMMANDS["counterexample"][2]["probes"])
     common(pc, config=False)
     return ap
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "simulate": _cmd_simulate,
-    "spectrum": _cmd_spectrum,
-    "sweep": _cmd_sweep,
-    "chain-check": _cmd_chain_check,
-    "counterexample": _cmd_counterexample,
-}
+def _run(args) -> int:
+    """Load, read the run parameters, compute, emit, map the verdict."""
+    handler, reads_graph, defaults = COMMANDS[args.subcommand]
+    config = getattr(args, "config", None)
+    if config is None:
+        params = {key: getattr(args, key) for key in defaults}
+    else:
+        params = _load_config(config)
+    graph = None
+    if reads_graph:
+        graph, params = _graph_from_config(params, Path(config).parent)
+    em = Emitter(Path(args.out), args.subcommand, config, params)
+    name, summary, unstable = handler(graph, _read(params, defaults, "config"),
+                                      em, args.svg)
+    em.json(name, summary)
+    em.manifest()
+    print(json.dumps(_round12(summary), sort_keys=True))
+    return EXIT_UNSTABLE if args.expect_stable and unstable else EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -509,7 +489,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0) and EXIT_USAGE
     try:
-        return _HANDLERS[args.subcommand](args)
+        return _run(args)
     except (ConfigError, GraphError, AxisEigenvalue, CounterexampleError,
             SimulationError, SpectralError, ResolventError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -169,7 +169,8 @@ def build_graph(spec: dict) -> MetricGraph:
     vertices = []
     seen = set()
     for vs in spec.get("vertices", []):
-        vid, kind = vs["id"], vs["kind"]
+        vid = _field(vs, "id", "vertex")
+        kind = _field(vs, "kind", f"vertex {vid!r}")
         if vid in seen:
             raise GraphError(f"duplicate vertex id {vid!r}")
         seen.add(vid)
@@ -187,20 +188,30 @@ def build_graph(spec: dict) -> MetricGraph:
     edges = []
     eseen = set()
     for es in spec.get("edges", []):
-        eid = es["id"]
+        eid = _field(es, "id", "edge")
         if eid in eseen:
             raise GraphError(f"duplicate edge id {eid!r}")
         eseen.add(eid)
-        if es["tail"] not in seen or es["head"] not in seen:
+        tail, head, length = (_field(es, key, f"edge {eid!r}")
+                              for key in ("tail", "head", "length"))
+        if tail not in seen or head not in seen:
             raise GraphError(f"edge {eid!r}: unknown endpoint")
-        length = Length.parse(es["length"])
+        length = Length.parse(length)
         if not length.value > 0:
             raise GraphError(f"edge {eid!r}: nonpositive length")
-        edges.append(Edge(eid, es["tail"], es["head"], length))
+        edges.append(Edge(eid, tail, head, length))
 
     graph = MetricGraph(tuple(vertices), tuple(edges), variant)
     _validate(graph)
     return graph
+
+
+def _field(spec, key: str, what: str):
+    """spec[key] of a vertex or edge description, or a GraphError naming it."""
+    try:
+        return spec[key]
+    except (KeyError, TypeError):
+        raise GraphError(f"{what} needs a {key!r} field") from None
 
 
 def _validate(graph: MetricGraph):
@@ -269,17 +280,16 @@ def load_graph(path) -> MetricGraph:
 PI_TOL = 1e-9
 
 
-def pi_tree_check(graph: MetricGraph, tol: float = PI_TOL):
+def pi_tree_check(graph: MetricGraph):
     """Check that no edge away from the controlled leaves has length in pi*N.
 
     Returns (verdict, witnesses): verdict False iff some edge whose endpoints
-    are both uncontrolled has dist(l_j, pi*N) <= tol * max(1, l_j); witnesses
-    lists the offending edge ids.  Edges touching a controlled leaf are exempt.
+    are both uncontrolled has dist(l_j, pi*N) <= PI_TOL * max(1, l_j);
+    witnesses lists the offending edge ids.  Edges touching a controlled leaf
+    are exempt.
     """
     if graph.variant != "tree":
         raise GraphError("pi-length predicate applies to the tree variant only")
-    if not tol > 0:
-        raise GraphError("tol must be positive")
     witnesses = []
     for e in graph.edges:
         if (
@@ -287,24 +297,24 @@ def pi_tree_check(graph: MetricGraph, tol: float = PI_TOL):
             or graph.vertex(e.head).kind == "controlled"
         ):
             continue
-        if _near_pi_multiple(e.length, tol):
+        if _near_pi_multiple(e.length):
             witnesses.append(e.id)
     return (not witnesses), witnesses
 
 
-def _near_pi_multiple(length: Length, tol: float) -> bool:
+def _near_pi_multiple(length: Length) -> bool:
     if length.pi_multiple() is not None:
         return True
     if length.kind in ("pi", "rational"):
         # exact non-integer multiple of pi, or exact rational (pi irrational)
         return False
     m = round(length.value / math.pi)
-    return m >= 1 and abs(length.value - m * math.pi) <= tol * max(1.0, length.value)
+    return m >= 1 and abs(length.value - m * math.pi) <= PI_TOL * max(1.0, length.value)
 
 
 # -- convenience builders ---------------------------------------------------
 
-def make_tree_chain(lengths, masses=None, variant: str = "tree") -> MetricGraph:
+def make_tree_chain(lengths, masses=None) -> MetricGraph:
     """Chain-shaped network: root -- a2 -- ... -- aN -- controlled leaf.
 
     Interior vertices carry unit masses unless given.
@@ -323,7 +333,7 @@ def make_tree_chain(lengths, masses=None, variant: str = "tree") -> MetricGraph:
         {"id": f"e{j + 1}", "tail": f"a{j + 1}", "head": f"a{j + 2}", "length": l}
         for j, l in enumerate(lengths)
     ]
-    return build_graph({"variant": variant, "vertices": vertices, "edges": edges})
+    return build_graph({"variant": "tree", "vertices": vertices, "edges": edges})
 
 
 def make_chain(lengths, masses) -> MetricGraph:

@@ -19,6 +19,7 @@ ladder, as recorded in the sweep verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,20 +47,25 @@ class DiscreteGenerator:
     """Sparse A_h with the energy weight W_h on the reduced state space.
 
     State layout: [y nodes, v nodes, p_1..p_K, q_1..q_K], where the y/v
-    blocks run over all grid DOFs except Dirichlet vertices.  H0, H1 and H2
-    are the coefficients of the (y, p) system H(beta) = H0 + beta H1 +
-    beta^2 H2 of i beta - A_h, on one shared CSC pattern.
+    blocks run over all grid DOFs except Dirichlet vertices.  K, M (lumped,
+    a vector), C and B are the semi-discrete operator restricted to them.
+    H0, H1 and H2 are the coefficients of the (y, p) system H(beta) = H0 +
+    beta H1 + beta^2 H2 of i beta - A_h, on one shared CSC pattern; A_h
+    itself is built on first use, since resolvent norms never read it.
     """
 
     graph: MetricGraph
     layout: GridLayout
-    A: sp.csr_matrix
     W: sp.csr_matrix
     keep: np.ndarray  # reduced index -> layout DOF
     mass_ids: list
     H0: sp.csc_matrix
     H1: sp.csc_matrix
     H2: sp.csc_matrix
+    K: sp.csr_matrix
+    M: np.ndarray
+    C: sp.dia_matrix
+    B: sp.csr_matrix
 
     @property
     def nfield(self) -> int:
@@ -67,13 +73,25 @@ class DiscreteGenerator:
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return 2 * (self.nfield + len(self.mass_ids))
+
+    @functools.cached_property
+    def A(self) -> sp.csr_matrix:
+        """The first-order generator A_h."""
+        nf, nm = self.nfield, len(self.mass_ids)
+        Minv, m_inv = sp.diags(1.0 / self.M), sp.diags(1.0 / self.layout.masses)
+        # rows: y' = v ; v' = M^{-1}(-K y - C v + B q) ; p' = q ;
+        #       q' = -(p + B^T v) / m
+        return sp.bmat([[None, sp.identity(nf), None, None],
+                        [Minv @ (-self.K), Minv @ (-self.C), None, Minv @ self.B],
+                        [None, None, None, sp.identity(nm)],
+                        [None, -m_inv @ self.B.T, -m_inv, None]], format="csr")
 
 
 def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
-    """Build A_h and W_h with target grid spacing h (>= 4 cells per edge)
-    from the semi-discrete operator of `make_layout`, Dirichlet DOFs sliced
-    out."""
+    """Build the generator (W_h and the (y, p) system; A_h on first use) with
+    target grid spacing h (>= 4 cells per edge) from the semi-discrete
+    operator of `make_layout`, Dirichlet DOFs sliced out."""
     if not h > 0:
         raise ResolventError("h must be positive")
     min_ell = min(e.ell for e in graph.edges)
@@ -90,19 +108,6 @@ def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
     C = sp.diags(layout.damping[keep])
     bpos = np.searchsorted(keep, layout.mass_dofs)
     B = sp.csr_matrix((np.ones(nm), (bpos, np.arange(nm))), shape=(nf, nm))
-    Minv = sp.diags(1.0 / M)
-    m_inv = sp.diags(1.0 / layout.masses)
-    # rows: y' = v ; v' = M^{-1}(-K y - C v + B q) ; p' = q ;
-    #       q' = -(p + B^T v) / m
-    A = sp.bmat(
-        [
-            [None, sp.identity(nf), None, None],
-            [Minv @ (-K), Minv @ (-C), None, Minv @ B],
-            [None, None, None, sp.identity(nm)],
-            [None, -m_inv @ B.T, -m_inv, None],
-        ],
-        format="csr",
-    )
     W = sp.block_diag(
         [K, sp.diags(M), sp.identity(nm), sp.diags(layout.masses)], format="csr"
     )
@@ -122,8 +127,8 @@ def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
                   for d in ((Kt.data, np.zeros(nf), -np.ones(nm), zm, zm),
                             (zk, 1j * C.diagonal(), zm, coupling, coupling),
                             (zk, -M, layout.masses, zm, zm)))
-    return DiscreteGenerator(graph, layout, A, W, keep, list(layout.mass_ids),
-                             H0, H1, H2)
+    return DiscreteGenerator(graph, layout, W, keep, list(layout.mass_ids),
+                             H0, H1, H2, K, M, C, B)
 
 
 def dissipation_defect(gen: DiscreteGenerator, z: np.ndarray) -> float:
@@ -133,8 +138,7 @@ def dissipation_defect(gen: DiscreteGenerator, z: np.ndarray) -> float:
     return float(np.real(np.vdot(gen.W @ az, z)))
 
 
-def resolvent_norm(gen: DiscreteGenerator, beta: float,
-                   tol: float = POWER_TOL) -> float:
+def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     """||(i beta I - A_h)^{-1}|| in the W_h energy geometry.
 
     Power iteration on the W-self-adjoint composition R^H_W R where
@@ -191,7 +195,7 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float,
             return HUGE
         x = z / nz
         val = math.sqrt(rho)
-        if it > 3 and abs(val - prev) <= tol * max(val, 1e-300):
+        if it > 3 and abs(val - prev) <= POWER_TOL * max(val, 1e-300):
             return val
         prev = val
     return prev
@@ -234,6 +238,8 @@ def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
     otherwise "inconclusive".
     """
     beta_grid = np.asarray(list(beta_grid), dtype=float)
+    if not np.all(np.isfinite(beta_grid)):
+        raise ResolventError("beta values must be finite")
     if len(beta_grid) == 0:
         return SweepReport([], "inconclusive", math.nan, math.nan)
     bmax = float(np.max(np.abs(beta_grid)))

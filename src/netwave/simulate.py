@@ -133,7 +133,7 @@ def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
     y0 and v0 map edge ids to callables of the arclength x in [0, l_j]
     (tail-to-head); osc maps mass vertex ids to (displacement, velocity).
     Missing entries mean zero.  y0 must be continuous at shared vertices and
-    vanish at Dirichlet vertices.
+    vanish at Dirichlet vertices, and all data must be finite.
     """
     layout = make_layout(graph, cells_per_unit)
     y = np.zeros(layout.ndof)
@@ -175,6 +175,8 @@ def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
     pairs = [osc.get(vid, (0.0, 0.0)) for vid in layout.mass_ids]
     p = np.array([float(s0) for s0, _ in pairs])
     q = np.array([float(s1) for _, s1 in pairs])
+    if not all(np.all(np.isfinite(a)) for a in (y, v, p, q)):
+        raise SimulationError("initial data must be finite")
     return NetworkState(graph, layout, y, v, p, q, 0.0)
 
 
@@ -308,7 +310,7 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
         cfl = float(config.get("cfl", DEFAULT_CFL))
         cells = float(config.get("cells_per_unit", 16.0))
         stride = int(config.get("sample_stride", 1))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"bad run parameter: {exc}") from None
     if not (0 < T < math.inf and 0 < cfl < math.inf and 0 < cells < math.inf
             and stride >= 1):

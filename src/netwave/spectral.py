@@ -26,6 +26,8 @@ import numpy as np
 from .graph import MetricGraph
 
 DET_TOL = 1e-9
+NEWTON_MAXIT = 60
+EIGEN_TOL = 1e-7  # residual up to which eigenfunction accepts a root
 
 
 class SpectralError(RuntimeError):
@@ -195,8 +197,8 @@ class EigenReport:
     tol: float
 
 
-def newton_refine(graph: MetricGraph, lam0: complex, tol: float = DET_TOL,
-                  maxiter: int = 60) -> tuple[complex, float]:
+def newton_refine(graph: MetricGraph, lam0: complex,
+                  tol: float = DET_TOL) -> tuple[complex, float]:
     """Polish a root of det M by Newton on the logarithmic derivative.
 
     A step that lands exactly on a root leaves M(lam) singular; the iteration
@@ -205,7 +207,7 @@ def newton_refine(graph: MetricGraph, lam0: complex, tol: float = DET_TOL,
     """
     lam = complex(lam0)
     try:
-        for _ in range(maxiter):
+        for _ in range(NEWTON_MAXIT):
             try:
                 ld = char_matrix(graph, lam).log_derivative()
             except np.linalg.LinAlgError:
@@ -328,13 +330,16 @@ def find_eigenvalues(graph: MetricGraph, box, tol: float = DET_TOL) -> EigenRepo
     One contour-integral pass per horizontal strip of the box gives the
     candidates; each is polished by Newton and kept when its residual is at
     most tol and it lies in its strip.  A root's box_count is its
-    multiplicity.  An empty or non-finite box, or a contour node where M(lam)
-    cannot be inverted, raises SpectralError.
+    multiplicity.  An empty or non-finite box, a tol that is not finite and
+    positive, or a contour node where M(lam) cannot be inverted, raises
+    SpectralError.
     """
     box = tuple(float(b) for b in box)
     re0, re1, im0, im1 = box
     if not (all(math.isfinite(b) for b in box) and re0 < re1 and im0 < im1):
         raise SpectralError(f"box {box} needs finite re0 < re1 and im0 < im1")
+    if not 0 < tol < math.inf:
+        raise SpectralError(f"tol {tol} must be finite and positive")
     roots = [r for strip in _strips(box) for r in _strip_roots(graph, strip, tol)]
     roots = _dedupe(roots)
     roots = [r for r in roots if not _spurious_resonance(graph, r)]
@@ -383,11 +388,11 @@ class EigenFunction:
         return self.lam * self.y(edge_id, x)
 
 
-def eigenfunction(graph: MetricGraph, lam: complex, tol: float = 1e-7) -> EigenFunction:
+def eigenfunction(graph: MetricGraph, lam: complex) -> EigenFunction:
     """Null vector of M(lam) lifted to a unit-norm state (y, v, p, q)."""
     sys = char_matrix(graph, lam)
-    if sys.residual() > tol:
-        raise SpectralError(f"{lam} is not a characteristic root (residual > {tol})")
+    if sys.residual() > EIGEN_TOL:
+        raise SpectralError(f"{lam} is not a characteristic root (residual > {EIGEN_TOL})")
     u, s, vh = np.linalg.svd(sys.matrix)
     null_dim = int(np.sum(s <= 10.0 * max(s[-1], 1e-300)))
     coeff_scaled = vh[-1].conj()

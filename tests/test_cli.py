@@ -1,9 +1,12 @@
 import json
+import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netwave.cli import main
+from netwave.cli import BETA_GRID, COMMANDS, INITIAL, main
 
 TREE_SPEC = {
     "variant": "tree",
@@ -200,10 +203,32 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
      "circuit-coupling"),
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {"amplitud": 2.0}},
      "amplitude"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0,
+                    "initial": {"oscillators": {"a2": 1.0}}}, "oscillator"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0,
+                    "initial": {"oscillators": [1, 2]}}, "oscillators"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {"edges": 5}}, "edges"),
+    (["chain-check"], {"lengths": 5, "masses": [1.0]}, "lengths"),
+    (["chain-check"], {"lengths": [1.0, 0.9], "masses": 1.0}, "masses"),
+    (["chain-check"], {"masses": [1.0]}, "lengths"),
+    (["chain-check"], {"lengths": [1.0, 0.9]}, "masses"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": {"min": 0, "max": 1, "count": 2,
+                                              "cnt": 5}}, "count"),
+    (["check"], {"vertices": [{"id": "a"}], "edges": []}, "kind"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": [float("nan")]}, "finite"),
+    (["spectrum"], {"graph": TREE_SPEC, "tol": -1}, "tol"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "cells_per_unit": 24},
+     "cells-per-unit-length"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0,
+                    "initial": {"amplitude": float("nan")}}, "finite"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
         "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
         "mesh-ladder-single", "mesh-ladder-repeated", "amplitude-x",
-        "unknown-key-bx", "unknown-key-circuit-coupling", "unknown-initial-key"])
+        "unknown-key-bx", "unknown-key-circuit-coupling", "unknown-initial-key",
+        "oscillator-not-a-pair", "oscillators-not-an-object", "initial-edges-5",
+        "lengths-5", "masses-1", "lengths-missing", "masses-missing",
+        "unknown-beta-key", "vertex-without-kind", "beta-nan", "tol-negative",
+        "alias-cells_per_unit", "amplitude-nan"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]
@@ -211,3 +236,49 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert message in err
+
+
+# Fuzzing: one run parameter at a time takes a malformed value while the
+# others keep small valid ones; the CLI must answer with an exit code.
+MALFORMED = [None, True, False, "abc", [], {}, [1], {"a": 1},
+             math.nan, math.inf, -math.inf, -1, 0]
+VALID = {
+    "check": {"graph": TREE_SPEC},
+    "simulate": {"graph": TREE_SPEC, "T": 0.5},
+    "spectrum": {"graph": TREE_SPEC, "box": [-1.0, 0.5, -3.0, 3.0]},
+    "sweep": {"graph": TREE_SPEC, "beta": [0.0, 0.5, 1.0], "mesh-ladder": [16, 24]},
+    "chain-check": {"lengths": [1.0, 0.9], "masses": [1.0]},
+    "counterexample": {"variant": "star", "length": "sqrt(2)", "probes": 3},
+}
+NESTED = {("simulate", "initial"): INITIAL,
+          ("sweep", "beta"): {"min": 0.0, "max": 1.0, "count": 3}}
+FUZZ_KEYS = ([(sub, key, None) for sub, (_, _, keys) in COMMANDS.items()
+              for key in keys]
+             + [(sub, outer, key) for (sub, outer), keys in NESTED.items()
+                for key in keys])
+
+
+def test_fuzz_covers_every_key():
+    assert set(NESTED[("sweep", "beta")]) == set(BETA_GRID)
+    assert {(sub, key) for sub, key, inner in FUZZ_KEYS if inner is None} == {
+        (sub, key) for sub, (_, _, keys) in COMMANDS.items() for key in keys}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.sampled_from(FUZZ_KEYS), st.sampled_from(MALFORMED))
+def test_malformed_values_give_an_exit_code(tmp_path_factory, target, value):
+    sub, key, inner = target
+    params = dict(VALID[sub])
+    if inner is None:
+        params[key] = value
+    else:
+        params[key] = {inner: value} if sub == "simulate" else {
+            **NESTED[(sub, key)], inner: value}
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv = [sub, "--out", str(tmp / "out")]
+    if sub == "counterexample":
+        argv += [a for k, v in params.items()
+                 for a in (f"--{k}", v if isinstance(v, str) else json.dumps(v))]
+    else:
+        argv += ["--config", write(tmp, "cfg.json", params)]
+    assert main(argv) in (0, 1, 2)

@@ -103,6 +103,21 @@ def test_build_graph_rejects_mass_leaf():
         build_graph(spec)
 
 
+def test_build_graph_names_a_missing_field():
+    vertices = [{"id": "a", "kind": "root"}, {"id": "b", "kind": "controlled"}]
+    edge = {"id": "e", "tail": "a", "head": "b", "length": "1"}
+    for key in ("id", "kind"):
+        spec = {"vertices": [{k: v for k, v in vertices[0].items() if k != key}],
+                "edges": []}
+        with pytest.raises(GraphError, match=repr(key)):
+            build_graph(spec)
+    for key in edge:
+        spec = {"vertices": vertices,
+                "edges": [{k: v for k, v in edge.items() if k != key}]}
+        with pytest.raises(GraphError, match=repr(key)):
+            build_graph(spec)
+
+
 def test_build_graph_defaults_missing_mass_to_unit():
     spec = {
         "variant": "tree",

@@ -135,6 +135,11 @@ def test_sweep_needs_two_distinct_meshes(ladder):
         sweep(graph, np.linspace(0.0, 3.0, 7), mesh_ladder=ladder)
 
 
+def test_sweep_rejects_non_finite_beta():
+    with pytest.raises(ResolventError, match="finite"):
+        sweep(make_tree_chain(["1", "0.9"], [1.0]), [0.5, math.nan])
+
+
 def test_sweep_empty_grid_inconclusive():
     report = sweep(make_tree_chain(["1", "0.9"], [1.0]), [])
     assert report.verdict == "inconclusive"

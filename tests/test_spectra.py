@@ -243,6 +243,12 @@ def test_find_eigenvalues_rejects_reversed_box():
         find_eigenvalues(pi_chain(), (0.5, -3.0, -12.0, 12.0))
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_find_eigenvalues_rejects_bad_tol(tol):
+    with pytest.raises(SpectralError, match="tol"):
+        find_eigenvalues(pi_chain(), (-3.0, 0.5, -12.0, 12.0), tol=tol)
+
+
 @st.composite
 def chains(draw):
     k = draw(st.integers(2, 4))
