@@ -401,7 +401,8 @@ def _cmd_counterexample(graph, p, em, svg):
             rows.append((c.q, float(pr.beta), pr.center_value.real,
                          pr.center_value.imag, float(pr.norm_ratio)))
         ratios = [pr.norm_ratio for pr in sps]
-        growing = all(b > a for a, b in zip(ratios[-4:], ratios[-3:]))
+        tail = ratios[-4:]
+        growing = all(b > a for a, b in zip(tail, tail[1:]))
         summary = {
             "variant": "star",
             "length": p["length"],

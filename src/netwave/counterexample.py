@@ -6,7 +6,13 @@ length l4, where all edge angles are nearly multiples of 2 pi.  The edgewise
 response is obtained two independent ways: a direct solve of the 6x6
 boundary system and a scalar reduction (FB + AG) beta b1 = A H - F C whose
 coefficients A..H were re-derived from that system by elimination; the two
-must agree to near machine precision on every probe.
+must agree to near machine precision on every probe.  The star probe
+solves the three-edge star's 4x4 boundary system at the same frequencies and
+reports the H-norm amplification ||z|| / ||f||, a lower bound for the
+resolvent norm.  Both probes share one frequency construction
+(`_probe_angles`) and one guard against lengths that put an eigenvalue on
+the axis; the star's H-norm is one closed-form integral over the moments
+int x^k e^{2 i beta x} dx.
 
 Everything runs in mpmath extended precision with exact integer angle
 reduction (2 pi p_n subtracted symbolically), since sin(beta_n l4) lives on
@@ -45,8 +51,21 @@ class ConvergentPair:
     q: int
 
 
-def _as_length(ell) -> Length:
-    return ell if isinstance(ell, Length) else Length.parse(ell)
+def _irrational_length(ell) -> Length:
+    """ell as a Length, refused unless it is positive and not exactly
+    rational: a rational p/q puts i*q*pi on the axis as an eigenvalue, and
+    its approximation by convergents never improves."""
+    length = Length.parse(ell)
+    if not length.value > 0:
+        raise CounterexampleError(f"length {length.value} must be positive")
+    if length.is_rational:
+        frac = length.frac
+        raise AxisEigenvalue(
+            f"length {frac} is rational: i*{frac.denominator}*pi is an "
+            f"eigenvalue on the axis; convergent probes do not apply",
+            float(frac.denominator) * mp.pi,
+        )
+    return length
 
 
 def _precision_for(q: int) -> int:
@@ -60,16 +79,7 @@ def dirichlet_convergents(ell, count: int) -> list:
     Rational lengths are refused: their approximation never improves and the
     probe construction does not apply.
     """
-    length = _as_length(ell)
-    if length.is_rational:
-        frac = length.frac
-        raise AxisEigenvalue(
-            f"length {frac} is rational: i*{frac.denominator}*pi is an "
-            f"eigenvalue on the axis; convergent probes do not apply",
-            float(frac.denominator) * mp.pi,
-        )
-    if not length.value > 0:
-        raise CounterexampleError("length must be positive")
+    length = _irrational_length(ell)
     out = []
     with mp.workdps(60 + 4 * count):
         target = length.mpf()
@@ -103,18 +113,11 @@ class CircuitProbe:
     """One solve of the circuit boundary system at a probe frequency."""
 
     beta: complex  # mp.mpf really; kept generic for serialization
-    l4: float
+    l4: Length
     q: int | None
-    p: int | None
-    a: tuple  # a_1..a_4
-    b: tuple  # b_1..b_4
+    b1: complex
     coeffs: dict  # A..H of the scalar reduction
-    b1_eqcir: complex
     eqcir_rel_diff: float
-
-    @property
-    def b1(self):
-        return self.b[0]
 
     def growth_ratio(self):
         """beta * b1 normalized by (-1+i) pi^3 q^{1/4}."""
@@ -124,19 +127,20 @@ class CircuitProbe:
         return self.beta * self.b1 / ((-1 + 1j) * mp.pi**3 * qq)
 
 
-def _circuit_angles(beta, l4_mpf, pair):
-    """(theta1, theta4) congruent to beta and beta*l4 modulo 2 pi.
+def _probe_angles(beta, length, pair):
+    """(beta, theta_1, theta_l): the frequency and the angles beta, beta*l
+    of a unit edge and the probe edge of length l, reduced modulo 2 pi.
 
-    With a convergent pair the 2 pi p_n part of beta*l4 is subtracted as an
-    exact integer before any trigonometry.
+    With a convergent pair, beta = 2 pi q + theta_1 with theta_1 =
+    2 pi / q^{1/4}, and the 2 pi p part of beta*l is subtracted as an exact
+    integer before any trigonometry.
     """
-    if pair is not None:
-        q = mp.mpf(pair.q)
-        th1 = 2 * mp.pi / q ** mp.mpf("0.25")
-        th4 = 2 * mp.pi * (q * l4_mpf - pair.p) + th1 * l4_mpf
-        beta = 2 * mp.pi * q + th1
-        return beta, th1, th4
-    return beta, beta, beta * l4_mpf
+    if pair is None:
+        beta = mp.mpf(beta)
+        return beta, beta, beta * length
+    q = mp.mpf(pair.q)
+    th1 = 2 * mp.pi / q ** mp.mpf("0.25")
+    return 2 * mp.pi * q + th1, th1, 2 * mp.pi * (q * length - pair.p) + th1 * length
 
 
 def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
@@ -144,21 +148,15 @@ def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
 
     The system couples a_1..a_4, b_1..b_4 (with b_1 = b_2 = b_3) under
     forcing -sin(beta x) on edge 2; beta may instead be derived from a
-    Dirichlet convergent pair as beta = 2 pi q + 2 pi q^{-1/4}.  Returns the
-    full solution together with the scalar-reduction coefficients and the
-    consistency defect between the two solution paths.
+    Dirichlet convergent pair as beta = 2 pi q + 2 pi q^{-1/4}.  Returns b1
+    together with the scalar-reduction coefficients and the consistency
+    defect between the two solution paths.
     """
-    length = _as_length(l4)
-    if length.is_rational and pair is None:
-        raise AxisEigenvalue(
-            f"cycle length {length.frac} is rational: "
-            f"i*{length.frac.denominator}*pi is an eigenvalue on the axis",
-            float(length.frac.denominator) * mp.pi,
-        )
+    length = Length.parse(l4) if pair is not None else _irrational_length(l4)
     dps = _precision_for(pair.q if pair is not None else 1)
     with mp.workdps(dps):
         l4v = length.mpf()
-        beta, th1, th4 = _circuit_angles(mp.mpf(beta or 0), l4v, pair)
+        beta, th1, th4 = _probe_angles(beta, l4v, pair)
         i = mp.mpc(0, 1)
         s, c = mp.sin(th1), mp.cos(th1)
         s4, c4 = mp.sin(th4), mp.cos(th4)
@@ -192,12 +190,11 @@ def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
         M[5, 4] = beta * c4
         M[5, 1] = -i * beta * E
         try:
-            x = mp.lu_solve(M, r)
+            b1 = mp.lu_solve(M, r)[1]
         except ZeroDivisionError:
             raise CounterexampleError(
                 f"boundary system singular at beta={beta}: resonance"
             ) from None
-        a1, b1, a2, a3, a4, b4 = x
 
         # scalar reduction coefficients, re-derived by eliminating
         # (a1, b4, a4, a3) so that (F B + A G) beta b1 = A H - F C
@@ -217,13 +214,10 @@ def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
         rel = float(abs(b1_ec - b1) / abs(b1)) if b1 != 0 else mp.inf
         return CircuitProbe(
             beta=beta,
-            l4=float(l4v),
+            l4=length,
             q=pair.q if pair is not None else None,
-            p=pair.p if pair is not None else None,
-            a=(a1, a2, a3, a4),
-            b=(b1, b1, b1, b4),
+            b1=b1,
             coeffs={"A": A, "B": B, "C": C, "F": F, "G": G, "H": H},
-            b1_eqcir=b1_ec,
             eqcir_rel_diff=rel,
         )
 
@@ -235,15 +229,11 @@ def bracketing_angles(pair: ConvergentPair, l4) -> tuple:
     0 < lambda_n < theta_n < mu_n < pi/2 where
     lambda_n, mu_n = -+ 2 pi / q + 2 pi l4 / q^{1/4}.
     """
-    length = _as_length(l4)
     with mp.workdps(_precision_for(pair.q)):
-        l4v = length.mpf()
-        q = mp.mpf(pair.q)
-        qq = q ** mp.mpf("0.25")
-        theta = 2 * mp.pi * (q * l4v - pair.p) + 2 * mp.pi * l4v / qq
-        lam = -2 * mp.pi / q + 2 * mp.pi * l4v / qq
-        mu = 2 * mp.pi / q + 2 * mp.pi * l4v / qq
-        return lam, theta, mu
+        l4v = Length.parse(l4).mpf()
+        _, th1, theta = _probe_angles(None, l4v, pair)
+        gap = 2 * mp.pi / pair.q
+        return th1 * l4v - gap, theta, th1 * l4v + gap
 
 
 def asymptotic_defects(probe: CircuitProbe) -> dict:
@@ -257,7 +247,7 @@ def asymptotic_defects(probe: CircuitProbe) -> dict:
         raise CounterexampleError("asymptotics need a convergent probe")
     with mp.workdps(_precision_for(probe.q)):
         q = mp.mpf(probe.q)
-        l4 = mp.mpf(probe.l4)
+        l4 = probe.l4.mpf()
         qq = q ** mp.mpf("0.25")
         i = mp.mpc(0, 1)
         leading = {
@@ -292,13 +282,7 @@ def growth_law(probes: list, l4) -> GrowthReport:
     ratios stabilize within 10% of the target constant
     2 l4 (2 l4 + 1)/(l4 + 2), "inconclusive" otherwise.
     """
-    length = _as_length(l4)
-    if length.is_rational:
-        raise AxisEigenvalue(
-            f"cycle length {length.frac} is rational: "
-            f"i*{length.frac.denominator}*pi is an eigenvalue on the axis",
-            float(length.frac.denominator) * mp.pi,
-        )
+    length = _irrational_length(l4)
     probes = sorted(
         (pr for pr in probes if pr.q is not None), key=lambda pr: pr.q
     )
@@ -322,71 +306,49 @@ def growth_law(probes: list, l4) -> GrowthReport:
 # -- star probe -------------------------------------------------------------
 
 
-def _trig_poly_norm2(P, Q, beta, L):
-    """integral over (0, L) of |P(x) sin(beta x) + Q(x) cos(beta x)|^2.
+def _trig_norm2(P, Q, beta, L):
+    """int_0^L |P(x) sin(beta x) + Q(x) cos(beta x)|^2 dx in closed form.
 
-    P, Q are low-degree polynomials given as complex coefficient sequences
-    (constant first).  Uses closed-form moments of x^k cos/sin(2 beta x).
+    P, Q are complex polynomials given as coefficient lists of one length,
+    constant first.  With U = (Q - iP)/2 and V = (Q + iP)/2 the integrand is
+    |U|^2 + |V|^2 + 2 Re(U conj(V) e^{2 i beta x}), so beside the plain
+    moments only E_k = int_0^L x^k e^{2 i beta x} dx are needed:
+    E_0 = (e^{2 i beta L} - 1)/(2 i beta) and
+    E_k = (L^k e^{2 i beta L} - k E_{k-1})/(2 i beta).
     """
-    deg = max(len(P), len(Q)) - 1
-    w = 2 * beta
+    i, n = mp.mpc(0, 1), len(P)
+    U = [(b - i * a) / 2 for a, b in zip(P, Q)]
+    V = [(b + i * a) / 2 for a, b in zip(P, Q)]
+    w = 2 * i * beta
+    e = mp.exp(w * L)
+    E = [(e - 1) / w]
+    for k in range(1, 2 * n - 1):
+        E.append((L**k * e - k * E[-1]) / w)
+    return sum(
+        mp.re((U[j] * mp.conj(U[k]) + V[j] * mp.conj(V[k]))
+              * L ** (j + k + 1) / (j + k + 1)
+              + 2 * U[j] * mp.conj(V[k]) * E[j + k])
+        for j in range(n) for k in range(n)
+    )
 
-    # base integrals int_0^L x^k cos(w x), int x^k sin(w x)
-    def I(k):  # cos moment
-        if k == 0:
-            return mp.sin(w * L) / w
-        if k == 1:
-            return L * mp.sin(w * L) / w + (mp.cos(w * L) - 1) / w**2
-        return (
-            L**2 * mp.sin(w * L) / w
-            + 2 * L * mp.cos(w * L) / w**2
-            - 2 * mp.sin(w * L) / w**3
-        )
 
-    def J(k):  # sin moment
-        if k == 0:
-            return (1 - mp.cos(w * L)) / w
-        if k == 1:
-            return -L * mp.cos(w * L) / w + mp.sin(w * L) / w**2
-        return (
-            -(L**2) * mp.cos(w * L) / w
-            + 2 * L * mp.sin(w * L) / w**2
-            + 2 * (mp.cos(w * L) - 1) / w**3
-        )
+def _h_norm2(P, Q, beta, L):
+    """int_0^L (|y'|^2 + beta^2 |y|^2) dx for y = P sin(beta x) + Q cos(beta x),
+    where y' = (P' - beta Q) sin(beta x) + (Q' + beta P) cos(beta x)."""
 
-    def xm(k):  # plain moment
-        return L ** (k + 1) / (k + 1)
+    def deriv(u):
+        return [k * c for k, c in enumerate(u)][1:] + [0]
 
-    def poly_prod(u, v):
-        out = [mp.mpc(0)] * (len(u) + len(v) - 1)
-        for ii, uu in enumerate(u):
-            for jj, vv in enumerate(v):
-                out[ii + jj] += uu * mp.conj(vv)
-        return out
-
-    def herm(u, v):  # real part of sum u_i conj(v_j) x^{i+j}
-        return [uv for uv in poly_prod(u, v)]
-
-    PP = herm(P, P)
-    QQ = herm(Q, Q)
-    PQ = herm(P, Q)
-    total = mp.mpf(0)
-    for k, coef in enumerate(PP):  # |P|^2 sin^2 = |P|^2 (1 - cos)/2
-        total += mp.re(coef) * (xm(k) - I(k)) / 2
-    for k, coef in enumerate(QQ):
-        total += mp.re(coef) * (xm(k) + I(k)) / 2
-    for k, coef in enumerate(PQ):  # 2 Re(P conj Q) sin cos = Re(..) sin(2bx)
-        total += mp.re(coef) * J(k)
-    return total
+    dP = [d - beta * c for d, c in zip(deriv(P), Q)]
+    dQ = [d + beta * c for d, c in zip(deriv(Q), P)]
+    return _trig_norm2(dP, dQ, beta, L) + beta**2 * _trig_norm2(P, Q, beta, L)
 
 
 @dataclass
 class StarProbe:
     beta: float
-    l3: float
     norm_ratio: float  # ||z||_H / ||f||_H, a lower bound for the resolvent norm
     center_value: complex
-    coefficients: dict
 
 
 def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
@@ -397,7 +359,7 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
     center mass; edge 1 carries the absorbing end, edges 2 and 3 are clamped.
     A length l3 in pi * N is refused: i is then an eigenvalue on the axis.
     """
-    length = _as_length(l3)
+    length = Length.parse(l3)
     if length.pi_multiple() is not None:
         raise AxisEigenvalue(
             f"edge length {length.frac}*pi puts an eigenvalue at i on the axis",
@@ -407,15 +369,7 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
     with mp.workdps(dps):
         l3v = length.mpf()
         i = mp.mpc(0, 1)
-        if pair is not None:
-            q = mp.mpf(pair.q)
-            beta = 2 * mp.pi * q + 2 * mp.pi / q ** mp.mpf("0.25")
-            th = 2 * mp.pi / q ** mp.mpf("0.25")
-            th3 = 2 * mp.pi * (q * l3v - pair.p) + th * l3v
-        else:
-            beta = mp.mpf(beta)
-            th = beta
-            th3 = beta * l3v
+        beta, th, th3 = _probe_angles(beta, l3v, pair)
         s, c = mp.sin(th), mp.cos(th)
         s3, c3 = mp.sin(th3), mp.cos(th3)
 
@@ -447,33 +401,16 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
                 f"star system singular at beta={beta}: resonance"
             ) from None
 
-        # H-norm of z = (y, v = i beta y, p, q):
-        # per edge int(|y'|^2 + beta^2 |y|^2) plus |p|^2 + |q|^2
-        total = mp.mpf(0)
-        for (aj, lj, extra) in (
-            (a1, mp.mpf(1), False),
-            (a2, mp.mpf(1), True),
-            (a3, l3v, False),
-        ):
-            P = [aj]
-            Q = [Y]
-            dP = [-beta * Y]
-            dQ = [beta * aj]
-            if extra:  # particular part -x cos(beta x)/(2 beta) of edge 2
-                Q = [Y, -1 / (2 * beta)]
-                dP = [-beta * Y, mp.mpf(1) / 2]
-                dQ = [beta * aj - 1 / (2 * beta)]
-            total += _trig_poly_norm2(dP, dQ, beta, lj)
-            total += beta**2 * _trig_poly_norm2(P, Q, beta, lj)
+        # H-norm of z = (y, v = i beta y, p, q): per edge
+        # int(|y'|^2 + beta^2 |y|^2) plus |p|^2 + |q|^2; edge 2 carries the
+        # particular part -x cos(beta x)/(2 beta)
+        total = (_h_norm2([a1], [Y], beta, mp.mpf(1))
+                 + _h_norm2([a2, 0], [Y, -1 / (2 * beta)], beta, mp.mpf(1))
+                 + _h_norm2([a3], [Y], beta, l3v))
         p_osc = -i * beta * Y / (1 - beta**2)
         q_osc = i * beta * p_osc
         total += abs(p_osc) ** 2 + abs(q_osc) ** 2
         fnorm = mp.sqrt(mp.mpf(1) / 2 - mp.sin(2 * beta) / (4 * beta))
         ratio = float(mp.sqrt(total) / fnorm)
         return StarProbe(
-            beta=float(beta),
-            l3=float(l3v),
-            norm_ratio=ratio,
-            center_value=complex(Y),
-            coefficients={"a1": complex(a1), "a2": complex(a2), "a3": complex(a3)},
-        )
+            beta=float(beta), norm_ratio=ratio, center_value=complex(Y))

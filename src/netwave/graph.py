@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,28 +45,34 @@ class Length:
 
     @staticmethod
     def parse(spec) -> "Length":
+        """A Length from a number or from "p/q", "pi", "pi*p/q" or
+        "sqrt(p/q)"; booleans and values that are not finite are refused."""
         if isinstance(spec, Length):
             return spec
-        if isinstance(spec, (int, float)):
-            return Length(float(spec))
-        if not isinstance(spec, str):
+        if isinstance(spec, bool) or not isinstance(spec, (int, float, str)):
             raise GraphError(f"cannot parse length {spec!r}")
-        text = spec.strip()
+        text = spec.strip() if isinstance(spec, str) else None
         try:
-            if text.startswith("pi*"):
+            if text is None:
+                length = Length(float(spec))
+            elif text.startswith("pi*"):
                 frac = Fraction(text[3:])
-                return Length(float(frac) * math.pi, "pi", frac)
-            if text == "pi":
-                return Length(math.pi, "pi", Fraction(1))
-            if text.startswith("sqrt(") and text.endswith(")"):
+                length = Length(float(frac) * math.pi, "pi", frac)
+            elif text == "pi":
+                length = Length(math.pi, "pi", Fraction(1))
+            elif text.startswith("sqrt(") and text.endswith(")"):
                 frac = Fraction(text[5:-1])
                 if frac < 0:
                     raise GraphError(f"negative radicand in {text!r}")
-                return Length(math.sqrt(float(frac)), "sqrt", frac)
-            frac = Fraction(text)
-            return Length(float(frac), "rational", frac)
-        except (ValueError, ZeroDivisionError) as exc:
+                length = Length(math.sqrt(float(frac)), "sqrt", frac)
+            else:
+                frac = Fraction(text)
+                length = Length(float(frac), "rational", frac)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise GraphError(f"cannot parse length {spec!r}: {exc}") from None
+        if not math.isfinite(length.value):
+            raise GraphError(f"length {spec!r} is not finite")
+        return length
 
     @property
     def is_rational(self) -> bool:
@@ -166,10 +174,14 @@ def build_graph(spec: dict) -> MetricGraph:
     if variant not in VARIANTS:
         raise GraphError(f"unknown variant {variant!r}")
 
+    for key in ("vertices", "edges"):
+        if not isinstance(spec.get(key, []), list):
+            raise GraphError(f"{key!r} must be a list")
+
     vertices = []
     seen = set()
     for vs in spec.get("vertices", []):
-        vid = _field(vs, "id", "vertex")
+        vid = _field(vs, "id", "vertex", str)
         kind = _field(vs, "kind", f"vertex {vid!r}")
         if vid in seen:
             raise GraphError(f"duplicate vertex id {vid!r}")
@@ -178,9 +190,13 @@ def build_graph(spec: dict) -> MetricGraph:
             raise GraphError(f"unknown vertex kind {kind!r}")
         mass = vs.get("mass")
         if kind == "mass":
-            mass = 1.0 if mass is None else float(mass)
-            if not mass > 0:
-                raise GraphError(f"vertex {vid!r}: mass must be positive")
+            mass = 1.0 if mass is None else mass
+            if (isinstance(mass, bool) or not isinstance(mass, numbers.Real)
+                    or not 0 < mass <= sys.float_info.max):
+                raise GraphError(
+                    f"vertex {vid!r}: mass must be a finite positive number, "
+                    f"not {mass!r}")
+            mass = float(mass)
         elif mass is not None:
             raise GraphError(f"vertex {vid!r}: only mass vertices carry a mass")
         vertices.append(Vertex(vid, kind, mass))
@@ -188,12 +204,13 @@ def build_graph(spec: dict) -> MetricGraph:
     edges = []
     eseen = set()
     for es in spec.get("edges", []):
-        eid = _field(es, "id", "edge")
+        eid = _field(es, "id", "edge", str)
         if eid in eseen:
             raise GraphError(f"duplicate edge id {eid!r}")
         eseen.add(eid)
-        tail, head, length = (_field(es, key, f"edge {eid!r}")
-                              for key in ("tail", "head", "length"))
+        tail, head = (_field(es, key, f"edge {eid!r}", str)
+                      for key in ("tail", "head"))
+        length = _field(es, "length", f"edge {eid!r}")
         if tail not in seen or head not in seen:
             raise GraphError(f"edge {eid!r}: unknown endpoint")
         length = Length.parse(length)
@@ -206,12 +223,17 @@ def build_graph(spec: dict) -> MetricGraph:
     return graph
 
 
-def _field(spec, key: str, what: str):
-    """spec[key] of a vertex or edge description, or a GraphError naming it."""
+def _field(spec, key: str, what: str, kind=object):
+    """spec[key] of a vertex or edge description, or a GraphError naming it
+    when it is missing or not an instance of kind."""
     try:
-        return spec[key]
+        value = spec[key]
     except (KeyError, TypeError):
         raise GraphError(f"{what} needs a {key!r} field") from None
+    if not isinstance(value, kind):
+        raise GraphError(f"{what}: {key!r} must be a {kind.__name__}, "
+                         f"not {value!r}")
+    return value
 
 
 def _validate(graph: MetricGraph):

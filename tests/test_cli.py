@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,17 @@ PI_TREE_SPEC = {
         {"id": "e3", "tail": "a3", "head": "a4", "length": "1"},
     ],
 }
+
+
+def tree_with(path, value):
+    """TREE_SPEC with the field at path (keys and list indices) set to value."""
+    spec = copy.deepcopy(TREE_SPEC)
+    *outer, last = path
+    node = spec
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return spec
 
 
 def write(tmp_path, name, payload):
@@ -221,6 +234,26 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
      "cells-per-unit-length"),
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0,
                     "initial": {"amplitude": float("nan")}}, "finite"),
+    (["check"], {"graph": tree_with(("vertices", 1, "mass"), "abc")}, "mass"),
+    (["spectrum"], {"graph": tree_with(("vertices", 1, "mass"), [1])}, "mass"),
+    (["check"], {"graph": tree_with(("vertices",), 5)}, "vertices"),
+    (["simulate"], {"graph": tree_with(("edges",), 5), "T": 0.5}, "edges"),
+    (["check"], {"graph": tree_with(("vertices", 0, "id"), ["a1"])}, "id"),
+    (["check"], {"graph": tree_with(("edges", 1, "length"), "1e400")}, "length"),
+    (["sweep"], {"graph": tree_with(("edges", 1, "length"), "sqrt(1e400)")},
+     "length"),
+    (["check"], {"graph": tree_with(("edges", 1, "length"), "pi*1e400")}, "length"),
+    (["check"], {"graph": tree_with(("edges", 1, "length"), math.inf)}, "length"),
+    (["counterexample", "--variant", "star", "--length", "1e400"], None, "length"),
+    (["check"], {"graph": tree_with(("vertices", 1, "mass"), math.inf)}, "mass"),
+    (["simulate"], {"graph": tree_with(("vertices", 1, "mass"), math.inf),
+                    "T": 0.5}, "mass"),
+    (["sweep"], {"graph": tree_with(("vertices", 1, "mass"), math.inf)}, "mass"),
+    (["spectrum"], {"graph": tree_with(("vertices", 1, "mass"), math.inf)}, "mass"),
+    (["check"], {"graph": tree_with(("edges", 1, "length"), True)}, "length"),
+    (["check"], {"graph": tree_with(("vertices", 1, "mass"), True)}, "mass"),
+    (["counterexample", "--variant", "circuit", "--length", "0"], None, "positive"),
+    (["counterexample", "--variant", "star", "--length", "-1"], None, "positive"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
         "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
         "mesh-ladder-single", "mesh-ladder-repeated", "amplitude-x",
@@ -228,7 +261,13 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
         "oscillator-not-a-pair", "oscillators-not-an-object", "initial-edges-5",
         "lengths-5", "masses-1", "lengths-missing", "masses-missing",
         "unknown-beta-key", "vertex-without-kind", "beta-nan", "tol-negative",
-        "alias-cells_per_unit", "amplitude-nan"])
+        "alias-cells_per_unit", "amplitude-nan", "mass-abc", "mass-list",
+        "vertices-5", "edges-5", "vertex-id-list", "length-1e400",
+        "length-sqrt-1e400", "length-pi-1e400", "length-infinity",
+        "counterexample-length-1e400", "mass-infinity-check",
+        "mass-infinity-simulate", "mass-infinity-sweep", "mass-infinity-spectrum",
+        "length-true", "mass-true", "counterexample-length-0",
+        "counterexample-length-negative"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]
@@ -238,9 +277,10 @@ def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     assert message in err
 
 
-# Fuzzing: one run parameter at a time takes a malformed value while the
-# others keep small valid ones; the CLI must answer with an exit code.
-MALFORMED = [None, True, False, "abc", [], {}, [1], {"a": 1},
+# Fuzzing: one run parameter or graph spec field at a time takes a malformed
+# value while the others keep small valid ones; the CLI must answer with an
+# exit code.
+MALFORMED = [None, True, False, "abc", "1e400", [], {}, [1], {"a": 1},
              math.nan, math.inf, -math.inf, -1, 0]
 VALID = {
     "check": {"graph": TREE_SPEC},
@@ -252,10 +292,17 @@ VALID = {
 }
 NESTED = {("simulate", "initial"): INITIAL,
           ("sweep", "beta"): {"min": 0.0, "max": 1.0, "count": 3}}
+# graph spec fields, as paths into TREE_SPEC, fuzzed under every subcommand
+# that reads a graph
+GRAPH_FIELDS = [("vertices", 1, "id"), ("vertices", 1, "kind"),
+                ("vertices", 1, "mass"), ("edges", 0, "tail"),
+                ("edges", 1, "length"), ("vertices",), ("edges",), ("variant",)]
 FUZZ_KEYS = ([(sub, key, None) for sub, (_, _, keys) in COMMANDS.items()
               for key in keys]
              + [(sub, outer, key) for (sub, outer), keys in NESTED.items()
-                for key in keys])
+                for key in keys]
+             + [(sub, "graph", path) for sub, (_, reads_graph, _) in COMMANDS.items()
+                if reads_graph for path in GRAPH_FIELDS])
 
 
 def test_fuzz_covers_every_key():
@@ -269,7 +316,9 @@ def test_fuzz_covers_every_key():
 def test_malformed_values_give_an_exit_code(tmp_path_factory, target, value):
     sub, key, inner = target
     params = dict(VALID[sub])
-    if inner is None:
+    if key == "graph":
+        params[key] = tree_with(inner, value)
+    elif inner is None:
         params[key] = value
     else:
         params[key] = {inner: value} if sub == "simulate" else {
@@ -282,3 +331,20 @@ def test_malformed_values_give_an_exit_code(tmp_path_factory, target, value):
     else:
         argv += ["--config", write(tmp, "cfg.json", params)]
     assert main(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("ratios, verdict", [
+    ([1.0, 5.0, 20.0], "unbounded"),
+    ([1.0, 20.0, 5.0], "inconclusive"),
+])
+def test_star_verdict_with_three_probes(tmp_path, capsys, monkeypatch, ratios,
+                                        verdict):
+    # fewer than four probes: the verdict compares the consecutive ratios
+    # it has, not each ratio with itself
+    probes = iter(types.SimpleNamespace(beta=1.0, norm_ratio=r, center_value=0j)
+                  for r in ratios)
+    monkeypatch.setattr("netwave.cli.star_probe", lambda *a, **k: next(probes))
+    rc = main(["counterexample", "--variant", "star", "--length", "sqrt(2)",
+               "--probes", "3", "--expect-stable", "--out", str(tmp_path / "out")])
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+    assert rc == (1 if verdict == "unbounded" else 0)

@@ -7,6 +7,8 @@ from netwave.counterexample import (
     AxisEigenvalue,
     ConvergentPair,
     CounterexampleError,
+    _h_norm2,
+    _trig_norm2,
     asymptotic_defects,
     bracketing_angles,
     circuit_solve,
@@ -14,6 +16,7 @@ from netwave.counterexample import (
     growth_law,
     star_probe,
 )
+from netwave.graph import Length
 
 
 def brute_force_pairs(ell, qmax):
@@ -118,6 +121,15 @@ def test_bracketing_angles_hold_beyond_threshold():
         assert 0 < lam < theta < mu < math.pi / 2
 
 
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_nonpositive_length_refused_as_such(length):
+    for probe in (lambda: dirichlet_convergents(length, 3),
+                  lambda: circuit_solve(7.3, length),
+                  lambda: growth_law([], length)):
+        with pytest.raises(CounterexampleError, match="positive"):
+            probe()
+
+
 def test_growth_law_requires_probes():
     pairs = dirichlet_convergents("sqrt(2)", 2)
     probes = [circuit_solve(None, "sqrt(2)", pair=c) for c in pairs]
@@ -186,3 +198,29 @@ def test_star_probe_along_convergents_is_finite():
         probe = star_probe(None, "sqrt(2)", pair=c)
         assert math.isfinite(probe.norm_ratio)
         assert probe.norm_ratio > 0
+
+
+@pytest.mark.parametrize("beta", [3.7, 40])
+@pytest.mark.parametrize("ell", ["1", "sqrt(2)"])
+def test_h_norm_matches_quadrature(beta, ell):
+    # the closed form against Gauss-Legendre quadrature of the same field
+    # y = P sin(beta x) + Q cos(beta x), with P, Q linear and complex
+    with mp.workdps(50):
+        L, b = Length.parse(ell).mpf(), mp.mpf(beta)
+        P = [mp.mpc("0.3", "-1.2"), mp.mpc("0.7", "0.4")]
+        Q = [mp.mpc("-0.5", "0.9"), mp.mpc("1.1", "-0.6")]
+
+        def y(x):
+            return (P[0] + P[1] * x) * mp.sin(b * x) + (Q[0] + Q[1] * x) * mp.cos(b * x)
+
+        def dy(x):
+            return (P[1] * mp.sin(b * x) + b * (P[0] + P[1] * x) * mp.cos(b * x)
+                    + Q[1] * mp.cos(b * x) - b * (Q[0] + Q[1] * x) * mp.sin(b * x))
+
+        def quad(f):
+            return mp.quad(f, mp.linspace(0, L, 9), method="gauss-legendre")
+
+        want = quad(lambda x: abs(y(x)) ** 2)
+        assert abs(_trig_norm2(P, Q, b, L) - want) <= 1e-30 * want
+        want = quad(lambda x: abs(dy(x)) ** 2 + b**2 * abs(y(x)) ** 2)
+        assert abs(_h_norm2(P, Q, b, L) - want) <= 1e-30 * want
