@@ -72,6 +72,85 @@ def _precision_for(q: int) -> int:
     return max(50, 30 + mp.mp.dps // 10 + len(str(q)) * 3)
 
 
+def _lu_solve(rows, rhs) -> list:
+    """x with A x = b for the rows of A and b, by the arithmetic of mpmath's
+    lu_solve, bit for bit.
+
+    Like lu_solve this works 10 bits above the caller's precision, pivots at
+    column j on the first row k that maximises |a_kj| / sum_{l>=j} |a_kl|,
+    and raises ZeroDivisionError when a row sum or a pivot is at most
+    eps * ||A||_1.  It works on lists instead of mpmath matrices, keeps each
+    |a_kl| until the entry changes and skips the products with an exact
+    zero factor.  Those products still decide types as in an mpmath matrix:
+    zeros are kept as mpf, and a real entry that a skipped complex zero
+    would have made complex is made complex, because a complex divisor with
+    zero imaginary part rounds differently from a real one.  Where a column
+    vanishes on and below the diagonal, lu_solve fails with a TypeError;
+    this raises ZeroDivisionError.
+    """
+    n = len(rows)
+    with mp.extraprec(10):
+        A = [[_entry(a) for a in row] for row in rows]
+        x = [_entry(v) for v in rhs]
+        mods = [[abs(a) for a in row] for row in A]
+        tol = abs(max(mp.fsum(col) for col in zip(*mods)) * mp.eps)
+        for j in range(n - 1):
+            biggest, p = 0, j
+            for k in range(j, n):
+                s = mp.fsum(mods[k][j:])
+                if s <= tol:
+                    raise ZeroDivisionError("matrix is numerically singular")
+                if mods[k][j]:
+                    current = 1 / s * mods[k][j]
+                    if current > biggest:
+                        biggest, p = current, k
+            A[j], A[p], mods[j], mods[p], x[j], x[p] = (
+                A[p], A[j], mods[p], mods[j], x[p], x[j])
+            if mods[j][j] <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+            pivot_row = A[j]
+            for i in range(j + 1, n):
+                row, mod = A[i], mods[i]
+                f = row[j]
+                if f:
+                    f = row[j] = f / pivot_row[j]
+                for k in range(j + 1, n):
+                    new = _minus_product(row[k], f, pivot_row[k])
+                    if new is not row[k]:
+                        row[k], mod[k] = new, abs(new)
+        if mods[n - 1][n - 1] <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        for i in range(1, n):
+            for j in range(i):
+                x[i] = _minus_product(x[i], A[i][j], x[j])
+        for i in reversed(range(n)):
+            for j in range(i + 1, n):
+                x[i] = _minus_product(x[i], A[i][j], x[j])
+            if x[i]:
+                x[i] = x[i] / A[i][i]
+        return x
+
+
+def _entry(a):
+    """a as an mpmath matrix stores it: an mp number, with exact zeros as mpf."""
+    return _nonzero(mp.mpmathify(a))
+
+
+def _nonzero(a):
+    return a if a else mp.mp.zero
+
+
+def _minus_product(a, f, u):
+    """a - f u with exact zeros handled as in an mpmath matrix: a is returned
+    itself when f u is an exact zero, or as a complex number when that zero
+    is complex and a is a nonzero real."""
+    if f and u:
+        return _nonzero(a - f * u)
+    if a and type(a) is not mp.mpc and mp.mpc in (type(f), type(u)):
+        return mp.mpc(a)
+    return a
+
+
 def dirichlet_convergents(ell, count: int) -> list:
     """First `count` continued-fraction convergents of ell satisfying the
     Dirichlet inequality |q ell - p| < 1/q, in ascending q.
@@ -143,6 +222,14 @@ def _probe_angles(beta, length, pair):
     return 2 * mp.pi * q + th1, th1, 2 * mp.pi * (q * length - pair.p) + th1 * length
 
 
+def _refuse_zero(beta):
+    if not beta:
+        raise CounterexampleError(
+            "beta = 0: the forcing -sin(beta x) vanishes and its particular "
+            "response -x cos(beta x)/(2 beta) is undefined"
+        )
+
+
 def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
     """Solve the circuit boundary system for the edge coefficients.
 
@@ -157,40 +244,24 @@ def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
     with mp.workdps(dps):
         l4v = length.mpf()
         beta, th1, th4 = _probe_angles(beta, l4v, pair)
+        _refuse_zero(beta)
         i = mp.mpc(0, 1)
         s, c = mp.sin(th1), mp.cos(th1)
         s4, c4 = mp.sin(th4), mp.cos(th4)
         E = mp.exp(-i * th1)
 
         # boundary and transmission conditions; unknowns (a1,b1,a2,a3,a4,b4)
-        M = mp.matrix(6, 6)
-        r = mp.matrix(6, 1)
-        M[0, 0] = s
-        M[0, 1] = c
-        M[1, 0] = beta
-        M[1, 1] = i * beta
-        M[1, 2] = beta
-        M[1, 3] = beta
-        r[1] = 1 / (2 * beta)
-        M[2, 2] = s
-        M[2, 1] = c
-        M[2, 5] = -1
-        r[2] = c / (2 * beta)
-        M[3, 4] = beta
-        M[3, 1] = beta * s
-        M[3, 2] = -beta * c
-        M[3, 5] = i * beta
-        r[3] = s / 2 - c / (2 * beta)
-        M[4, 3] = s
-        M[4, 1] = c
-        M[4, 4] = -s4
-        M[4, 5] = -c4
-        M[5, 3] = beta * E
-        M[5, 5] = -beta * s4
-        M[5, 4] = beta * c4
-        M[5, 1] = -i * beta * E
+        rows = [
+            [s, c, 0, 0, 0, 0],
+            [beta, i * beta, beta, beta, 0, 0],
+            [0, c, s, 0, 0, -1],
+            [0, beta * s, -beta * c, 0, beta, i * beta],
+            [0, c, 0, s, -s4, -c4],
+            [0, -i * beta * E, 0, beta * E, beta * c4, -beta * s4],
+        ]
+        rhs = [0, 1 / (2 * beta), c / (2 * beta), s / 2 - c / (2 * beta), 0, 0]
         try:
-            b1 = mp.lu_solve(M, r)[1]
+            b1 = _lu_solve(rows, rhs)[1]
         except ZeroDivisionError:
             raise CounterexampleError(
                 f"boundary system singular at beta={beta}: resonance"
@@ -370,32 +441,32 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
         l3v = length.mpf()
         i = mp.mpc(0, 1)
         beta, th, th3 = _probe_angles(beta, l3v, pair)
+        _refuse_zero(beta)
+        detune = 1 - beta**2
+        if not detune:
+            raise CounterexampleError(
+                f"beta^2 = 1 at beta={beta}: the unit center oscillator "
+                f"resonates"
+            )
         s, c = mp.sin(th), mp.cos(th)
         s3, c3 = mp.sin(th3), mp.cos(th3)
 
         # unknowns (a1, a2, a3, Y): y^j = a_j sin(beta x) + Y cos(beta x),
         # edge 2 adds the particular response -x cos(beta x)/(2 beta)
-        M = mp.matrix(4, 4)
-        r = mp.matrix(4, 1)
-        # absorbing end of edge 1: y'(1) = -i beta y(1)
-        M[0, 0] = beta * c + i * beta * s
-        M[0, 3] = -beta * s + i * beta * c
-        # clamped ends
-        M[1, 1] = s
-        M[1, 3] = c
-        r[1] = c / (2 * beta)
-        M[2, 2] = s3
-        M[2, 3] = c3
-        # center flux with the oscillator eliminated: sum d y' = q with
-        # q = beta^2 Y / (1 - beta^2) and d = -1 at the center, so
-        # sum_j y_j'(0) = -beta^2 Y / (1 - beta^2)
-        M[3, 0] = beta
-        M[3, 1] = beta
-        M[3, 2] = beta
-        M[3, 3] = beta**2 / (1 - beta**2)
-        r[3] = 1 / (2 * beta)
+        rows = [
+            # absorbing end of edge 1: y'(1) = -i beta y(1)
+            [beta * c + i * beta * s, 0, 0, -beta * s + i * beta * c],
+            # clamped ends
+            [0, s, 0, c],
+            [0, 0, s3, c3],
+            # center flux with the oscillator eliminated: sum d y' = q with
+            # q = beta^2 Y / (1 - beta^2) and d = -1 at the center, so
+            # sum_j y_j'(0) = -beta^2 Y / (1 - beta^2)
+            [beta, beta, beta, beta**2 / detune],
+        ]
+        rhs = [0, c / (2 * beta), 0, 1 / (2 * beta)]
         try:
-            a1, a2, a3, Y = mp.lu_solve(M, r)
+            a1, a2, a3, Y = _lu_solve(rows, rhs)
         except ZeroDivisionError:
             raise CounterexampleError(
                 f"star system singular at beta={beta}: resonance"
@@ -407,7 +478,7 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
         total = (_h_norm2([a1], [Y], beta, mp.mpf(1))
                  + _h_norm2([a2, 0], [Y, -1 / (2 * beta)], beta, mp.mpf(1))
                  + _h_norm2([a3], [Y], beta, l3v))
-        p_osc = -i * beta * Y / (1 - beta**2)
+        p_osc = -i * beta * Y / detune
         q_osc = i * beta * p_osc
         total += abs(p_osc) ** 2 + abs(q_osc) ** 2
         fnorm = mp.sqrt(mp.mpf(1) / 2 - mp.sin(2 * beta) / (4 * beta))

@@ -126,11 +126,19 @@ class MetricGraph:
     edges: tuple[Edge, ...]
     variant: str
     _vindex: dict = field(default_factory=dict, repr=False, compare=False)
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_vindex", {v.id: v for v in self.vertices}
         )
+        # hashed once: cached per-graph tables look the graph up on every call
+        object.__setattr__(
+            self, "_hash", hash((self.vertices, self.edges, self.variant))
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def vertex(self, vid: str) -> Vertex:
         return self._vindex[vid]

@@ -189,8 +189,9 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
         # y = L^{-1} x ; x_next = W^{-1} L^{-H} W y  (W-adjoint of R applied)
         y = solve(x)
         z = J * np.conj(solve(np.conj(J * y)))
-        rho = abs(np.vdot(x, W @ z).real)  # = ||R x||_W^2 growth factor
-        nz = math.sqrt(abs(np.vdot(z, W @ z).real))
+        Wz = W @ z
+        rho = abs(np.vdot(x, Wz).real)  # = ||R x||_W^2 growth factor
+        nz = math.sqrt(abs(np.vdot(z, Wz).real))
         if not np.isfinite(nz) or nz > HUGE:
             return HUGE
         x = z / nz

@@ -30,6 +30,7 @@ from .graph import MetricGraph
 
 DEFAULT_CFL = 0.9
 MIN_CELLS = 4
+MAX_DOFS = 4_000_000  # grid nodes of one layout
 CONTINUITY_TOL = 1e-8
 BLOWUP_FACTOR = 1.01
 FIT_REJECT = 0.2
@@ -68,6 +69,14 @@ class GridLayout:
 def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
     vertex_dof = {v.id: i for i, v in enumerate(graph.vertices)}
     nd = len(graph.vertices)
+    # counted in floats before any allocation: an edge of length 1e300 asks
+    # for 1e301 nodes, and its cell count may not even be a finite number
+    dofs = nd + sum(cells_per_unit * e.ell - 1 for e in graph.edges)
+    if not dofs <= MAX_DOFS:
+        raise SimulationError(
+            f"the mesh needs {dofs:.3g} grid nodes, more than {MAX_DOFS}; "
+            f"lower cells-per-unit-length or the edge lengths"
+        )
     edge_nodes, edge_h = {}, {}
     for e in graph.edges:
         n = int(round(cells_per_unit * e.ell))

@@ -254,6 +254,9 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
     (["check"], {"graph": tree_with(("vertices", 1, "mass"), True)}, "mass"),
     (["counterexample", "--variant", "circuit", "--length", "0"], None, "positive"),
     (["counterexample", "--variant", "star", "--length", "-1"], None, "positive"),
+    (["simulate"], {"graph": tree_with(("edges", 1, "length"), "1e300"), "T": 0.5},
+     "grid nodes"),
+    (["sweep"], {"graph": tree_with(("edges", 1, "length"), "1e300")}, "grid nodes"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
         "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
         "mesh-ladder-single", "mesh-ladder-repeated", "amplitude-x",
@@ -267,7 +270,8 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
         "counterexample-length-1e400", "mass-infinity-check",
         "mass-infinity-simulate", "mass-infinity-sweep", "mass-infinity-spectrum",
         "length-true", "mass-true", "counterexample-length-0",
-        "counterexample-length-negative"])
+        "counterexample-length-negative", "length-1e300-simulate",
+        "length-1e300-sweep"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]

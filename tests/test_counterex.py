@@ -3,11 +3,14 @@ import math
 import mpmath as mp
 import pytest
 
+from netwave import counterexample
+from netwave.cli import main
 from netwave.counterexample import (
     AxisEigenvalue,
     ConvergentPair,
     CounterexampleError,
     _h_norm2,
+    _lu_solve,
     _trig_norm2,
     asymptotic_defects,
     bracketing_angles,
@@ -224,3 +227,113 @@ def test_h_norm_matches_quadrature(beta, ell):
         assert abs(_trig_norm2(P, Q, b, L) - want) <= 1e-30 * want
         want = quad(lambda x: abs(dy(x)) ** 2 + b**2 * abs(y(x)) ** 2)
         assert abs(_h_norm2(P, Q, b, L) - want) <= 1e-30 * want
+
+
+@pytest.mark.parametrize("solve, beta, message", [
+    (star_probe, 1.0, "resonates"),
+    (star_probe, -1.0, "resonates"),
+    (star_probe, 0.0, "beta = 0"),
+    (circuit_solve, 0.0, "beta = 0"),
+], ids=["star-1", "star-minus-1", "star-0", "circuit-0"])
+def test_degenerate_frequency_refused(solve, beta, message):
+    with pytest.raises(CounterexampleError, match=message):
+        solve(beta, "sqrt(2)")
+
+
+# -- the boundary-system solver -----------------------------------------------
+
+
+def exact_solution(x):
+    return [(type(v), v) for v in x]
+
+
+@pytest.mark.parametrize("ell", ["sqrt(2)", "sqrt(3)"])
+def test_lu_solve_matches_mpmath_on_probe_systems(monkeypatch, ell):
+    # every circuit and star system of the first 30 convergents, q = 1
+    # (where b_1 = 0 in exact arithmetic) included: same values and types
+    solved = []
+
+    def checked(rows, rhs):
+        x = _lu_solve(rows, rhs)
+        reference = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+        assert exact_solution(x) == exact_solution(reference)
+        solved.append(len(rows))
+        return x
+
+    monkeypatch.setattr(counterexample, "_lu_solve", checked)
+    pairs = dirichlet_convergents(ell, 30)
+    assert pairs[0].q == 1
+    for pair in pairs:
+        circuit_solve(None, ell, pair=pair)
+        star_probe(None, ell, pair=pair)
+    assert solved == [6, 4] * 30
+
+
+SINGULAR = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0], [1, 0, 0, 1]]
+
+
+def test_lu_solve_refuses_a_singular_matrix():
+    with pytest.raises(ZeroDivisionError):
+        mp.lu_solve(mp.matrix(SINGULAR), mp.matrix([1, 2, 3, 4]))
+    with pytest.raises(ZeroDivisionError):
+        _lu_solve(SINGULAR, [1, 2, 3, 4])
+
+
+def test_lu_solve_keeps_the_working_precision():
+    with mp.workdps(40):
+        prec = mp.mp.prec
+        rows = [[2, mp.mpc(1, 1)], [mp.mpf(1) / 3, 5]]
+        x = _lu_solve(rows, [1, 0])
+        assert mp.mp.prec == prec
+        assert exact_solution(x) == exact_solution(
+            mp.lu_solve(mp.matrix(rows), mp.matrix([1, 0])))
+        with pytest.raises(ZeroDivisionError):
+            _lu_solve(SINGULAR, [1, 2, 3, 4])
+        assert mp.mp.prec == prec
+
+
+# probes.csv of `counterexample --length sqrt(2) --probes 12` as the
+# elimination of mpmath's lu_solve gives it.  At q = 1, theta_1 = 2 pi makes
+# b_1 = 0 in exact arithmetic, so the circuit's first row is round-off, and a
+# plain partial-pivot elimination changes it
+GOLDEN_PROBES = {
+    "circuit": """\
+q_n,beta_n,b1_re,b1_im,ratio
+1,1.256637061436e+01,4.810334932706e-53,-8.042861129536e-53,2.685710006604e-53
+2,1.784987861554e+01,9.057613528350e-03,1.699103328047e-03,3.154545886834e-03
+5,3.561774579444e+01,4.516057456717e-03,-8.686431702657e-04,2.498086516047e-03
+12,7.877408468974e+01,1.005856376694e-03,-2.959894874405e-04,1.012028579555e-03
+29,1.849199481191e+02,1.157094954019e-03,8.701640673052e-05,2.108692458771e-03
+70,4.419951992570e+02,2.861614596142e-04,-1.484084697616e-04,1.123348005347e-03
+169,1.063600958975e+03,4.209931248744e-05,4.748644211928e-05,4.269236267096e-04
+408,2.564937629975e+03,6.069572711861e-05,2.213264655452e-05,8.408417894704e-04
+985,6.190059083179e+03,2.903083172858e-05,2.946142185421e-06,7.352846965693e-04
+2378,1.494231442094e+04,1.235013998869e-05,-8.582765901515e-07,6.041132783908e-04
+5741,3.607248867528e+04,4.999191055548e-06,-1.152451119496e-06,4.848506672654e-04
+13860,8.708552743817e+04,1.912664571529e-06,-7.881487333652e-07,3.786476460575e-04
+""",
+    "star": """\
+q_n,beta_n,b1_re,b1_im,ratio
+1,1.256637061436e+01,3.978873577297e-02,-8.042861129536e-53,1.634082752644e+00
+2,1.784987861554e+01,-2.296427296249e-03,2.733183568843e-04,9.227406155024e-01
+5,3.561774579444e+01,7.379361627793e-04,-7.363770854422e-05,6.789965829997e-01
+12,7.877408468974e+01,5.817657557174e-03,-1.344589726822e-03,1.459550472939e+00
+29,1.849199481191e+02,2.908675896222e-03,2.623723301237e-03,2.839895596199e+00
+70,4.419951992570e+02,7.338214662305e-05,6.976382597821e-06,7.999768049208e-01
+169,1.063600958975e+03,3.833334305574e-05,2.642640915354e-05,4.143352688468e-01
+408,2.564937629975e+03,-7.955791786675e-06,-3.196238598459e-05,5.201902310603e-01
+985,6.190059083179e+03,1.487793250674e-05,-3.201616794180e-05,7.693187514386e-01
+2378,1.494231442094e+04,1.321927620679e-05,-1.198969886890e-05,8.785872535950e-01
+5741,3.607248867528e+04,6.785446860536e-06,-3.880631854812e-06,9.627565374340e-01
+13860,8.708552743817e+04,3.059032460291e-06,-1.241104998477e-06,1.069762049975e+00
+""",
+}
+
+
+@pytest.mark.parametrize("variant", ["circuit", "star"])
+def test_probe_ladder_matches_golden_rows(tmp_path, capsys, variant):
+    out = tmp_path / "out"
+    assert main(["counterexample", "--variant", variant, "--length", "sqrt(2)",
+          "--probes", "12", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "probes.csv").read_text() == GOLDEN_PROBES[variant]
