@@ -33,10 +33,10 @@ class ChainSpec:
             raise ValueError("chain needs at least one edge")
         if len(self.masses) != len(self.lengths) - 1:
             raise ValueError("need one mass per interior node")
-        if any(not l > 0 for l in self.lengths):
-            raise ValueError("nonpositive length")
-        if any(not m > 0 for m in self.masses):
-            raise ValueError("nonpositive mass")
+        if any(not 0 < l < math.inf for l in self.lengths):
+            raise ValueError("length not positive and finite")
+        if any(not 0 < m < math.inf for m in self.masses):
+            raise ValueError("mass not positive and finite")
 
     @property
     def n_edges(self) -> int:

@@ -335,7 +335,7 @@ def _cmd_sweep(graph: MetricGraph, p, em, svg):
             sigma = 0.0 if n >= HUGE else (1.0 / n if n > 0 else HUGE)
             rows.append((b, float(curve.cells_per_unit), sigma, n))
     em.csv("sweep.csv", ["beta", "mesh", "sigma_min", "norm"], rows)
-    if svg and report.curves:
+    if svg:
         em.svg("sweep.svg", line_plot(
             report.curves[0].beta.tolist(),
             [c.norm.tolist() for c in report.curves],
@@ -377,9 +377,11 @@ def _cmd_chain_check(graph, p, em, svg):
 def _cmd_counterexample(graph, p, em, svg):
     if p["probes"] < 1:
         raise ConfigError("--probes must be at least 1")
-    pairs = dirichlet_convergents(p["length"], p["probes"])
     rows = []
     if p["variant"] == "circuit":
+        # circuit probes need q > 1, and at most two convergents have q = 1
+        pairs = [c for c in dirichlet_convergents(p["length"], p["probes"] + 2)
+                 if c.q > 1][:p["probes"]]
         probes = [circuit_solve(None, p["length"], pair=c) for c in pairs]
         for pr in probes:
             ratio = abs(pr.growth_ratio())
@@ -396,6 +398,7 @@ def _cmd_counterexample(graph, p, em, svg):
             "asymptotic_defects": asymptotic_defects(probes[-1]),
         }
     else:
+        pairs = dirichlet_convergents(p["length"], p["probes"])
         sps = [star_probe(None, p["length"], pair=c) for c in pairs]
         for c, pr in zip(pairs, sps):
             rows.append((c.q, float(pr.beta), pr.center_value.real,

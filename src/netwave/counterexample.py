@@ -1,9 +1,9 @@
 """High-precision instability probes for the circuit and star networks.
 
 The circuit probe drives the network at frequencies beta_n = 2 pi q_n +
-2 pi / q_n^{1/4} built from Dirichlet convergents p_n/q_n of the cycle
-length l4, where all edge angles are nearly multiples of 2 pi.  The edgewise
-response is obtained two independent ways: a direct solve of the 6x6
+2 pi / q_n^{1/4} built from Dirichlet convergents p_n/q_n (q_n > 1) of the
+cycle length l4, where all edge angles are nearly multiples of 2 pi.  The
+edgewise response is obtained two independent ways: a direct solve of the 6x6
 boundary system and a scalar reduction (FB + AG) beta b1 = A H - F C whose
 coefficients A..H were re-derived from that system by elimination; the two
 must agree to near machine precision on every probe.  The star probe
@@ -73,82 +73,35 @@ def _precision_for(q: int) -> int:
 
 
 def _lu_solve(rows, rhs) -> list:
-    """x with A x = b for the rows of A and b, by the arithmetic of mpmath's
-    lu_solve, bit for bit.
+    """x with A x = b for the rows of A and b, by Gaussian elimination with
+    partial pivoting at the working precision.
 
-    Like lu_solve this works 10 bits above the caller's precision, pivots at
-    column j on the first row k that maximises |a_kj| / sum_{l>=j} |a_kl|,
-    and raises ZeroDivisionError when a row sum or a pivot is at most
-    eps * ||A||_1.  It works on lists instead of mpmath matrices, keeps each
-    |a_kl| until the entry changes and skips the products with an exact
-    zero factor.  Those products still decide types as in an mpmath matrix:
-    zeros are kept as mpf, and a real entry that a skipped complex zero
-    would have made complex is made complex, because a complex divisor with
-    zero imaginary part rounds differently from a real one.  Where a column
-    vanishes on and below the diagonal, lu_solve fails with a TypeError;
-    this raises ZeroDivisionError.
+    Products with an exact zero factor are skipped.  A pivot of at most
+    eps * ||A||_1 raises ZeroDivisionError.
     """
     n = len(rows)
-    with mp.extraprec(10):
-        A = [[_entry(a) for a in row] for row in rows]
-        x = [_entry(v) for v in rhs]
-        mods = [[abs(a) for a in row] for row in A]
-        tol = abs(max(mp.fsum(col) for col in zip(*mods)) * mp.eps)
-        for j in range(n - 1):
-            biggest, p = 0, j
-            for k in range(j, n):
-                s = mp.fsum(mods[k][j:])
-                if s <= tol:
-                    raise ZeroDivisionError("matrix is numerically singular")
-                if mods[k][j]:
-                    current = 1 / s * mods[k][j]
-                    if current > biggest:
-                        biggest, p = current, k
-            A[j], A[p], mods[j], mods[p], x[j], x[p] = (
-                A[p], A[j], mods[p], mods[j], x[p], x[j])
-            if mods[j][j] <= tol:
-                raise ZeroDivisionError("matrix is numerically singular")
-            pivot_row = A[j]
-            for i in range(j + 1, n):
-                row, mod = A[i], mods[i]
-                f = row[j]
-                if f:
-                    f = row[j] = f / pivot_row[j]
-                for k in range(j + 1, n):
-                    new = _minus_product(row[k], f, pivot_row[k])
-                    if new is not row[k]:
-                        row[k], mod[k] = new, abs(new)
-        if mods[n - 1][n - 1] <= tol:
+    A = [[mp.mpmathify(a) for a in [*row, b]] for row, b in zip(rows, rhs)]
+    tol = max(mp.fsum(abs(row[j]) for row in A) for j in range(n)) * mp.eps
+    for j in range(n):
+        p = max(range(j, n), key=lambda k: abs(A[k][j]))
+        A[j], A[p] = A[p], A[j]
+        pivot = A[j]
+        if abs(pivot[j]) <= tol:
             raise ZeroDivisionError("matrix is numerically singular")
-        for i in range(1, n):
-            for j in range(i):
-                x[i] = _minus_product(x[i], A[i][j], x[j])
-        for i in reversed(range(n)):
-            for j in range(i + 1, n):
-                x[i] = _minus_product(x[i], A[i][j], x[j])
-            if x[i]:
-                x[i] = x[i] / A[i][i]
-        return x
-
-
-def _entry(a):
-    """a as an mpmath matrix stores it: an mp number, with exact zeros as mpf."""
-    return _nonzero(mp.mpmathify(a))
-
-
-def _nonzero(a):
-    return a if a else mp.mp.zero
-
-
-def _minus_product(a, f, u):
-    """a - f u with exact zeros handled as in an mpmath matrix: a is returned
-    itself when f u is an exact zero, or as a complex number when that zero
-    is complex and a is a nonzero real."""
-    if f and u:
-        return _nonzero(a - f * u)
-    if a and type(a) is not mp.mpc and mp.mpc in (type(f), type(u)):
-        return mp.mpc(a)
-    return a
+        for row in A[j + 1:]:
+            if row[j]:
+                f = row[j] / pivot[j]
+                for k in range(j + 1, n + 1):
+                    if pivot[k]:
+                        row[k] -= f * pivot[k]
+    x = [0] * n
+    for i in reversed(range(n)):
+        row, s = A[i], A[i][n]
+        for k in range(i + 1, n):
+            if row[k] and x[k]:
+                s -= row[k] * x[k]
+        x[i] = s / row[i]
+    return x
 
 
 def dirichlet_convergents(ell, count: int) -> list:
@@ -235,10 +188,14 @@ def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
 
     The system couples a_1..a_4, b_1..b_4 (with b_1 = b_2 = b_3) under
     forcing -sin(beta x) on edge 2; beta may instead be derived from a
-    Dirichlet convergent pair as beta = 2 pi q + 2 pi q^{-1/4}.  Returns b1
-    together with the scalar-reduction coefficients and the consistency
-    defect between the two solution paths.
+    Dirichlet convergent pair as beta = 2 pi q + 2 pi q^{-1/4}, where q > 1:
+    at q = 1, theta_1 = 2 pi makes b1 vanish and the scalar reduction divide
+    by sin(theta_1) = 0.  Returns b1 together with the scalar-reduction
+    coefficients and the consistency defect between the two solution paths.
     """
+    if pair is not None and pair.q < 2:
+        raise CounterexampleError(
+            f"convergent {pair.p}/{pair.q}: circuit probes need q > 1")
     length = Length.parse(l4) if pair is not None else _irrational_length(l4)
     dps = _precision_for(pair.q if pair is not None else 1)
     with mp.workdps(dps):

@@ -210,11 +210,11 @@ class MeshCurve:
 
     @property
     def sup(self) -> float:
-        return float(np.max(self.norm)) if len(self.norm) else 0.0
+        return float(np.max(self.norm))
 
     @property
     def peak_beta(self) -> float:
-        return float(self.beta[int(np.argmax(self.norm))]) if len(self.norm) else math.nan
+        return float(self.beta[int(np.argmax(self.norm))])
 
 
 @dataclass
@@ -242,7 +242,7 @@ def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
     if not np.all(np.isfinite(beta_grid)):
         raise ResolventError("beta values must be finite")
     if len(beta_grid) == 0:
-        return SweepReport([], "inconclusive", math.nan, math.nan)
+        raise ResolventError("beta grid is empty")
     bmax = float(np.max(np.abs(beta_grid)))
     min_ell = min(e.ell for e in graph.edges)
     base = max(MIN_CELLS / min_ell, bmax / MESH_BETA_PRODUCT, 8.0)

@@ -88,7 +88,7 @@ def test_criterion_3_pi_edge_axis_mode():
 
 
 def test_criterion_4_circuit_growth_law():
-    pairs = dirichlet_convergents("sqrt(2)", 29)
+    pairs = [c for c in dirichlet_convergents("sqrt(2)", 29) if c.q > 1]
     growth_pairs = [c for c in pairs if c.q <= 2_000_000]
     probes = {c.q: circuit_solve(None, "sqrt(2)", pair=c) for c in pairs}
     rep = growth_law([probes[c.q] for c in growth_pairs], "sqrt(2)")

@@ -170,6 +170,16 @@ def test_counterexample_circuit_csv(tmp_path, capsys):
     assert summary["verdict"] in ("non-exponential", "inconclusive")
 
 
+def test_counterexample_circuit_skips_q_one(tmp_path, capsys):
+    # sqrt(3) has two convergents with q = 1: 1/1 and 2/1
+    out = tmp_path / "out"
+    assert main(["counterexample", "--variant", "circuit", "--length",
+                 "sqrt(3)", "--probes", "5", "--out", str(out)]) == 0
+    rows = (out / "probes.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5
+    assert rows[0].split(",")[0] == "3"
+
+
 def test_counterexample_star_runs(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["counterexample", "--variant", "star", "--length", "sqrt(2)",
@@ -257,6 +267,10 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
     (["simulate"], {"graph": tree_with(("edges", 1, "length"), "1e300"), "T": 0.5},
      "grid nodes"),
     (["sweep"], {"graph": tree_with(("edges", 1, "length"), "1e300")}, "grid nodes"),
+    (["chain-check"], {"lengths": [1.0, 1e400], "masses": [1.0]}, "length"),
+    (["chain-check"], {"lengths": [1.0, 0.9], "masses": [1e400]}, "mass"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": []}, "empty"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": {"count": 0}}, "empty"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
         "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
         "mesh-ladder-single", "mesh-ladder-repeated", "amplitude-x",
@@ -271,7 +285,8 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
         "mass-infinity-simulate", "mass-infinity-sweep", "mass-infinity-spectrum",
         "length-true", "mass-true", "counterexample-length-0",
         "counterexample-length-negative", "length-1e300-simulate",
-        "length-1e300-sweep"])
+        "length-1e300-sweep", "chain-length-1e400", "chain-mass-1e400",
+        "beta-empty-list", "beta-count-0"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]

@@ -140,10 +140,9 @@ def test_sweep_rejects_non_finite_beta():
         sweep(make_tree_chain(["1", "0.9"], [1.0]), [0.5, math.nan])
 
 
-def test_sweep_empty_grid_inconclusive():
-    report = sweep(make_tree_chain(["1", "0.9"], [1.0]), [])
-    assert report.verdict == "inconclusive"
-    assert report.curves == []
+def test_sweep_empty_grid_refused():
+    with pytest.raises(ResolventError, match="empty"):
+        sweep(make_tree_chain(["1", "0.9"], [1.0]), [])
 
 
 def test_discrete_eigenvalues_approach_characteristic_roots():
