@@ -188,9 +188,12 @@ def _read(params, defaults: dict, what: str) -> dict:
 
 def _float(value, what: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return x
 
 
 def _floats(value, what: str, count: int | None = None) -> tuple:
@@ -322,8 +325,8 @@ def _cmd_sweep(graph: MetricGraph, p, em, svg):
     if isinstance(beta, dict):
         beta = _read(beta, BETA_GRID, '"beta"')
         try:
-            grid = np.linspace(float(beta["min"]), float(beta["max"]),
-                               int(beta["count"]))
+            grid = np.linspace(_float(beta["min"], '"beta" min'),
+                               _float(beta["max"], '"beta" max'), int(beta["count"]))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f'bad "beta": {exc}') from None
     else:
@@ -377,16 +380,13 @@ def _cmd_chain_check(graph, p, em, svg):
 def _cmd_counterexample(graph, p, em, svg):
     if p["probes"] < 1:
         raise ConfigError("--probes must be at least 1")
-    rows = []
+    # q = 1 probes are degenerate (theta_1 = 2 pi); at most two convergents have q = 1
+    pairs = [c for c in dirichlet_convergents(p["length"], p["probes"] + 2)
+             if c.q > 1][:p["probes"]]
     if p["variant"] == "circuit":
-        # circuit probes need q > 1, and at most two convergents have q = 1
-        pairs = [c for c in dirichlet_convergents(p["length"], p["probes"] + 2)
-                 if c.q > 1][:p["probes"]]
         probes = [circuit_solve(None, p["length"], pair=c) for c in pairs]
-        for pr in probes:
-            ratio = abs(pr.growth_ratio())
-            rows.append((pr.q, float(pr.beta), float(pr.b1.real),
-                         float(pr.b1.imag), float(ratio)))
+        rows = [(pr.q, float(pr.beta), float(pr.b1.real), float(pr.b1.imag),
+                 float(abs(pr.growth_ratio()))) for pr in probes]
         report = growth_law(probes, p["length"])
         summary = {
             "variant": "circuit",
@@ -398,11 +398,10 @@ def _cmd_counterexample(graph, p, em, svg):
             "asymptotic_defects": asymptotic_defects(probes[-1]),
         }
     else:
-        pairs = dirichlet_convergents(p["length"], p["probes"])
         sps = [star_probe(None, p["length"], pair=c) for c in pairs]
-        for c, pr in zip(pairs, sps):
-            rows.append((c.q, float(pr.beta), pr.center_value.real,
-                         pr.center_value.imag, float(pr.norm_ratio)))
+        rows = [(c.q, float(pr.beta), pr.center_value.real,
+                 pr.center_value.imag, float(pr.norm_ratio))
+                for c, pr in zip(pairs, sps)]
         ratios = [pr.norm_ratio for pr in sps]
         tail = ratios[-4:]
         growing = all(b > a for a, b in zip(tail, tail[1:]))

@@ -11,8 +11,8 @@ solves the three-edge star's 4x4 boundary system at the same frequencies and
 reports the H-norm amplification ||z|| / ||f||, a lower bound for the
 resolvent norm.  Both probes share one frequency construction
 (`_probe_angles`) and one guard against lengths that put an eigenvalue on
-the axis; the star's H-norm is one closed-form integral over the moments
-int x^k e^{2 i beta x} dx.
+the axis; the star's H-norm is the energy identity on its two unforced
+edges plus elementary integrals on the forced one.
 
 Everything runs in mpmath extended precision with exact integer angle
 reduction (2 pi p_n subtracted symbolically), since sin(beta_n l4) lives on
@@ -334,42 +334,23 @@ def growth_law(probes: list, l4) -> GrowthReport:
 # -- star probe -------------------------------------------------------------
 
 
-def _trig_norm2(P, Q, beta, L):
-    """int_0^L |P(x) sin(beta x) + Q(x) cos(beta x)|^2 dx in closed form.
+def _edge_energy(beta, a, Y, ell=1, trig=None):
+    """int_0^ell (|y'|^2 + beta^2 |y|^2) dx for y = a sin(beta x) + Q cos(beta x).
 
-    P, Q are complex polynomials given as coefficient lists of one length,
-    constant first.  With U = (Q - iP)/2 and V = (Q + iP)/2 the integrand is
-    |U|^2 + |V|^2 + 2 Re(U conj(V) e^{2 i beta x}), so beside the plain
-    moments only E_k = int_0^L x^k e^{2 i beta x} dx are needed:
-    E_0 = (e^{2 i beta L} - 1)/(2 i beta) and
-    E_k = (L^k e^{2 i beta L} - k E_{k-1})/(2 i beta).
+    With constant Q = Y the integrand is the constant beta^2 (|a|^2 + |Y|^2).
+    trig = (sin th, cos th), with th = beta modulo 2 pi, marks the unit
+    forced edge, where Q = Y - x/(2 beta) adds the integrals over [0, 1] of
+    x, x^2, cos^2(beta x), sin(beta x) cos(beta x) and x sin(beta x) cos(beta x).
     """
-    i, n = mp.mpc(0, 1), len(P)
-    U = [(b - i * a) / 2 for a, b in zip(P, Q)]
-    V = [(b + i * a) / 2 for a, b in zip(P, Q)]
-    w = 2 * i * beta
-    e = mp.exp(w * L)
-    E = [(e - 1) / w]
-    for k in range(1, 2 * n - 1):
-        E.append((L**k * e - k * E[-1]) / w)
-    return sum(
-        mp.re((U[j] * mp.conj(U[k]) + V[j] * mp.conj(V[k]))
-              * L ** (j + k + 1) / (j + k + 1)
-              + 2 * U[j] * mp.conj(V[k]) * E[j + k])
-        for j in range(n) for k in range(n)
-    )
-
-
-def _h_norm2(P, Q, beta, L):
-    """int_0^L (|y'|^2 + beta^2 |y|^2) dx for y = P sin(beta x) + Q cos(beta x),
-    where y' = (P' - beta Q) sin(beta x) + (Q' + beta P) cos(beta x)."""
-
-    def deriv(u):
-        return [k * c for k, c in enumerate(u)][1:] + [0]
-
-    dP = [d - beta * c for d, c in zip(deriv(P), Q)]
-    dQ = [d + beta * c for d, c in zip(deriv(Q), P)]
-    return _trig_norm2(dP, dQ, beta, L) + beta**2 * _trig_norm2(P, Q, beta, L)
+    b2 = beta**2
+    total = b2 * (abs(a) ** 2 + abs(Y) ** 2) * ell
+    if trig is None:
+        return total
+    s, c = trig
+    s2, c2, ry = 2 * s * c, c * c - s * s, mp.re(Y)
+    return (total - beta * ry / 2 + mp.mpf(1) / 12
+            + (1 / (4 * b2) - mp.re(a)) * (mp.mpf(1) / 2 + s2 / (4 * beta))
+            + ry * s * s / (2 * beta) - s2 / (16 * beta**3) + c2 / (8 * b2))
 
 
 @dataclass
@@ -390,9 +371,7 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
     length = Length.parse(l3)
     if length.pi_multiple() is not None:
         raise AxisEigenvalue(
-            f"edge length {length.frac}*pi puts an eigenvalue at i on the axis",
-            1.0,
-        )
+            f"edge length {length.frac}*pi puts an eigenvalue at i on the axis", 1.0)
     dps = _precision_for(pair.q if pair is not None else 1)
     with mp.workdps(dps):
         l3v = length.mpf()
@@ -402,9 +381,7 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
         detune = 1 - beta**2
         if not detune:
             raise CounterexampleError(
-                f"beta^2 = 1 at beta={beta}: the unit center oscillator "
-                f"resonates"
-            )
+                f"beta^2 = 1 at beta={beta}: the unit center oscillator resonates")
         s, c = mp.sin(th), mp.cos(th)
         s3, c3 = mp.sin(th3), mp.cos(th3)
 
@@ -429,16 +406,15 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
                 f"star system singular at beta={beta}: resonance"
             ) from None
 
-        # H-norm of z = (y, v = i beta y, p, q): per edge
-        # int(|y'|^2 + beta^2 |y|^2) plus |p|^2 + |q|^2; edge 2 carries the
-        # particular part -x cos(beta x)/(2 beta)
-        total = (_h_norm2([a1], [Y], beta, mp.mpf(1))
-                 + _h_norm2([a2, 0], [Y, -1 / (2 * beta)], beta, mp.mpf(1))
-                 + _h_norm2([a3], [Y], beta, l3v))
+        # H-norm of z = (y, v = i beta y, p, q): the edge energies plus
+        # |p|^2 + |q|^2; edge 2 carries the particular part
         p_osc = -i * beta * Y / detune
         q_osc = i * beta * p_osc
-        total += abs(p_osc) ** 2 + abs(q_osc) ** 2
-        fnorm = mp.sqrt(mp.mpf(1) / 2 - mp.sin(2 * beta) / (4 * beta))
+        total = (_edge_energy(beta, a1, Y) + _edge_energy(beta, a2, Y, trig=(s, c))
+                 + _edge_energy(beta, a3, Y, l3v)
+                 + abs(p_osc) ** 2 + abs(q_osc) ** 2)
+        # ||f||^2 = int_0^1 sin^2(beta x) dx, with sin 2 beta = 2 s c
+        fnorm = mp.sqrt(mp.mpf(1) / 2 - s * c / (2 * beta))
         ratio = float(mp.sqrt(total) / fnorm)
         return StarProbe(
             beta=float(beta), norm_ratio=ratio, center_value=complex(Y))

@@ -28,6 +28,7 @@ from .graph import MetricGraph
 DET_TOL = 1e-9
 NEWTON_MAXIT = 60
 EIGEN_TOL = 1e-7  # residual up to which eigenfunction accepts a root
+NULL_RTOL = 1e-10  # singular values up to this share of the largest are null
 
 
 class SpectralError(RuntimeError):
@@ -394,7 +395,7 @@ def eigenfunction(graph: MetricGraph, lam: complex) -> EigenFunction:
     if sys.residual() > EIGEN_TOL:
         raise SpectralError(f"{lam} is not a characteristic root (residual > {EIGEN_TOL})")
     u, s, vh = np.linalg.svd(sys.matrix)
-    null_dim = int(np.sum(s <= 10.0 * max(s[-1], 1e-300)))
+    null_dim = int(np.sum(s <= NULL_RTOL * s[0]))
     coeff_scaled = vh[-1].conj()
     coeff = coeff_scaled * sys.col_scale
     residual = float(

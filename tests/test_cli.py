@@ -171,13 +171,15 @@ def test_counterexample_circuit_csv(tmp_path, capsys):
 
 
 def test_counterexample_circuit_skips_q_one(tmp_path, capsys):
-    # sqrt(3) has two convergents with q = 1: 1/1 and 2/1
-    out = tmp_path / "out"
-    assert main(["counterexample", "--variant", "circuit", "--length",
-                 "sqrt(3)", "--probes", "5", "--out", str(out)]) == 0
-    rows = (out / "probes.csv").read_text().splitlines()[1:]
-    assert len(rows) == 5
-    assert rows[0].split(",")[0] == "3"
+    # sqrt(3) has two convergents with q = 1: 1/1 and 2/1; both the circuit
+    # and the star ladder skip them
+    for variant in ("circuit", "star"):
+        out = tmp_path / variant
+        assert main(["counterexample", "--variant", variant, "--length",
+                     "sqrt(3)", "--probes", "5", "--out", str(out)]) == 0
+        rows = (out / "probes.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert rows[0].split(",")[0] == "3"
 
 
 def test_counterexample_star_runs(tmp_path, capsys):
@@ -271,6 +273,10 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
     (["chain-check"], {"lengths": [1.0, 0.9], "masses": [1e400]}, "mass"),
     (["sweep"], {"graph": TREE_SPEC, "beta": []}, "empty"),
     (["sweep"], {"graph": TREE_SPEC, "beta": {"count": 0}}, "empty"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": {"max": math.inf}}, "finite"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {"amplitude": "1e400"}},
+     "finite"),
+    (["spectrum"], {"graph": TREE_SPEC, "tol": 10**400}, "tol"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
         "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
         "mesh-ladder-single", "mesh-ladder-repeated", "amplitude-x",
@@ -286,7 +292,8 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
         "length-true", "mass-true", "counterexample-length-0",
         "counterexample-length-negative", "length-1e300-simulate",
         "length-1e300-sweep", "chain-length-1e400", "chain-mass-1e400",
-        "beta-empty-list", "beta-count-0"])
+        "beta-empty-list", "beta-count-0", "beta-max-infinity", "amplitude-1e400",
+        "tol-huge-integer"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]

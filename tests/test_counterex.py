@@ -9,9 +9,8 @@ from netwave.counterexample import (
     AxisEigenvalue,
     ConvergentPair,
     CounterexampleError,
-    _h_norm2,
+    _edge_energy,
     _lu_solve,
-    _trig_norm2,
     asymptotic_defects,
     bracketing_angles,
     circuit_solve,
@@ -219,27 +218,27 @@ def test_star_probe_along_convergents_is_finite():
 @pytest.mark.parametrize("beta", [3.7, 40])
 @pytest.mark.parametrize("ell", ["1", "sqrt(2)"])
 def test_h_norm_matches_quadrature(beta, ell):
-    # the closed form against Gauss-Legendre quadrature of the same field
-    # y = P sin(beta x) + Q cos(beta x), with P, Q linear and complex
+    # the closed-form edge energies against Gauss-Legendre quadrature of
+    # |y'|^2 + beta^2 |y|^2 for y = a sin(beta x) + Q cos(beta x): a constant
+    # Q = Y on [0, ell], and the unit forced edge's Q = Y - x/(2 beta)
     with mp.workdps(50):
         L, b = Length.parse(ell).mpf(), mp.mpf(beta)
-        P = [mp.mpc("0.3", "-1.2"), mp.mpc("0.7", "0.4")]
-        Q = [mp.mpc("-0.5", "0.9"), mp.mpc("1.1", "-0.6")]
+        a, Y = mp.mpc("0.3", "-1.2"), mp.mpc("-0.5", "0.9")
 
-        def y(x):
-            return (P[0] + P[1] * x) * mp.sin(b * x) + (Q[0] + Q[1] * x) * mp.cos(b * x)
+        def energy(slope, end):
+            def density(x):
+                Q = Y - slope * x
+                y = a * mp.sin(b * x) + Q * mp.cos(b * x)
+                dy = b * a * mp.cos(b * x) - b * Q * mp.sin(b * x) - slope * mp.cos(b * x)
+                return abs(dy) ** 2 + b**2 * abs(y) ** 2
 
-        def dy(x):
-            return (P[1] * mp.sin(b * x) + b * (P[0] + P[1] * x) * mp.cos(b * x)
-                    + Q[1] * mp.cos(b * x) - b * (Q[0] + Q[1] * x) * mp.sin(b * x))
+            return mp.quad(density, mp.linspace(0, end, 9), method="gauss-legendre")
 
-        def quad(f):
-            return mp.quad(f, mp.linspace(0, L, 9), method="gauss-legendre")
-
-        want = quad(lambda x: abs(y(x)) ** 2)
-        assert abs(_trig_norm2(P, Q, b, L) - want) <= 1e-30 * want
-        want = quad(lambda x: abs(dy(x)) ** 2 + b**2 * abs(y(x)) ** 2)
-        assert abs(_h_norm2(P, Q, b, L) - want) <= 1e-30 * want
+        want = energy(0, L)
+        assert abs(_edge_energy(b, a, Y, L) - want) <= 1e-30 * want
+        want = energy(1 / (2 * b), 1)
+        got = _edge_energy(b, a, Y, trig=(mp.sin(b), mp.cos(b)))
+        assert abs(got - want) <= 1e-30 * want
 
 
 @pytest.mark.parametrize("solve, beta, message", [
@@ -302,10 +301,9 @@ def test_lu_solve_keeps_the_working_precision():
         assert mp.mp.prec == prec
 
 
-# probes.csv of `counterexample --length sqrt(2) --probes 12`.  The circuit
-# ladder starts at q = 2, since circuit probes need q > 1; the star ladder
-# keeps its q = 1 row, whose centre value is 1/(8 pi) up to a round-off
-# imaginary part
+# probes.csv of `counterexample --length sqrt(2) --probes 12`.  Both ladders
+# start at q = 2: at q = 1 the circuit's b_1 vanishes and the star's centre
+# value is 1/(8 pi) up to a round-off imaginary part
 GOLDEN_PROBES = {
     "circuit": """\
 q_n,beta_n,b1_re,b1_im,ratio
@@ -324,7 +322,6 @@ q_n,beta_n,b1_re,b1_im,ratio
 """,
     "star": """\
 q_n,beta_n,b1_re,b1_im,ratio
-1,1.256637061436e+01,3.978873577297e-02,-8.042861129536e-53,1.634082752644e+00
 2,1.784987861554e+01,-2.296427296249e-03,2.733183568843e-04,9.227406155024e-01
 5,3.561774579444e+01,7.379361627793e-04,-7.363770854422e-05,6.789965829997e-01
 12,7.877408468974e+01,5.817657557174e-03,-1.344589726822e-03,1.459550472939e+00
@@ -336,6 +333,7 @@ q_n,beta_n,b1_re,b1_im,ratio
 2378,1.494231442094e+04,1.321927620679e-05,-1.198969886890e-05,8.785872535950e-01
 5741,3.607248867528e+04,6.785446860536e-06,-3.880631854812e-06,9.627565374340e-01
 13860,8.708552743817e+04,3.059032460291e-06,-1.241104998477e-06,1.069762049975e+00
+33461,2.102421281271e+05,1.319832188526e-06,-4.009486272095e-07,1.217508125771e+00
 """,
 }
 

@@ -238,6 +238,18 @@ def test_find_eigenvalues_reports_multiplicity():
         assert eigenfunction(g, lam).null_space_dim == 2
 
 
+def test_eigenfunction_counts_the_null_space_of_double_roots():
+    # the roots as polished in a wider box, where the two smallest singular
+    # values differ by a factor over 10 though both are round-off
+    g = double_root_tree()
+    doubles = [r.lam for r in find_eigenvalues(g, (-4.0, 0.5, -15.0, 15.0)).roots
+               if r.box_count == 2]
+    for lam in (-1.8473 + 2.9890j, -2.7897 + 12.1943j):
+        root = min(doubles, key=lambda d: abs(d - lam))
+        assert abs(root - lam) <= 1e-4
+        assert eigenfunction(g, root).null_space_dim == 2
+
+
 def test_find_eigenvalues_rejects_reversed_box():
     with pytest.raises(SpectralError):
         find_eigenvalues(pi_chain(), (0.5, -3.0, -12.0, 12.0))
