@@ -80,11 +80,13 @@ class Emitter:
     before writing anything leaves none behind.
     """
 
-    def __init__(self, outdir: Path, subcommand: str, config_path, params):
+    def __init__(self, outdir: Path, subcommand: str, config_path, params,
+                 resolved):
         self.outdir = outdir
         self.subcommand = subcommand
         self.config_path = str(config_path) if config_path else None
-        self.params = params
+        self.params = params  # as given
+        self.resolved = resolved  # as read, defaults filled in
         self.files = []
         self.t0 = time.monotonic()
 
@@ -119,6 +121,7 @@ class Emitter:
             "subcommand": self.subcommand,
             "config": self.config_path,
             "parameters": _round12(self.params),
+            "resolved": _round12(self.resolved),
             "output_dir": str(self.outdir),
             "tool_version": __version__,
             "wall_clock_s": float(_fmt(time.monotonic() - self.t0)),
@@ -318,6 +321,9 @@ def _cmd_spectrum(graph: MetricGraph, p, em, svg):
 
 # keys of a "beta": {...} grid of sweep
 BETA_GRID = {"min": 0.0, "max": 50.0, "count": 51}
+# most beta a grid may count, checked before it is allocated: each costs one
+# resolvent norm per mesh of the ladder
+MAX_BETA_COUNT = 100_000
 
 
 def _cmd_sweep(graph: MetricGraph, p, em, svg):
@@ -325,8 +331,11 @@ def _cmd_sweep(graph: MetricGraph, p, em, svg):
     if isinstance(beta, dict):
         beta = _read(beta, BETA_GRID, '"beta"')
         try:
+            count = int(beta["count"])
+            if count > MAX_BETA_COUNT:
+                raise ValueError(f"count {count} is above the cap of {MAX_BETA_COUNT}")
             grid = np.linspace(_float(beta["min"], '"beta" min'),
-                               _float(beta["max"], '"beta" max'), int(beta["count"]))
+                               _float(beta["max"], '"beta" max'), count)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f'bad "beta": {exc}') from None
     else:
@@ -477,9 +486,9 @@ def _run(args) -> int:
     graph = None
     if reads_graph:
         graph, params = _graph_from_config(params, Path(config).parent)
-    em = Emitter(Path(args.out), args.subcommand, config, params)
-    name, summary, unstable = handler(graph, _read(params, defaults, "config"),
-                                      em, args.svg)
+    resolved = _read(params, defaults, "config")
+    em = Emitter(Path(args.out), args.subcommand, config, params, resolved)
+    name, summary, unstable = handler(graph, resolved, em, args.svg)
     em.json(name, summary)
     em.manifest()
     print(json.dumps(_round12(summary), sort_keys=True))

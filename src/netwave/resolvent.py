@@ -7,12 +7,14 @@ Dirichlet vertices eliminated.  The discrete energy inner product
 dissipative: Re<A_h z, z>_W = -sum of v^2 at the damped vertices.
 
 Resolvent norms ||(i beta - A_h)^{-1}||_W are computed by power iteration on
-the W-self-adjoint operator L^{-H} W L^{-1} W^{-1}-style composition.  L^{-1}
-is applied through the (y, p) system: the rows y' = v and p' = q of
-L = i beta - A_h eliminate v and q exactly, which leaves the complex
-symmetric H(beta) = H0 + beta H1 + beta^2 H2 of half the size, one sparse LU
-per frequency.  By time-reversal symmetry that factor also serves the
-W-adjoint (W is never factored).  Since a finite matrix always has finite
+the W-self-adjoint operator W^{-1} L^{-H} W L^{-1}, L = i beta - A_h.  L^{-1}
+is applied through the (y, p) system: the rows y' = v and p' = q of L
+eliminate v and q exactly, which leaves the complex symmetric
+H(beta) = H0 + beta H1 + beta^2 H2 of half the size, one sparse LU per
+frequency.  By time-reversal symmetry that factor also serves the
+W-adjoint (W is never factored).  What does not depend on beta (the start
+vector, the diagonals of H1 and H2, the mass coupling, W) is computed once
+per generator.  Since a finite matrix always has finite
 norms, boundedness on the axis is judged only through a mesh-refinement
 ladder, as recorded in the sweep verdict.
 """
@@ -42,6 +44,21 @@ class ResolventError(RuntimeError):
     pass
 
 
+@dataclass(frozen=True)
+class NormConstants:
+    """What `resolvent_norm` needs of a generator at every beta.
+
+    Vectors run over the state in the order (y, p | v, q), so the (y, p)
+    unknowns of H(beta) are the first half and the velocities the second.
+    """
+
+    start: np.ndarray  # W-normalised power-iteration start, read-only
+    h1: np.ndarray  # diagonal of H1
+    h2: np.ndarray  # diagonal of H2
+    bpos: np.ndarray  # y index coupled to each mass
+    W: sp.csr_matrix  # the energy weight, complex-typed
+
+
 @dataclass
 class DiscreteGenerator:
     """Sparse A_h with the energy weight W_h on the reduced state space.
@@ -50,8 +67,9 @@ class DiscreteGenerator:
     blocks run over all grid DOFs except Dirichlet vertices.  K, M (lumped,
     a vector), C and B are the semi-discrete operator restricted to them.
     H0, H1 and H2 are the coefficients of the (y, p) system H(beta) = H0 +
-    beta H1 + beta^2 H2 of i beta - A_h, on one shared CSC pattern; A_h
-    itself is built on first use, since resolvent norms never read it.
+    beta H1 + beta^2 H2 of i beta - A_h, on one shared CSC pattern.  A_h
+    itself is built on first use, since resolvent norms never read it, and
+    so are the beta-independent `norm_constants` of the norms.
     """
 
     graph: MetricGraph
@@ -86,6 +104,20 @@ class DiscreteGenerator:
                         [Minv @ (-self.K), Minv @ (-self.C), None, Minv @ self.B],
                         [None, None, None, sp.identity(nm)],
                         [None, -m_inv @ self.B.T, -m_inv, None]], format="csr")
+
+    @functools.cached_property
+    def norm_constants(self) -> NormConstants:
+        """The beta-independent data of `resolvent_norm`."""
+        n, nf, nm = self.dim, self.nfield, len(self.mass_ids)
+        rng = np.random.default_rng(12345)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x /= math.sqrt(abs(np.vdot(x, self.W @ x).real))
+        order = np.r_[0:nf, 2 * nf:2 * nf + nm, nf:2 * nf, 2 * nf + nm:n]
+        start = x[order]
+        start.flags.writeable = False
+        W = self.W[order][:, order].astype(complex).tocsr()
+        return NormConstants(start, self.H1.diagonal(), self.H2.diagonal(),
+                             np.searchsorted(self.keep, self.layout.mass_dofs), W)
 
 
 def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
@@ -146,9 +178,14 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     of the (y, p) system H(beta), which is valid at every beta, the
     oscillator resonance m beta^2 = 1 included (partial pivoting handles
     its zero diagonal); returns the HUGE sentinel when H(beta), and so L,
-    is numerically singular (i beta an eigenvalue of A_h).
+    is numerically singular (i beta an eigenvalue of A_h).  Raises
+    ResolventError when beta or beta^2 is not finite.
     """
-    n, nf, nm = gen.dim, gen.nfield, len(gen.mass_ids)
+    beta = float(beta)
+    if not math.isfinite(beta * beta):
+        raise ResolventError(f"beta must be finite with a finite square, got {beta!r}")
+    c = gen.norm_constants
+    nf, k = gen.nfield, gen.nfield + len(gen.mass_ids)
     shifted = gen.H1.data + beta * gen.H2.data  # H1 + beta H2
     H = sp.csc_matrix((gen.H0.data + beta * shifted, gen.H0.indices, gen.H0.indptr),
                       shape=gen.H0.shape)
@@ -158,41 +195,39 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
         return HUGE
     # the right-hand side of the (y, p) system is the v rows times M and the
     # q rows times -m, with v and q substituted:
-    #   -H2 (f_v, f_q) - i (H1 + beta H2)(f_y, f_p)
-    rhs = sp.csc_matrix((-1j * shifted, gen.H0.indices, gen.H0.indptr),
-                        shape=gen.H0.shape)
-    weight = -gen.H2.diagonal()
-    pos = np.r_[0:nf, 2 * nf:2 * nf + nm]  # y, p
-    vel = np.r_[nf:2 * nf, 2 * nf + nm:n]  # v, q
+    #   -H2 (f_v, f_q) - i (H1 + beta H2)(f_y, f_p),
+    # where H1 + beta H2 is its diagonal plus -i at each mass coupling
+    diag, weight, ib = -1j * (c.h1 + beta * c.h2), -c.h2, 1j * beta
 
     def solve(f):
         """L^{-1} f: (y, p) from H(beta), then v and q from y' = v, p' = q."""
-        fp = f[pos]
-        u = lu.solve(weight * f[vel] + rhs @ fp)
-        z = np.empty(n, dtype=complex)
-        z[pos] = u
-        z[vel] = 1j * beta * u - fp
-        return z
+        fp = f[:k]
+        r = diag * fp
+        r[c.bpos] -= fp[nf:]
+        r[nf:] -= fp[c.bpos]
+        u = lu.solve(weight * f[k:] + r)
+        return np.concatenate((u, ib * u - fp))
 
-    W = gen.W
     # time reversal J = diag(1, -1, -1, 1) on (y, v, p, q) and the energy
     # identity W A + A^T W = -2 diag(0, C, 0, 0) give J A J = -A - 2 W^{-1}
     # diag(0, C, 0, 0), hence W^{-1} L^{-H} W = J L(-beta)^{-1} J, and
     # L(-beta) = conj L(beta) since A is real: the W-adjoint of L^{-1}
-    # reuses the factor of L and needs none of W
-    J = np.concatenate([np.ones(nf), -np.ones(nf + nm), np.ones(nm)])
-    rng = np.random.default_rng(12345)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= math.sqrt(abs(np.vdot(x, W @ x).real))
+    # reuses the factor of L and needs none of W.  In the order
+    # (y, p | v, q), J negates the slice p, v.
+    flip = slice(nf, nf + k)
+    x = c.start
     prev = 0.0
     for it in range(POWER_MAXIT):
-        # y = L^{-1} x ; x_next = W^{-1} L^{-H} W y  (W-adjoint of R applied)
-        y = solve(x)
-        z = J * np.conj(solve(np.conj(J * y)))
-        Wz = W @ z
+        # z = L^{-1} x, then W^{-1} L^{-H} W z = J conj(L^{-1} conj(J z))
+        z = solve(x)
+        z[flip] *= -1
+        z = solve(np.conjugate(z, out=z))
+        np.conjugate(z, out=z)
+        z[flip] *= -1
+        Wz = c.W @ z
         rho = abs(np.vdot(x, Wz).real)  # = ||R x||_W^2 growth factor
         nz = math.sqrt(abs(np.vdot(z, Wz).real))
-        if not np.isfinite(nz) or nz > HUGE:
+        if not math.isfinite(nz) or nz > HUGE:
             return HUGE
         x = z / nz
         val = math.sqrt(rho)

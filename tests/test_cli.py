@@ -208,6 +208,17 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
     assert manifest["parameters"] == {"T": 0.5, "cells-per-unit-length": 24}
 
 
+def test_manifest_resolves_the_defaults(tmp_path, capsys):
+    cfg = write(tmp_path, "sim.json", {"graph": TREE_SPEC, "T": 0.5})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["parameters"] == {"T": 0.5}
+    assert manifest["resolved"] == {**COMMANDS["simulate"][2], "T": 0.5}
+    assert manifest["resolved"]["cfl"] == 0.9
+    assert manifest["resolved"]["sample-stride"] == 1
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "sample-stride": 0}, ""),
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "cfl": 0}, ""),
@@ -277,6 +288,7 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {"amplitude": "1e400"}},
      "finite"),
     (["spectrum"], {"graph": TREE_SPEC, "tol": 10**400}, "tol"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": {"count": 1e12}}, "cap"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
         "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
         "mesh-ladder-single", "mesh-ladder-repeated", "amplitude-x",
@@ -293,7 +305,7 @@ def test_bare_graph_spec_keeps_run_parameters(tmp_path, capsys):
         "counterexample-length-negative", "length-1e300-simulate",
         "length-1e300-sweep", "chain-length-1e400", "chain-mass-1e400",
         "beta-empty-list", "beta-count-0", "beta-max-infinity", "amplitude-1e400",
-        "tol-huge-integer"])
+        "tol-huge-integer", "beta-count-1e12"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]

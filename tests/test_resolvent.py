@@ -85,6 +85,27 @@ def test_resolvent_norm_factors_the_half_size_system(monkeypatch):
     assert shapes == [(n, n)]
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 1e200])
+def test_resolvent_norm_refuses_non_finite_beta(beta):
+    # NaN used to read as the HUGE sentinel of an axis eigenvalue, and
+    # beta^2 = inf overflowed in the assembly of H(beta)
+    gen = assemble_generator(make_tree_chain(["1", "0.9"], [1.0]), 1.0 / 8.0)
+    with pytest.raises(ResolventError, match="finite"):
+        resolvent_norm(gen, beta)
+
+
+def test_resolvent_norm_keeps_no_state_between_calls():
+    # the per-generator constants are computed once and reused, so the norms
+    # must not depend on the order of the calls or on reuse of the generator
+    graph = make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0])
+    betas = [0.0, 0.5, 1.0 / math.sqrt(2.0), 2.0, 7.0]
+    gen = assemble_generator(graph, 1.0 / 16.0)
+    forward = [resolvent_norm(gen, b) for b in betas]
+    backward = [resolvent_norm(gen, b) for b in reversed(betas)][::-1]
+    fresh = assemble_generator(graph, 1.0 / 16.0)
+    assert forward == backward == [resolvent_norm(fresh, b) for b in betas]
+
+
 def test_resolvent_norm_mesh_converged_on_stable_graph():
     graph = make_tree_chain(["1", "0.9"], [1.0])
     vals = []
