@@ -4,10 +4,11 @@ Subcommands: check, simulate, spectrum, sweep, chain-check, counterexample.
 Exit codes: 0 success, 1 analysis verdict "unstable"/"unbounded" under
 --expect-stable, 2 usage or config errors.
 
-Every run writes its artifacts plus a manifest.json listing them into the
-output directory.  All floats are rounded to 12 significant digits before
-serialization, so identical inputs yield byte-identical files and emitted
-JSON re-parses to exactly the reported values.
+Every run writes its artifacts plus a manifest.json listing them, with the
+run's own counts and margins under "stats", into the output directory.  All
+floats are rounded to 12 significant digits before serialization, so
+identical inputs yield byte-identical files and emitted JSON re-parses to
+exactly the reported values.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ class Emitter:
         self.config_path = str(config_path) if config_path else None
         self.params = params  # as given
         self.resolved = resolved  # as read, defaults filled in
+        self.stats = {}  # what the run did, set by the handler
         self.files = []
         self.t0 = time.monotonic()
 
@@ -122,6 +124,7 @@ class Emitter:
             "config": self.config_path,
             "parameters": _round12(self.params),
             "resolved": _round12(self.resolved),
+            "stats": _round12(self.stats),
             "output_dir": str(self.outdir),
             "tool_version": __version__,
             "wall_clock_s": float(_fmt(time.monotonic() - self.t0)),
@@ -199,6 +202,19 @@ def _float(value, what: str) -> float:
     return x
 
 
+def _int(value, what: str) -> int:
+    """A config integer: a whole number, never a boolean (JSON's true would
+    otherwise read as 1) nor a fraction (2.7 would truncate to 2)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if isinstance(value, int):
+        return value
+    x = _float(value, what)
+    if not x.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(x)
+
+
 def _floats(value, what: str, count: int | None = None) -> tuple:
     """A config list of numbers, of exactly `count` entries when given."""
     if not isinstance(value, list) or count not in (None, len(value)):
@@ -274,8 +290,10 @@ def _cmd_simulate(graph: MetricGraph, p, em, svg):
     y0, v0, osc = _initial_data(graph, p["initial"])
     series = run(graph, {"T": p["T"], "cfl": p["cfl"],
                          "cells_per_unit": p["cells-per-unit-length"],
-                         "sample_stride": p["sample-stride"]},
+                         "sample_stride": _int(p["sample-stride"], '"sample-stride"')},
                  y0=y0, v0=v0, osc=osc)
+    em.stats = {"steps": series.steps, "dt": series.dt,
+                "min_guard_margin": series.guard_margin}
     em.csv("energy.csv", ["t", "E", "D", "R"],
            zip(series.t.tolist(), series.E.tolist(),
                series.D.tolist(), series.R.tolist()))
@@ -330,8 +348,8 @@ def _cmd_sweep(graph: MetricGraph, p, em, svg):
     beta = p["beta"]
     if isinstance(beta, dict):
         beta = _read(beta, BETA_GRID, '"beta"')
+        count = _int(beta["count"], '"beta" count')
         try:
-            count = int(beta["count"])
             if count > MAX_BETA_COUNT:
                 raise ValueError(f"count {count} is above the cap of {MAX_BETA_COUNT}")
             grid = np.linspace(_float(beta["min"], '"beta" min'),

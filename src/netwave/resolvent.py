@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,7 +227,12 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
         z[flip] *= -1
         Wz = c.W @ z
         rho = abs(np.vdot(x, Wz).real)  # = ||R x||_W^2 growth factor
-        nz = math.sqrt(abs(np.vdot(z, Wz).real))
+        nz2 = abs(np.vdot(z, Wz).real)
+        if nz2 < sys.float_info.min:
+            # ||z||_W^2 underflows once beta ~ 1e100 makes z ~ 1e-200
+            z /= np.max(np.abs(z))
+            nz2 = abs(np.vdot(z, c.W @ z).real)
+        nz = math.sqrt(nz2)
         if not math.isfinite(nz) or nz > HUGE:
             return HUGE
         x = z / nz

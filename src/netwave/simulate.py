@@ -10,7 +10,9 @@ Kirchhoff flux law with the oscillator source (interior masses), the
 absorbing impedance y_x = -y_t (controlled leaves) or the Dirichlet pin.
 Leapfrog in time takes one product K y per step; the damped vertices and the
 vertex-oscillator pairs are implicit but local, so each mass costs one 2x2
-solve.
+solve.  Every coefficient that depends on the time step (the implicit vertex
+rows, the Dirichlet pins, the eliminated mass solve) is built once per
+(mesh, dt) and cached on the layout, so a step is a few array updates.
 
 Alongside the physical energy the run loop tracks the staggered (half-step)
 leapfrog energy, which obeys an exact discrete dissipation identity: it
@@ -20,6 +22,7 @@ damped vertices.  Both are quadratic forms in K, M and the masses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -64,6 +67,63 @@ class GridLayout:
     mass_ids: tuple  # the oscillators, in graph order
     mass_dofs: np.ndarray  # B: the vertex DOF each oscillator drives
     masses: np.ndarray
+
+    @functools.cached_property
+    def hmin(self) -> float:
+        """The smallest grid spacing, which bounds dt by the CFL condition."""
+        return min(self.edge_h.values())
+
+    @functools.cached_property
+    def _leapfrog_slot(self) -> dict:
+        return {}
+
+    def leapfrog(self, dt: float) -> Leapfrog:
+        """The step coefficients for dt, built once and kept until another
+        dt is asked for."""
+        slot = self._leapfrog_slot
+        if dt not in slot:
+            slot.clear()
+            slot[dt] = _leapfrog(self, dt)
+        return slot[dt]
+
+
+@dataclass(frozen=True)
+class Leapfrog:
+    """The coefficients of one leapfrog step of size dt on one layout.
+
+    The field moves by y+ = a1 y - a2 (K y) + g y- on every DOF (all three
+    are 0 on the pinned rows).  Each oscillator then solves
+    p+ = p1 p + p2 p- + p3 (y+_j - y-_j) with y+ so far at its vertex j and
+    moves that vertex by f (p+ - p-).
+    """
+
+    a1: np.ndarray
+    a2: np.ndarray
+    g: np.ndarray
+    f: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    p3: np.ndarray
+    damped: np.ndarray  # the DOFs where C = 1
+
+
+def _leapfrog(layout: GridLayout, dt: float) -> Leapfrog:
+    # each row of M (y+ - 2y + y-)/dt^2 + C (y+ - y-)/(2dt) + K y = 0, solved
+    # for y+; C is nonzero at vertices only, so interior rows are explicit
+    a = layout.lumped_mass / (dt * dt)
+    b = 0.5 / dt
+    diag = a + b * layout.damping
+    a1, a2, g = 2.0 * a / diag, 1.0 / diag, (b * layout.damping - a) / diag
+    for c in (a1, a2, g):
+        c[layout.dirichlet] = 0.0
+    # the force B (p+ - p-)/(2dt) at a mass vertex makes y+ = y+ so far
+    # + f (p+ - p-): eliminating y+ from the oscillator row
+    # m (p+ - 2p + p-)/dt^2 + p = -(y+ - y-)/(2dt) leaves one equation in p+
+    f = b / diag[layout.mass_dofs]
+    a22 = layout.masses / (dt * dt)
+    den = a22 + b * f
+    return Leapfrog(a1, a2, g, f, (2.0 * a22 - 1.0) / den, (b * f - a22) / den,
+                    -b / den, np.flatnonzero(layout.damping))
 
 
 def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
@@ -189,10 +249,6 @@ def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
     return NetworkState(graph, layout, y, v, p, q, 0.0)
 
 
-def min_spacing(layout: GridLayout) -> float:
-    return min(layout.edge_h.values())
-
-
 def _bootstrap(state: NetworkState, dt: float) -> NetworkState:
     """Fill in the fictitious pre-initial field by a Taylor half-step back,
     with the accelerations M^{-1}(-K y - C v + B q) and -(p + B^T v) / m."""
@@ -213,66 +269,56 @@ def step(state: NetworkState, dt: float, cfl: float = DEFAULT_CFL) -> NetworkSta
 
         M (y+ - 2y + y-)/dt^2 + C (y+ - y-)/(2dt) + K y = B (p+ - p-)/(2dt),
         m (p+ - 2p + p-)/dt^2 + p = -B^T (y+ - y-)/(2dt).
+
+    The coefficients of this solve are built once per (mesh, dt) and kept on
+    the layout (`GridLayout.leapfrog`), so a step is one product K y, a few
+    array updates and the eliminated oscillator rows.
     """
     if not dt > 0:
         raise SimulationError("dt must be positive")
-    hmin = min_spacing(state.layout)
-    if dt > cfl * hmin * (1.0 + 1e-12):
-        raise SimulationError(f"dt={dt} violates the CFL bound {cfl}*{hmin}")
+    lay = state.layout
+    if dt > cfl * lay.hmin * (1.0 + 1e-12):
+        raise SimulationError(f"dt={dt} violates the CFL bound {cfl}*{lay.hmin}")
     if state.y_prev is None:
         state = _bootstrap(state, dt)
-    lay = state.layout
-    y, y_prev = state.y, state.y_prev
+    c = lay.leapfrog(dt)
+    y, y_prev, p, p_prev = state.y, state.y_prev, state.p, state.p_prev
     ky = lay.stiffness @ y
-    # interior rows: y+ = 2y - y- - dt^2 M^{-1} K y, formed in place because
-    # a fresh temporary of a fine-mesh field costs more than its arithmetic
-    y_new = ky * (-dt * dt)
-    y_new /= lay.lumped_mass
-    y_new += y
-    y_new += y
-    y_new -= y_prev
-    # the vertex rows (the first DOFs) add the damping C, and the pins
-    nv = len(lay.vertex_dof)
-    a = lay.lumped_mass[:nv] / (dt * dt)
-    b = 0.5 / dt
-    diag = a + b * lay.damping[:nv]
-    y_new[:nv] = (a * y_new[:nv] + b * lay.damping[:nv] * y_prev[:nv]) / diag
-    y_new[lay.dirichlet] = 0.0
-
-    # the force at a mass vertex makes y+ = y_new + f (p+ - p-): eliminate
-    # y+ from the oscillator row and solve it for p+
+    # formed in place: a fresh temporary of a fine-mesh field costs more
+    # than its arithmetic
+    y_new = c.a1 * y
+    tmp = c.a2 * ky
+    y_new -= tmp
+    np.multiply(c.g, y_prev, out=tmp)
+    y_new += tmp
     j = lay.mass_dofs
-    p, p_prev = state.p, state.p_prev
-    f = b / diag[j]
-    a22 = lay.masses / (dt * dt)
-    p_new = (a22 * (2.0 * p - p_prev) - p - b * (y_new[j] - y_prev[j])
-             + b * f * p_prev) / (a22 + b * f)
-    y_new[j] += f * (p_new - p_prev)
+    p_new = c.p1 * p + c.p2 * p_prev + c.p3 * (y_new[j] - y_prev[j])
+    y_new[j] += c.f * (p_new - p_prev)
 
-    v_new = y_new - y  # (3y+ - 4y + y-)/(2dt), in place
+    v_new = np.subtract(y_new, y, out=tmp)  # (3y+ - 4y + y-)/(2dt)
     v_new *= 3.0
     v_new -= y
     v_new += y_prev
     v_new /= 2.0 * dt
     q_new = (3.0 * p_new - 4.0 * p + p_prev) / (2.0 * dt)
-    return replace(state, y=y_new, v=v_new, p=p_new, q=q_new, t=state.t + dt,
-                   y_prev=y, p_prev=p, ky_prev=ky)
+    return NetworkState(state.graph, lay, y_new, v_new, p_new, q_new,
+                        state.t + dt, y, p, ky)
 
 
-def _quadratic_energy(layout: GridLayout, v, y, ky, q, p, p0) -> float:
-    """1/2 (v'Mv + y'(K y0) + sum m q^2 + sum p p0), given ky = K y0: the
-    physical energy when y0 = y and p0 = p, the staggered one across two
-    time levels."""
-    return 0.5 * (float(np.einsum("i,i,i->", v, layout.lumped_mass, v))
-                  + float(np.dot(y, ky))
-                  + float(np.dot(layout.masses * q, q)) + float(np.dot(p, p0)))
+def _quadratic_energy(layout: GridLayout, dy, dp, s: float, y, ky, p, p0) -> float:
+    """1/2 ((dy'M dy + sum m dp^2) / s^2 + y'(K y0) + sum p p0), given
+    ky = K y0: with the velocities dy/s and dp/s, the physical energy when
+    y0 = y and p0 = p, the staggered one across two time levels."""
+    kinetic = (float(np.dot(layout.lumped_mass * dy, dy))
+               + float(np.dot(layout.masses * dp, dp)))
+    return 0.5 * (kinetic / (s * s) + float(np.dot(y, ky)) + float(np.dot(p, p0)))
 
 
 def energy(state: NetworkState) -> float:
     """Discrete energy: staggered |y_x|^2, lumped |y_t|^2, pointwise masses."""
     lay = state.layout
-    return _quadratic_energy(lay, state.v, state.y, lay.stiffness @ state.y,
-                             state.q, state.p, state.p)
+    return _quadratic_energy(lay, state.v, state.q, 1.0, state.y,
+                             lay.stiffness @ state.y, state.p, state.p)
 
 
 def shadow_energy(state: NetworkState, dt: float) -> float | None:
@@ -284,10 +330,8 @@ def shadow_energy(state: NetworkState, dt: float) -> float | None:
         return None
     lay = state.layout
     ky = state.ky_prev if state.ky_prev is not None else lay.stiffness @ state.y_prev
-    p, p_prev = state.p, state.p_prev
-    v = state.y - state.y_prev
-    v /= dt
-    return _quadratic_energy(lay, v, state.y, ky, (p - p_prev) / dt, p, p_prev)
+    return _quadratic_energy(lay, state.y - state.y_prev, state.p - state.p_prev,
+                             dt, state.y, ky, state.p, state.p_prev)
 
 
 @dataclass
@@ -303,6 +347,9 @@ class EnergySeries:
     fit_ok: bool
     shadow: np.ndarray  # staggered leapfrog energy (exactly nonincreasing)
     e0: float
+    steps: int  # leapfrog steps taken, one past T for the centered samples
+    dt: float
+    guard_margin: float  # least relative headroom of the blow-up guard
 
 
 def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergySeries:
@@ -311,8 +358,10 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
     config keys: T (required), cfl (default 0.9), cells_per_unit (default 16),
     sample_stride (default 1).  Every stride-th step samples the energy with
     centered velocities, the staggered energy and the trapezoid-accumulated
-    dissipation, all from the K y product the step already formed.  Bad
-    parameters raise SimulationError.
+    dissipation, all from the K y product the step already formed and from
+    raw differences of the leapfrog levels.  The series also records the
+    steps taken, dt and the least relative headroom 1 - E_shadow / limit of
+    the shadow-energy blow-up guard.  Bad parameters raise SimulationError.
     """
     try:
         T = float(config["T"])
@@ -330,40 +379,41 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
 
     state = init_state(graph, y0, v0, osc, cells)
     layout = state.layout
-    dt = cfl * min_spacing(layout)
+    dt = cfl * layout.hmin
     nsteps = max(1, int(math.ceil(T / dt)))
     dt = T / nsteps
-    damped = np.flatnonzero(layout.damping)
+    damped = layout.leapfrog(dt).damped
 
     ts, es, ds, shadows = [], [], [], []
     d_acc = 0.0
     prev_rate = None
     prev_sample_e = None
+    margin = math.inf
 
     # one step of lookahead so every sample uses centered differences;
     # the loop advances through t = (nsteps+1) * dt but reports up to T
     state = _bootstrap(state, dt)
     for n in range(nsteps + 1):
         new = step(state, dt, cfl)
-        vc = (new.y[damped] - state.y_prev[damped]) / (2.0 * dt)
-        rate = float(np.dot(vc, vc))  # v'Cv with C = 1 on the damped DOFs
+        dy = new.y[damped] - state.y_prev[damped]
+        rate = float(np.dot(dy, dy)) / (4.0 * dt * dt)  # v'Cv, C = 1 when damped
         if prev_rate is not None:  # trapezoid in time over the samples
             d_acc += 0.5 * dt * (prev_rate + rate)
         prev_rate = rate
         if n % stride == 0 or n == nsteps:
-            vc = new.y - state.y_prev
-            vc /= 2.0 * dt
-            qc = (new.p - state.p_prev) / (2.0 * dt)
-            e = _quadratic_energy(layout, vc, state.y, new.ky_prev, qc, state.p,
-                                  state.p)
+            e = _quadratic_energy(layout, new.y - state.y_prev, new.p - state.p_prev,
+                                  2.0 * dt, state.y, new.ky_prev, state.p, state.p)
             sh = shadow_energy(new, dt)
             # the staggered energy is exactly nonincreasing for a correct
             # scheme, so any growth there flags a genuine failure
-            if prev_sample_e is not None and sh > BLOWUP_FACTOR * prev_sample_e + 1e-30:
-                raise SimulationError(
-                    f"energy grew from {prev_sample_e} to {sh} at t={state.t}: "
-                    f"scheme or boundary-condition failure"
-                )
+            if prev_sample_e is not None:
+                limit = BLOWUP_FACTOR * prev_sample_e + 1e-30
+                if sh > limit:
+                    raise SimulationError(
+                        f"energy grew from {prev_sample_e} to {sh} at t={state.t}: "
+                        f"scheme or boundary-condition failure"
+                    )
+                margin = min(margin, 1.0 - sh / limit)
             prev_sample_e = sh
             ts.append(state.t)
             es.append(e)
@@ -377,7 +427,8 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
     D = np.array(ds)
     R = e0 - E - D
     omega, fit_res, fit_ok = _fit_decay(t, E, T)
-    return EnergySeries(t, E, D, R, omega, fit_res, fit_ok, np.array(shadows), e0)
+    return EnergySeries(t, E, D, R, omega, fit_res, fit_ok, np.array(shadows), e0,
+                        nsteps + 1, dt, margin)
 
 
 def _fit_decay(t, E, T):

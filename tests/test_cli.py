@@ -219,6 +219,20 @@ def test_manifest_resolves_the_defaults(tmp_path, capsys):
     assert manifest["resolved"]["sample-stride"] == 1
 
 
+def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
+    cfg = write(tmp_path, "sim.json", {"graph": TREE_SPEC, "T": 0.5,
+                                       "cells-per-unit-length": 24})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    assert set(stats) == {"steps", "dt", "min_guard_margin"}
+    # the loop steps once past T for its centered samples
+    assert stats["steps"] == round(0.5 / stats["dt"]) + 1
+    assert 0.0 < stats["dt"] <= 0.9 / 24 * (1 + 1e-12)
+    # a dissipative run keeps at least the guard's own 1% headroom
+    assert 1.0 - 1.0 / 1.01 - 1e-12 <= stats["min_guard_margin"] <= 1.0
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "sample-stride": 0}, ""),
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "cfl": 0}, ""),
@@ -289,6 +303,12 @@ def test_manifest_resolves_the_defaults(tmp_path, capsys):
      "finite"),
     (["spectrum"], {"graph": TREE_SPEC, "tol": 10**400}, "tol"),
     (["sweep"], {"graph": TREE_SPEC, "beta": {"count": 1e12}}, "cap"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": {"max": 1.0, "count": 2.7},
+                 "mesh-ladder": [16, 24]}, "integer"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": {"max": 1.0, "count": True},
+                 "mesh-ladder": [16, 24]}, "integer"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 0.5, "sample-stride": 2.5}, "integer"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 0.5, "sample-stride": True}, "integer"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
         "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
         "mesh-ladder-single", "mesh-ladder-repeated", "amplitude-x",
@@ -305,7 +325,8 @@ def test_manifest_resolves_the_defaults(tmp_path, capsys):
         "counterexample-length-negative", "length-1e300-simulate",
         "length-1e300-sweep", "chain-length-1e400", "chain-mass-1e400",
         "beta-empty-list", "beta-count-0", "beta-max-infinity", "amplitude-1e400",
-        "tol-huge-integer", "beta-count-1e12"])
+        "tol-huge-integer", "beta-count-1e12", "beta-count-2.7", "beta-count-true",
+        "sample-stride-2.5", "sample-stride-true"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]

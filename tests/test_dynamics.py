@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from netwave.graph import build_graph, make_circuit, make_star, make_tree_chain
 from netwave.resolvent import assemble_generator
 from netwave.simulate import (
     SimulationError,
+    _bootstrap,
     energy,
     init_state,
     run,
@@ -101,6 +103,56 @@ def test_energy_is_the_generator_weight():
         z = np.concatenate([state.y[gen.keep], state.v[gen.keep], state.p, state.q])
         e = energy(state)
         assert abs(e - 0.5 * z @ (gen.W @ z)) <= 1e-12 * e
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_run_samples_the_energies_of_single_steps(stride):
+    # run forms E and the shadow energy from raw differences of the leapfrog
+    # levels; they must be the energies of the states that step produces,
+    # E with the centered velocities (y_{n+1} - y_{n-1}) / 2dt
+    rng = np.random.default_rng(17)
+    for graph in GRAPHS:
+        y0, v0, osc = random_initial(graph, rng)
+        series = run(graph, {"T": 1.0, "cells_per_unit": 16,
+                             "sample_stride": stride}, y0, v0, osc)
+        dt = series.dt
+        states = [_bootstrap(init_state(graph, y0, v0, osc, 16), dt)]
+        for _ in range(series.steps):
+            states.append(step(states[-1], dt))
+        assert len(states) == series.steps + 1
+        nsteps = series.steps - 1
+        samples = [n for n in range(nsteps + 1) if n % stride == 0 or n == nsteps]
+        E, shadow = [], []
+        for n in samples:
+            s, after = states[n], states[n + 1]
+            v = (after.y - s.y_prev) / (2.0 * dt)
+            q = (after.p - s.p_prev) / (2.0 * dt)
+            E.append(energy(replace(s, v=v, q=q)))
+            shadow.append(shadow_energy(after, dt))
+        np.testing.assert_allclose(series.t, [n * dt for n in samples], rtol=1e-12)
+        np.testing.assert_allclose(series.E, E, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(series.shadow, shadow, rtol=1e-12, atol=0)
+
+
+def test_step_coefficients_follow_dt():
+    # the layout keeps the step coefficients of the last dt; a state started
+    # at another dt on the same layout must step as on a fresh layout
+    graph = make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0])
+    rng = np.random.default_rng(3)
+    data = random_initial(graph, rng)
+    state = init_state(graph, *data, cells_per_unit=16)
+    hmin = state.layout.hmin
+    for _ in range(5):
+        state = step(state, 0.5 * hmin)
+    reused = replace(init_state(graph, *data, cells_per_unit=16),
+                     layout=state.layout)
+    fresh = init_state(graph, *data, cells_per_unit=16)
+    assert fresh.layout is not reused.layout
+    for _ in range(5):
+        reused = step(reused, 0.7 * hmin)
+        fresh = step(fresh, 0.7 * hmin)
+    for name in ("y", "v", "p", "q", "y_prev", "p_prev"):
+        assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
 
 
 def test_superposition():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ def test_resolvent_norm_refuses_non_finite_beta(beta):
     gen = assemble_generator(make_tree_chain(["1", "0.9"], [1.0]), 1.0 / 8.0)
     with pytest.raises(ResolventError, match="finite"):
         resolvent_norm(gen, beta)
+
+
+@pytest.mark.parametrize("beta", [1e100, 1e120, 1e140])
+def test_resolvent_norm_at_large_finite_beta(beta):
+    # ||(i beta - A)^{-1}|| ~ 1/beta far up the axis; the squared W-norm of
+    # the iterate (~1/beta^4) underflowed and read as an axis eigenvalue
+    gen = assemble_generator(make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]),
+                             1.0 / 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = resolvent_norm(gen, beta)
+    assert math.isfinite(norm)
+    assert abs(norm * beta - 1.0) <= 0.01
 
 
 def test_resolvent_norm_keeps_no_state_between_calls():
