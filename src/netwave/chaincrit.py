@@ -5,16 +5,14 @@ near end and a Dirichlet far end, an eigenvalue sits on the imaginary axis at
 the resonance beta = 1/sqrt(m) of a mass value m exactly when a sine-product
 determinant over the span between consecutive equal-mass nodes vanishes.  Two
 evaluation routes are provided: brute-force enumeration of the closed form
-(oracle) and a two-term recurrence (production path), plus the direct
-determinant of the span boundary system as a third cross-check.
+(oracle) and a two-term recurrence (production path).  The tests cross-check
+both against the direct determinant of the span boundary system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 MASS_EQ_RTOL = 1e-12
 DELTA_TOL = 1e-9
@@ -133,24 +131,6 @@ def _delta_enumerate(x, c):
     return total
 
 
-def _m_enumerate(x, c):
-    """Companion determinant: cosine in the last segment, opposite sign."""
-    d = len(x)
-    total = 0.0
-    for mask in range(1 << (d - 1)) if d > 1 else [0]:
-        breaks = [b + 1 for b in range(d - 1) if mask >> b & 1]
-        term = (-1.0) ** (d - len(breaks))
-        for b in breaks:
-            term *= c[b - 1]
-        segs = _segments(breaks, d)
-        for lo, hi in segs[:-1]:
-            term *= math.sin(sum(x[lo:hi]))
-        lo, hi = segs[-1]
-        term *= math.cos(sum(x[lo:hi]))
-        total += term
-    return total
-
-
 def delta_recurrence(x, c):
     """(Delta, M) by the two-term recurrence.
 
@@ -172,38 +152,6 @@ def delta_recurrence(x, c):
             (-sn - cn * cs) * delta - cs * mm,
         )
     return delta, mm
-
-
-def span_system_matrix(x, c) -> np.ndarray:
-    """Boundary-system matrix of the span, unknowns (alpha_j, gamma_j) per edge.
-
-    Fields are y = alpha*cos(beta x) + gamma*sin(beta x); rows impose y = 0 at
-    the span ends, continuity at interior nodes and the flux jump through the
-    non-resonant masses.  Its determinant equals the recurrence Delta up to
-    assembly sign; used as an independent numeric oracle in tests.
-    """
-    d = len(x)
-    n = 2 * d
-    mat = np.zeros((n, n))
-    mat[0, 0] = 1.0  # y(0) = 0 on the first span edge
-    row = 1
-    for t in range(d - 1):
-        a, g = 2 * t, 2 * t + 1
-        an, gn = a + 2, g + 2
-        mat[row, a] = math.cos(x[t])
-        mat[row, g] = math.sin(x[t])
-        mat[row, an] = -1.0  # continuity: y_t(l_t) = y_{t+1}(0)
-        row += 1
-        # flux jump: y'_{t+1}(0) - y'_t(l_t) = i*beta*p with p eliminated
-        mat[row, a] = math.sin(x[t])
-        mat[row, g] = -math.cos(x[t])
-        mat[row, an] = c[t]
-        mat[row, gn] = 1.0
-        row += 1
-    a, g = 2 * (d - 1), 2 * (d - 1) + 1
-    mat[row, a] = math.cos(x[-1])
-    mat[row, g] = math.sin(x[-1])  # y(l) = 0 at the far span end
-    return mat
 
 
 @dataclass(frozen=True)

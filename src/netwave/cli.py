@@ -290,7 +290,7 @@ def _cmd_simulate(graph: MetricGraph, p, em, svg):
     y0, v0, osc = _initial_data(graph, p["initial"])
     series = run(graph, {"T": p["T"], "cfl": p["cfl"],
                          "cells_per_unit": p["cells-per-unit-length"],
-                         "sample_stride": _int(p["sample-stride"], '"sample-stride"')},
+                         "sample_stride": p["sample-stride"]},
                  y0=y0, v0=v0, osc=osc)
     em.stats = {"steps": series.steps, "dt": series.dt,
                 "min_guard_margin": series.guard_margin}

@@ -168,6 +168,12 @@ class MetricGraph:
     def dirichlet_vertices(self) -> list[Vertex]:
         return [v for v in self.vertices if v.kind in ("root", "fixed")]
 
+    @property
+    def damped_vertices(self) -> list[Vertex]:
+        """The controlled leaves, and in the circuit variant the masses too."""
+        kinds = ("controlled", "mass") if self.variant == "circuit" else ("controlled",)
+        return [v for v in self.vertices if v.kind in kinds]
+
     def total_length(self) -> float:
         return sum(e.ell for e in self.edges)
 

@@ -1,8 +1,9 @@
 """Finite-dimensional generator and resolvent-norm sweeps.
 
-The first-order system z' = A z over z = (y, v, p, q) is assembled from the
-semi-discrete operator (K, M, C, B) that drives the time-domain scheme, with
-Dirichlet vertices eliminated.  The discrete energy inner product
+The first-order system z' = A z over z = (y, v, p, q) is built on the
+`GridLayout` that drives the time-domain scheme: its semi-discrete operator
+(K, M, C, B) is read as it stands, since the layout gives the Dirichlet
+vertices no DOF.  The discrete energy inner product
 <z, z>_W = y'Ky + v'Mv + sum p^2 + sum m q^2 makes the generator exactly
 dissipative: Re<A_h z, z>_W = -sum of v^2 at the damped vertices.
 
@@ -13,8 +14,8 @@ eliminate v and q exactly, which leaves the complex symmetric
 H(beta) = H0 + beta H1 + beta^2 H2 of half the size, one sparse LU per
 frequency.  By time-reversal symmetry that factor also serves the
 W-adjoint (W is never factored).  What does not depend on beta (the start
-vector, the diagonals of H1 and H2, the mass coupling, W) is computed once
-per generator.  Since a finite matrix always has finite
+vector, the diagonals of H1 and H2, W, the largest entries of H0, H1 and
+H2) is computed once per generator.  Since a finite matrix always has finite
 norms, boundedness on the axis is judged only through a mesh-refinement
 ladder, as recorded in the sweep verdict.
 """
@@ -56,60 +57,63 @@ class NormConstants:
     start: np.ndarray  # W-normalised power-iteration start, read-only
     h1: np.ndarray  # diagonal of H1
     h2: np.ndarray  # diagonal of H2
-    bpos: np.ndarray  # y index coupled to each mass
     W: sp.csr_matrix  # the energy weight, complex-typed
+    hmax: tuple  # the largest |entry| of H0, H1 and H2
 
 
 @dataclass
 class DiscreteGenerator:
-    """Sparse A_h with the energy weight W_h on the reduced state space.
+    """Sparse A_h with the energy weight W_h, built on a `GridLayout`.
 
     State layout: [y nodes, v nodes, p_1..p_K, q_1..q_K], where the y/v
-    blocks run over all grid DOFs except Dirichlet vertices.  K, M (lumped,
-    a vector), C and B are the semi-discrete operator restricted to them.
-    H0, H1 and H2 are the coefficients of the (y, p) system H(beta) = H0 +
-    beta H1 + beta^2 H2 of i beta - A_h, on one shared CSC pattern.  A_h
-    itself is built on first use, since resolvent norms never read it, and
-    so are the beta-independent `norm_constants` of the norms.
+    blocks run over the unknowns of the layout, which gives the Dirichlet
+    vertices no DOF, and the oscillators follow `layout.mass_ids`.  H0, H1
+    and H2 are the coefficients of the (y, p) system H(beta) = H0 + beta H1
+    + beta^2 H2 of i beta - A_h, on one shared CSC pattern.  A_h and W_h are
+    read off the layout on first use, since resolvent norms never need A_h,
+    and so are the beta-independent `norm_constants` of the norms.
     """
 
     graph: MetricGraph
     layout: GridLayout
-    W: sp.csr_matrix
-    keep: np.ndarray  # reduced index -> layout DOF
-    mass_ids: list
     H0: sp.csc_matrix
     H1: sp.csc_matrix
     H2: sp.csc_matrix
-    K: sp.csr_matrix
-    M: np.ndarray
-    C: sp.dia_matrix
-    B: sp.csr_matrix
 
     @property
     def nfield(self) -> int:
-        return len(self.keep)
+        return self.layout.ndof
 
     @property
     def dim(self) -> int:
-        return 2 * (self.nfield + len(self.mass_ids))
+        return 2 * (self.nfield + len(self.layout.mass_ids))
+
+    @functools.cached_property
+    def W(self) -> sp.csr_matrix:
+        """The energy weight diag(K, M, 1, m)."""
+        lay = self.layout
+        return sp.block_diag([lay.stiffness, sp.diags(lay.lumped_mass),
+                              sp.identity(len(lay.masses)), sp.diags(lay.masses)], "csr")
 
     @functools.cached_property
     def A(self) -> sp.csr_matrix:
         """The first-order generator A_h."""
-        nf, nm = self.nfield, len(self.mass_ids)
-        Minv, m_inv = sp.diags(1.0 / self.M), sp.diags(1.0 / self.layout.masses)
+        lay = self.layout
+        nf, nm = self.nfield, len(lay.mass_ids)
+        Minv, m_inv = sp.diags(1.0 / lay.lumped_mass), sp.diags(1.0 / lay.masses)
+        B = sp.csr_matrix((np.ones(nm), (lay.mass_dofs, np.arange(nm))), shape=(nf, nm))
         # rows: y' = v ; v' = M^{-1}(-K y - C v + B q) ; p' = q ;
         #       q' = -(p + B^T v) / m
         return sp.bmat([[None, sp.identity(nf), None, None],
-                        [Minv @ (-self.K), Minv @ (-self.C), None, Minv @ self.B],
+                        [Minv @ (-lay.stiffness), Minv @ (-sp.diags(lay.damping)),
+                         None, Minv @ B],
                         [None, None, None, sp.identity(nm)],
-                        [None, -m_inv @ self.B.T, -m_inv, None]], format="csr")
+                        [None, -m_inv @ B.T, -m_inv, None]], format="csr")
 
     @functools.cached_property
     def norm_constants(self) -> NormConstants:
         """The beta-independent data of `resolvent_norm`."""
-        n, nf, nm = self.dim, self.nfield, len(self.mass_ids)
+        n, nf, nm = self.dim, self.nfield, len(self.layout.mass_ids)
         rng = np.random.default_rng(12345)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x /= math.sqrt(abs(np.vdot(x, self.W @ x).real))
@@ -117,14 +121,14 @@ class DiscreteGenerator:
         start = x[order]
         start.flags.writeable = False
         W = self.W[order][:, order].astype(complex).tocsr()
-        return NormConstants(start, self.H1.diagonal(), self.H2.diagonal(),
-                             np.searchsorted(self.keep, self.layout.mass_dofs), W)
+        hmax = tuple(float(np.max(np.abs(H.data))) for H in (self.H0, self.H1, self.H2))
+        return NormConstants(start, self.H1.diagonal(), self.H2.diagonal(), W, hmax)
 
 
 def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
-    """Build the generator (W_h and the (y, p) system; A_h on first use) with
-    target grid spacing h (>= 4 cells per edge) from the semi-discrete
-    operator of `make_layout`, Dirichlet DOFs sliced out."""
+    """Build the generator (the (y, p) system; A_h and W_h on first use)
+    with target grid spacing h (>= 4 cells per edge) on the semi-discrete
+    operator of `make_layout`."""
     if not h > 0:
         raise ResolventError("h must be positive")
     min_ell = min(e.ell for e in graph.edges)
@@ -134,16 +138,7 @@ def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
             f"need at least {MIN_CELLS} cells"
         )
     layout = make_layout(graph, 1.0 / h)
-    keep = np.setdiff1d(np.arange(layout.ndof), layout.dirichlet)
-    nf, nm = len(keep), len(layout.mass_ids)
-    K = layout.stiffness[keep][:, keep]
-    M = layout.lumped_mass[keep]
-    C = sp.diags(layout.damping[keep])
-    bpos = np.searchsorted(keep, layout.mass_dofs)
-    B = sp.csr_matrix((np.ones(nm), (bpos, np.arange(nm))), shape=(nf, nm))
-    W = sp.block_diag(
-        [K, sp.diags(M), sp.identity(nm), sp.diags(layout.masses)], format="csr"
-    )
+    nf, nm = layout.ndof, len(layout.mass_ids)
     # (i beta - A)(y, v, p, q) = f with v = i beta y - f_y, q = i beta p - f_p
     # substituted, the v rows times M and the q rows times -m:
     #   H(beta) = [[K - beta^2 M + i beta C, -i beta B],
@@ -151,17 +146,16 @@ def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
     # as triplets over K, the diagonal and the two coupling blocks; the
     # conversion to CSC sums duplicates and keeps explicit zeros, so the
     # three coefficients share one pattern
-    Kt = K.tocoo()
-    diag, mass = np.arange(nf + nm), nf + np.arange(nm)
+    Kt = layout.stiffness.tocoo()
+    diag, mass, bpos = np.arange(nf + nm), nf + np.arange(nm), layout.mass_dofs
     rows = np.concatenate([Kt.row, diag, bpos, mass])
     cols = np.concatenate([Kt.col, diag, mass, bpos])
     zk, zm, coupling = np.zeros(Kt.nnz), np.zeros(nm), np.full(nm, -1j)
     H0, H1, H2 = (sp.csc_matrix((np.concatenate(d), (rows, cols)), shape=(nf + nm,) * 2)
                   for d in ((Kt.data, np.zeros(nf), -np.ones(nm), zm, zm),
-                            (zk, 1j * C.diagonal(), zm, coupling, coupling),
-                            (zk, -M, layout.masses, zm, zm)))
-    return DiscreteGenerator(graph, layout, W, keep, list(layout.mass_ids),
-                             H0, H1, H2, K, M, C, B)
+                            (zk, 1j * layout.damping, zm, coupling, coupling),
+                            (zk, -layout.lumped_mass, layout.masses, zm, zm)))
+    return DiscreteGenerator(graph, layout, H0, H1, H2)
 
 
 def dissipation_defect(gen: DiscreteGenerator, z: np.ndarray) -> float:
@@ -180,13 +174,18 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     oscillator resonance m beta^2 = 1 included (partial pivoting handles
     its zero diagonal); returns the HUGE sentinel when H(beta), and so L,
     is numerically singular (i beta an eigenvalue of A_h).  Raises
-    ResolventError when beta or beta^2 is not finite.
+    ResolventError when beta is not finite or so large that an entry of
+    H(beta) would overflow.
     """
     beta = float(beta)
-    if not math.isfinite(beta * beta):
-        raise ResolventError(f"beta must be finite with a finite square, got {beta!r}")
     c = gen.norm_constants
-    nf, k = gen.nfield, gen.nfield + len(gen.mass_ids)
+    # bounds every entry of H(beta) as computed, rounding included; a Python
+    # float overflows to inf without a warning
+    a0, a1, a2 = c.hmax
+    if not math.isfinite(a0 + abs(beta) * (a1 + abs(beta) * a2)):
+        raise ResolventError(
+            f"beta must be finite and keep the entries of H(beta) finite, got {beta!r}")
+    nf, k, bpos = gen.nfield, gen.dim // 2, gen.layout.mass_dofs
     shifted = gen.H1.data + beta * gen.H2.data  # H1 + beta H2
     H = sp.csc_matrix((gen.H0.data + beta * shifted, gen.H0.indices, gen.H0.indptr),
                       shape=gen.H0.shape)
@@ -204,8 +203,8 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
         """L^{-1} f: (y, p) from H(beta), then v and q from y' = v, p' = q."""
         fp = f[:k]
         r = diag * fp
-        r[c.bpos] -= fp[nf:]
-        r[nf:] -= fp[c.bpos]
+        r[bpos] -= fp[nf:]
+        r[nf:] -= fp[bpos]
         u = lu.solve(weight * f[k:] + r)
         return np.concatenate((u, ib * u - fp))
 
@@ -229,8 +228,10 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
         rho = abs(np.vdot(x, Wz).real)  # = ||R x||_W^2 growth factor
         nz2 = abs(np.vdot(z, Wz).real)
         if nz2 < sys.float_info.min:
-            # ||z||_W^2 underflows once beta ~ 1e100 makes z ~ 1e-200
-            z /= np.max(np.abs(z))
+            # ||z||_W^2 underflows once beta ~ 1e100 makes z ~ 1e-200; a
+            # power of two rescales it exactly, where dividing by a subnormal
+            # max |z| near the top of the beta range overflows
+            z *= 2.0 ** 600
             nz2 = abs(np.vdot(z, c.W @ z).real)
         nz = math.sqrt(nz2)
         if not math.isfinite(nz) or nz > HUGE:

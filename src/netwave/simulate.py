@@ -1,7 +1,7 @@
 """Explicit time-domain simulation of the damped wave network.
 
-Each edge carries a uniform grid whose nodes, vertices included, are the
-unknowns of one semi-discrete system (see `GridLayout`)
+Each edge carries a uniform grid whose nodes, the Dirichlet vertices
+excepted, are the unknowns of one semi-discrete system (see `GridLayout`)
 
     M y'' + C y' + K y = B q,    m_k s_k'' + s_k = -(B^T y')_k,    q = s'.
 
@@ -11,8 +11,8 @@ absorbing impedance y_x = -y_t (controlled leaves) or the Dirichlet pin.
 Leapfrog in time takes one product K y per step; the damped vertices and the
 vertex-oscillator pairs are implicit but local, so each mass costs one 2x2
 solve.  Every coefficient that depends on the time step (the implicit vertex
-rows, the Dirichlet pins, the eliminated mass solve) is built once per
-(mesh, dt) and cached on the layout, so a step is a few array updates.
+rows, the eliminated mass solve) is built once per (mesh, dt) and cached on
+the layout, so a step is a few array updates.
 
 Alongside the physical energy the run loop tracks the staggered (half-step)
 leapfrog energy, which obeys an exact discrete dissipation identity: it
@@ -47,13 +47,14 @@ class SimulationError(RuntimeError):
 class GridLayout:
     """Global degree-of-freedom numbering and the semi-discrete operator.
 
-    One DOF per vertex, then the interior nodes of each edge in tail-to-head
-    order.  K is the stiffness of the piecewise-linear meshes over all DOFs
-    (Dirichlet vertices included; their rows are pinned by the users of K),
-    M the lumped mass, C the unit damping at the controlled leaves (and, in
-    the circuit variant, at the mass vertices) and B the unit injection of
-    each oscillator at its mass vertex.  M and C are kept as diagonals, B as
-    the DOF index of each oscillator's unit entry.
+    The unknowns are the free vertices in graph order, then the interior
+    nodes of each edge in tail-to-head order.  A Dirichlet vertex carries
+    no DOF: it is numbered after the last unknown, so `edge_nodes` holds
+    both ends of every edge while a pinned index into a state array fails.
+    K is the stiffness of the piecewise-linear meshes over the unknowns, M
+    the lumped mass, C the unit damping at `graph.damped_vertices` and B the
+    unit injection of each oscillator at its mass vertex.  M and C are kept
+    as diagonals, B as the DOF index of each oscillator's unit entry.
     """
 
     vertex_dof: dict
@@ -63,7 +64,6 @@ class GridLayout:
     lumped_mass: np.ndarray  # M: h on interior nodes, sum of h_j/2 at vertices
     stiffness: sp.csr_matrix  # K: sum over cells of (e_a - e_b)(e_a - e_b)^T / h
     damping: np.ndarray  # C: 1 at the damped DOFs, 0 elsewhere
-    dirichlet: np.ndarray
     mass_ids: tuple  # the oscillators, in graph order
     mass_dofs: np.ndarray  # B: the vertex DOF each oscillator drives
     masses: np.ndarray
@@ -91,10 +91,9 @@ class GridLayout:
 class Leapfrog:
     """The coefficients of one leapfrog step of size dt on one layout.
 
-    The field moves by y+ = a1 y - a2 (K y) + g y- on every DOF (all three
-    are 0 on the pinned rows).  Each oscillator then solves
-    p+ = p1 p + p2 p- + p3 (y+_j - y-_j) with y+ so far at its vertex j and
-    moves that vertex by f (p+ - p-).
+    The field moves by y+ = a1 y - a2 (K y) + g y- on every DOF.  Each
+    oscillator then solves p+ = p1 p + p2 p- + p3 (y+_j - y-_j) with y+ so
+    far at its vertex j and moves that vertex by f (p+ - p-).
     """
 
     a1: np.ndarray
@@ -114,8 +113,6 @@ def _leapfrog(layout: GridLayout, dt: float) -> Leapfrog:
     b = 0.5 / dt
     diag = a + b * layout.damping
     a1, a2, g = 2.0 * a / diag, 1.0 / diag, (b * layout.damping - a) / diag
-    for c in (a1, a2, g):
-        c[layout.dirichlet] = 0.0
     # the force B (p+ - p-)/(2dt) at a mass vertex makes y+ = y+ so far
     # + f (p+ - p-): eliminating y+ from the oscillator row
     # m (p+ - 2p + p-)/dt^2 + p = -(y+ - y-)/(2dt) leaves one equation in p+
@@ -127,17 +124,20 @@ def _leapfrog(layout: GridLayout, dt: float) -> Leapfrog:
 
 
 def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
-    vertex_dof = {v.id: i for i, v in enumerate(graph.vertices)}
-    nd = len(graph.vertices)
     # counted in floats before any allocation: an edge of length 1e300 asks
     # for 1e301 nodes, and its cell count may not even be a finite number
-    dofs = nd + sum(cells_per_unit * e.ell - 1 for e in graph.edges)
-    if not dofs <= MAX_DOFS:
+    nodes = len(graph.vertices) + sum(cells_per_unit * e.ell - 1 for e in graph.edges)
+    if not nodes <= MAX_DOFS:
         raise SimulationError(
-            f"the mesh needs {dofs:.3g} grid nodes, more than {MAX_DOFS}; "
+            f"the mesh needs {nodes:.3g} grid nodes, more than {MAX_DOFS}; "
             f"lower cells-per-unit-length or the edge lengths"
         )
-    edge_nodes, edge_h = {}, {}
+    # the unknowns are the free vertices, then the interior nodes edge by
+    # edge; the pinned vertices are numbered after them
+    pinned = graph.dirichlet_vertices
+    free = [v for v in graph.vertices if v not in pinned]
+    vertex_dof = {v.id: i for i, v in enumerate(free)}
+    edge_nodes, edge_h, nd = {}, {}, len(free)
     for e in graph.edges:
         n = int(round(cells_per_unit * e.ell))
         if n < MIN_CELLS:
@@ -145,35 +145,34 @@ def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
                 f"edge {e.id!r}: {n} cells < {MIN_CELLS}; refusing an "
                 f"under-resolved edge (raise cells-per-unit-length)"
             )
-        idx = np.empty(n + 1, dtype=np.int32)  # halves the assembly's memory
-        idx[0] = vertex_dof[e.tail]
-        idx[-1] = vertex_dof[e.head]
-        idx[1:-1] = np.arange(nd, nd + n - 1)
+        # int32 halves the assembly's memory
+        edge_nodes[e.id] = np.arange(nd - 1, nd + n, dtype=np.int32)
         nd += n - 1
-        edge_nodes[e.id] = idx
         edge_h[e.id] = e.ell / n
+    vertex_dof.update((v.id, nd + k) for k, v in enumerate(pinned))
+    for e in graph.edges:
+        edge_nodes[e.id][[0, -1]] = vertex_dof[e.tail], vertex_dof[e.head]
     # every cell (a, b) of width h adds h/2 to M at both ends and the
-    # element stiffness [[1, -1], [-1, 1]] / h to K
+    # element stiffness [[1, -1], [-1, 1]] / h to K, kept on the unknowns
     cells = [(idx[:-1], idx[1:], np.full(len(idx) - 1, edge_h[eid]))
              for eid, idx in edge_nodes.items()]
     a, b, h = (np.concatenate(c) for c in zip(*cells))
-    lumped = np.bincount(a, h / 2.0, nd) + np.bincount(b, h / 2.0, nd)
+    total = nd + len(pinned)
+    lumped = (np.bincount(a, h / 2.0, total) + np.bincount(b, h / 2.0, total))[:nd]
     w = 1.0 / h
+    rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
+    unknown = (rows < nd) & (cols < nd)
     stiffness = sp.csr_matrix(
-        (np.concatenate([w, w, -w, -w]),
-         (np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a]))),
+        (np.concatenate([w, w, -w, -w])[unknown], (rows[unknown], cols[unknown])),
         shape=(nd, nd))
 
     def dofs(vertices):
         return np.array([vertex_dof[v.id] for v in vertices], dtype=int)
 
     damping = np.zeros(nd)
-    damping[dofs(graph.controlled_vertices)] = 1.0
-    if graph.variant == "circuit":
-        damping[dofs(graph.mass_vertices)] = 1.0
+    damping[dofs(graph.damped_vertices)] = 1.0
     return GridLayout(
         vertex_dof, edge_nodes, edge_h, nd, lumped, stiffness, damping,
-        dofs(graph.dirichlet_vertices),
         tuple(v.id for v in graph.mass_vertices), dofs(graph.mass_vertices),
         np.array([v.mass for v in graph.mass_vertices], dtype=float))
 
@@ -230,16 +229,15 @@ def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
                     )
             else:
                 vertex_vals[vid] = val
-        y[idx] = ye
-        v[idx] = ve
+        free = idx < layout.ndof  # a pinned end is numbered past the unknowns
+        y[idx[free]] = ye[free]
+        v[idx[free]] = ve[free]
     for vert in graph.dirichlet_vertices:
         val = vertex_vals.get(vert.id, 0.0)
         if abs(val) > CONTINUITY_TOL:
             raise SimulationError(
                 f"initial data nonzero ({val}) at clamped vertex {vert.id!r}"
             )
-    y[layout.dirichlet] = 0.0
-    v[layout.dirichlet] = 0.0
 
     pairs = [osc.get(vid, (0.0, 0.0)) for vid in layout.mass_ids]
     p = np.array([float(s0) for s0, _ in pairs])
@@ -257,7 +255,6 @@ def _bootstrap(state: NetworkState, dt: float) -> NetworkState:
     force = -(lay.stiffness @ y) - lay.damping * v
     force[lay.mass_dofs] += q
     acc = force / lay.lumped_mass
-    acc[lay.dirichlet] = 0.0
     sdd = (-p - v[lay.mass_dofs]) / lay.masses
     p_prev = p - dt * q + 0.5 * dt * dt * sdd
     return replace(state, y_prev=y - dt * v + 0.5 * dt * dt * acc,
@@ -367,9 +364,14 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
         T = float(config["T"])
         cfl = float(config.get("cfl", DEFAULT_CFL))
         cells = float(config.get("cells_per_unit", 16.0))
-        stride = int(config.get("sample_stride", 1))
+        stride = config.get("sample_stride", 1)
+        whole = float(stride)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"bad run parameter: {exc}") from None
+    # a boolean would read as 1 and a fraction would truncate
+    if isinstance(stride, bool) or not whole.is_integer():
+        raise SimulationError(f"sample_stride must be an integer, got {stride!r}")
+    stride = int(whole)
     if not (0 < T < math.inf and 0 < cfl < math.inf and 0 < cells < math.inf
             and stride >= 1):
         raise SimulationError(

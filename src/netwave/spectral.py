@@ -70,29 +70,27 @@ def _law_table(graph: MetricGraph) -> np.ndarray:
     flattened, shape (4, 2E * 4E)."""
     ne = len(graph.edges)
     table = np.zeros((4, 2 * ne, 4 * ne), dtype=complex)
+    pinned, damped = graph.dirichlet_vertices, graph.damped_vertices
     row = 0
     for v, ends in zip(graph.vertices, _ends(graph)):
         ref = ends[0]
-        if v.kind in ("root", "fixed"):  # y = 0
+        if v in pinned:  # y = 0
             table[0, row, ref] = 1.0
-        elif v.kind == "controlled":  # d y' + lam y = 0
-            table[0, row, ref + 1] = 1.0
-            table[1, row, ref] = 1.0
-        else:  # interior mass
+        else:
             for end in ends[1:]:  # continuity: y - y_ref = 0
                 table[0, row, end] = 1.0
                 table[0, row, ref] = -1.0
                 row += 1
-            # flux law with the oscillator eliminated, its denominator
-            # (m lam^2 + 1) cleared: (m lam^2 + 1) sum d y' + lam^2 y = 0;
-            # the circuit variant damps the mass too: + lam (m lam^2 + 1) y
+            # the flux law with damping c and the oscillator of mass m (none
+            # when m = 0) eliminated, its denominator (m lam^2 + 1) cleared:
+            # (m lam^2 + 1)(sum d y' + c lam y) + lam^2 y [oscillator] = 0
+            m, c = v.mass or 0.0, float(v in damped)
             fluxes = [end + 1 for end in ends]
             table[0, row, fluxes] = 1.0
-            table[2, row, fluxes] = v.mass
-            table[2, row, ref] = 1.0
-            if graph.variant == "circuit":
-                table[1, row, ref] = 1.0
-                table[3, row, ref] = v.mass
+            table[2, row, fluxes] = m
+            table[1, row, ref] = c
+            table[3, row, ref] = c * m
+            table[2, row, ref] = v.mass is not None
         row += 1
     table = table.reshape(4, -1)
     table.flags.writeable = False

@@ -6,12 +6,11 @@ import pytest
 from netwave.chaincrit import (
     ChainSpec,
     _delta_enumerate,
-    _m_enumerate,
+    _segments,
     chain_stable,
     delta_closed,
     delta_recurrence,
     mass_groups,
-    span_system_matrix,
 )
 
 # the low-order span determinants written out explicitly, as an independent
@@ -50,6 +49,57 @@ def m4(x, c):
         + c[1] * math.sin(x[0] + x[1]) * math.cos(x[2])
         - c[0] * c[1] * math.sin(x[0]) * math.sin(x[1]) * math.cos(x[2])
     )
+
+
+def _m_enumerate(x, c):
+    """The companion determinant M by enumeration of its closed form: like
+    Delta, with a cosine in the last segment and the opposite sign."""
+    d = len(x)
+    total = 0.0
+    for mask in range(1 << (d - 1)) if d > 1 else [0]:
+        breaks = [b + 1 for b in range(d - 1) if mask >> b & 1]
+        term = (-1.0) ** (d - len(breaks))
+        for b in breaks:
+            term *= c[b - 1]
+        segs = _segments(breaks, d)
+        for lo, hi in segs[:-1]:
+            term *= math.sin(sum(x[lo:hi]))
+        lo, hi = segs[-1]
+        term *= math.cos(sum(x[lo:hi]))
+        total += term
+    return total
+
+
+def span_system_matrix(x, c) -> np.ndarray:
+    """Boundary-system matrix of the span, unknowns (alpha_j, gamma_j) per edge.
+
+    Fields are y = alpha*cos(beta x) + gamma*sin(beta x); rows impose y = 0 at
+    the span ends, continuity at interior nodes and the flux jump through the
+    non-resonant masses.  Its determinant equals the recurrence Delta up to
+    assembly sign: an independent numeric oracle.
+    """
+    d = len(x)
+    n = 2 * d
+    mat = np.zeros((n, n))
+    mat[0, 0] = 1.0  # y(0) = 0 on the first span edge
+    row = 1
+    for t in range(d - 1):
+        a, g = 2 * t, 2 * t + 1
+        an, gn = a + 2, g + 2
+        mat[row, a] = math.cos(x[t])
+        mat[row, g] = math.sin(x[t])
+        mat[row, an] = -1.0  # continuity: y_t(l_t) = y_{t+1}(0)
+        row += 1
+        # flux jump: y'_{t+1}(0) - y'_t(l_t) = i*beta*p with p eliminated
+        mat[row, a] = math.sin(x[t])
+        mat[row, g] = -math.cos(x[t])
+        mat[row, an] = c[t]
+        mat[row, gn] = 1.0
+        row += 1
+    a, g = 2 * (d - 1), 2 * (d - 1) + 1
+    mat[row, a] = math.cos(x[-1])
+    mat[row, g] = math.sin(x[-1])  # y(l) = 0 at the far span end
+    return mat
 
 
 def random_span(rng, d):

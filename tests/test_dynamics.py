@@ -11,10 +11,12 @@ from netwave.simulate import (
     _bootstrap,
     energy,
     init_state,
+    make_layout,
     run,
     shadow_energy,
     step,
 )
+from netwave.spectral import _ends, _law_table
 
 
 def smooth_bump(ell, amp=1.0):
@@ -60,6 +62,33 @@ GRAPHS = [
 ]
 
 
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_layout_gives_the_pinned_vertices_no_dof(graph):
+    # the unknowns are the free vertices and the interior nodes; a pinned
+    # vertex is numbered past them, and without its row K is definite
+    layout = make_layout(graph, 16)
+    np.linalg.cholesky(layout.stiffness.toarray())
+    free = len(graph.vertices) - len(graph.dirichlet_vertices)
+    interior = sum(len(idx) - 2 for idx in layout.edge_nodes.values())
+    assert layout.ndof == free + interior
+    assert all(layout.vertex_dof[v.id] >= layout.ndof
+               for v in graph.dirichlet_vertices)
+
+
+@pytest.mark.parametrize("graph", [GRAPHS[1], make_circuit("sqrt(2)")])
+def test_mesh_and_laws_damp_the_same_vertices(graph):
+    damped = graph.damped_vertices
+    layout = make_layout(graph, 16)
+    dofs = [layout.vertex_dof[v.id] for v in damped]
+    assert np.flatnonzero(layout.damping).tolist() == sorted(dofs)
+    assert np.all(layout.damping[dofs] == 1.0)
+    # the lambda^1 layer of the law table holds the damping term c lam y
+    ne = len(graph.edges)
+    lam1 = _law_table(graph).reshape(4, 2 * ne, 4 * ne)[1]
+    for v, ends in zip(graph.vertices, _ends(graph)):
+        assert np.any(lam1[:, ends] != 0) == (v in damped)
+
+
 def test_shadow_energy_nonincreasing_on_random_data():
     rng = np.random.default_rng(5)
     for graph in GRAPHS:
@@ -90,7 +119,7 @@ def test_shadow_energy_exactly_conserved_without_damping():
 
 def test_energy_is_the_generator_weight():
     # the simulator and A_h share one operator: E = 1/2 z'W_h z for
-    # z = (y, v off the Dirichlet DOFs, p, q)
+    # z = (y, v, p, q)
     rng = np.random.default_rng(13)
     for graph in GRAPHS:
         gen = assemble_generator(graph, 1.0 / 16.0)
@@ -99,8 +128,8 @@ def test_energy_is_the_generator_weight():
         dt = 0.5 * min(state.layout.edge_h.values())
         for _ in range(40):
             state = step(state, dt)
-        assert gen.mass_ids == list(state.layout.mass_ids)
-        z = np.concatenate([state.y[gen.keep], state.v[gen.keep], state.p, state.q])
+        assert gen.layout.mass_ids == state.layout.mass_ids
+        z = np.concatenate([state.y, state.v, state.p, state.q])
         e = energy(state)
         assert abs(e - 0.5 * z @ (gen.W @ z)) <= 1e-12 * e
 
@@ -246,6 +275,14 @@ def test_under_resolved_edge_refused():
     graph = make_tree_chain(["1", "0.9"], [1.0])
     with pytest.raises(SimulationError):
         init_state(graph, cells_per_unit=2)
+
+
+@pytest.mark.parametrize("stride", [2.5, True])
+def test_run_refuses_a_stride_that_is_not_an_integer(stride):
+    # 2.5 used to truncate to 2 and True to read as 1
+    graph = make_tree_chain(["1", "0.9"], [1.0])
+    with pytest.raises(SimulationError, match="integer"):
+        run(graph, {"T": 1.0, "sample_stride": stride})
 
 
 def test_cfl_violation_detected():

@@ -82,7 +82,7 @@ def test_resolvent_norm_factors_the_half_size_system(monkeypatch):
                              1.0 / 16.0)
     monkeypatch.setattr(netwave.resolvent, "splu", recording_splu)
     resolvent_norm(gen, 2.0)
-    n = gen.nfield + len(gen.mass_ids)
+    n = gen.nfield + len(gen.layout.mass_ids)
     assert shapes == [(n, n)]
 
 
@@ -106,6 +106,29 @@ def test_resolvent_norm_at_large_finite_beta(beta):
         norm = resolvent_norm(gen, beta)
     assert math.isfinite(norm)
     assert abs(norm * beta - 1.0) <= 0.01
+
+
+def test_resolvent_norm_refuses_a_beta_that_overflows_h():
+    # beta^2 is finite at 1.3e154, but beta^2 times the oscillator mass 2
+    # in H2 is not
+    gen = assemble_generator(make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]),
+                             1.0 / 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ResolventError, match="finite"):
+            resolvent_norm(gen, 1.3e154)
+        norm = resolvent_norm(gen, 1e150)
+    assert abs(norm * 1e150 - 1.0) <= 0.01
+
+
+def test_resolvent_norm_at_the_top_of_the_beta_range():
+    # on the circuit H(1.3e154) is finite, and the iterate ~ 1/beta^2 is
+    # subnormal: rescaling it must not overflow
+    gen = assemble_generator(make_circuit("sqrt(2)"), 1.0 / 8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = resolvent_norm(gen, 1.3e154)
+    assert abs(norm * 1.3e154 - 1.0) <= 0.01
 
 
 def test_resolvent_norm_keeps_no_state_between_calls():
