@@ -11,12 +11,14 @@ cleared, so every entry stays entire.  The eigenvalues are the zeros of det M.
 Roots are located by contour integrals of M(lam)^{-1} (Beyn's block-moment
 method, one ellipse per horizontal strip of the search box) and polished by
 Newton refinement on the logarithmic derivative
-d/dlam log det M = tr(M^{-1} M'), with M' assembled analytically.
+d/dlam log det M = tr(M^{-1} M'), with M' assembled analytically.  A strip
+evaluates M at all of its quadrature nodes in one stacked pass: one basis
+broadcast over the nodes and the edge lengths, one batched inverse.  M' is
+built only for Newton, whose char_matrix is the same pass on a single lam.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -35,23 +37,26 @@ class SpectralError(RuntimeError):
     pass
 
 
-def _basis(lam: complex, x: float) -> tuple:
-    """The field y = alpha cosh(lam x) + gamma sinh(lam x)/lam at x: the
-    coefficients of y(x) on (alpha, gamma) and their lam-derivatives, then
-    those of y'(x)."""
-    z = lam * x
-    if abs(z) < 1e-4:
-        z2 = z * z
-        ch = 1.0 + z2 / 2.0 + z2 * z2 / 24.0
-        sh = x * (1.0 + z2 / 6.0 + z2 * z2 / 120.0)  # sinh(lam x)/lam
-        dsh = lam * x**3 * (1.0 / 3.0 + z2 / 30.0)
-    else:
-        ch = cmath.cosh(z)
-        sh = cmath.sinh(z) / lam
+def _basis(lam, x) -> tuple:
+    """The field y = alpha cosh(lam x) + gamma sinh(lam x)/lam at x, over
+    arrays lam and x broadcast together: the coefficients of y(x) on
+    (alpha, gamma) and their lam-derivatives, then those of y'(x).  Where
+    cosh(lam x) overflows, beyond |Re lam| x ~ 710, the entries are not
+    finite."""
+    with np.errstate(all="ignore"):  # overflow stays inf; lam = 0 takes the series
+        z = lam * x
+        ch = np.cosh(z)
+        sh = np.sinh(z) / lam
         dsh = (x * ch - sh) / lam
-    dch = x * lam * sh  # x * sinh(lam x)
-    lam2 = lam * lam
-    return (ch, sh, dch, dsh, lam2 * sh, ch, 2.0 * lam * sh + lam2 * dsh, dch)
+        if np.abs(z).min() < 1e-4:
+            small = np.abs(z) < 1e-4
+            z2 = z * z
+            ch = np.where(small, 1.0 + z2 / 2.0 + z2 * z2 / 24.0, ch)
+            sh = np.where(small, x * (1.0 + z2 / 6.0 + z2 * z2 / 120.0), sh)
+            dsh = np.where(small, lam * x**3 * (1.0 / 3.0 + z2 / 30.0), dsh)
+        s = lam * sh  # sinh(lam x)
+        dch = x * s
+        return (ch, sh, dch, dsh, lam * s, ch, s + z * ch, dch)
 
 
 def _ends(graph: MetricGraph) -> list:
@@ -97,22 +102,77 @@ def _law_table(graph: MetricGraph) -> np.ndarray:
     return table
 
 
-# the tail traces in the layout of _basis: y(0) = alpha, -y'(0) = -gamma
-_TAIL = (1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0)
+@functools.lru_cache(maxsize=64)
+def _lengths(graph: MetricGraph) -> np.ndarray:
+    """The edge lengths as a column, shape (E, 1)."""
+    ell = np.array([[e.ell] for e in graph.edges])
+    ell.flags.writeable = False
+    return ell
 
 
-def _trace_map(graph: MetricGraph, lam: complex) -> np.ndarray:
-    """[T(lam), T'(lam)], shape (4E, 2 * 2E).  T takes the edge coefficients
-    (alpha_j, gamma_j) to the edge-end traces, y and d y' at the tail (x = 0,
-    d = -1) and then at the head (x = l, d = +1) of every edge: one 4x2 block
-    per edge."""
+@functools.lru_cache(maxsize=64)
+def _edge_laws(graph: MetricGraph) -> np.ndarray:
+    """The law table cut into one block per edge: row r of block j holds
+    L_0..L_3 of law r over the four traces of edge j, shape (E, 2E, 16).
+    Every law coefficient is real."""
     ne = len(graph.edges)
-    # edge, trace, T or T', edge, coefficient
-    blocks = np.zeros((ne, 4, 2, ne, 2), dtype=complex)
-    j = np.arange(ne)
-    blocks[j, :, :, j] = np.array([_TAIL + _basis(lam, e.ell) for e in graph.edges],
-                                  dtype=complex).reshape(ne, 4, 2, 2)
-    return blocks.reshape(4 * ne, 4 * ne)
+    table = _law_table(graph).real.reshape(4, 2 * ne, ne, 4).transpose(2, 1, 0, 3)
+    laws = np.ascontiguousarray(table.reshape(ne, 2 * ne, 16))
+    laws.flags.writeable = False
+    return laws
+
+
+# the tail traces in the layout of _basis: y(0) = alpha, -y'(0) = -gamma
+_TAIL = np.array((1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0)).reshape(2, 2, 2, 1)
+# lam^k and k lam^(k-1), k = 0..3: the powers in R = sum_k lam^k L_k and R'
+_POWER_COEF = np.array(((1.0, 1.0, 1.0, 1.0), (0.0, 1.0, 2.0, 3.0)))[:, :, None]
+_POWER_EXP = np.array(((0, 1, 2, 3), (0, 0, 1, 2)))[:, :, None]
+
+
+def _trace_blocks(graph: MetricGraph, lam: np.ndarray) -> np.ndarray:
+    """[T_j(lam), T_j'(lam)] for every edge j and every lam of a 1-D array,
+    shape (E, 4, 2, 2, N): edge, trace, T or T', coefficient, lam.  T_j takes
+    the coefficients (alpha_j, gamma_j) of edge j to y and d y' at its tail
+    (x = 0, d = -1) and then at its head (x = l, d = +1)."""
+    ell = _lengths(graph)
+    blocks = np.empty((len(ell), 4, 2, 2, len(lam)), dtype=complex)
+    blocks[:, :2] = _TAIL
+    head = np.array(_basis(lam, ell)).reshape(2, 2, 2, len(ell), len(lam))
+    blocks[:, 2:] = head.transpose(3, 0, 1, 2, 4)
+    return blocks
+
+
+def _assemble(graph: MetricGraph, lam: np.ndarray, derivative: bool) -> tuple:
+    """M(lam) = R(lam) T(lam) for every lam of a 1-D array, and then
+    M'(lam) = R' T + R T' when derivative: a stack of shape (1 or 2, N, 2E,
+    2E).  Where |Re lam| max l > 30 the columns of edge j are scaled by
+    exp(-|Re lam| l_j), and the column scales (N, 2E) are returned with the
+    stack (None when no lam needs them).  Where cosh(lam l) overflows the
+    entries are not finite.
+
+    The powers of lam scale the trace blocks, and the law block of edge j
+    takes them to the columns of edge j: M_j = sum_k L_kj (lam^k T_j) and
+    M'_j = sum_k L_kj (k lam^(k-1) T_j + lam^k T'_j)."""
+    ne, nlam = len(graph.edges), len(lam)
+    ell = _lengths(graph)
+    with np.errstate(all="ignore"):  # callers check for overflow
+        blocks = _trace_blocks(graph, lam)
+        a = np.abs(lam.real)
+        scale = None
+        if (a * ell).max() > 30.0:
+            scale = np.where(a * ell.max() > 30.0, np.exp(-a * ell), 1.0)
+            blocks *= scale[:, None, None, None]
+            scale = np.repeat(scale.T, 2, axis=1)
+        p = (_POWER_COEF * lam ** _POWER_EXP)[:, :, None, None, None, :]
+        # edge, power, trace, [M, M'], coefficient, lam
+        x = p[0] * blocks[:, None, :, 0:1]
+        if derivative:
+            dx = p[1] * blocks[:, None, :, 0:1] + p[0] * blocks[:, None, :, 1:2]
+            x = np.concatenate((x, dx), axis=3)
+        # real laws on the real and imaginary parts side by side
+        cols = (_edge_laws(graph) @ x.reshape(ne, 16, -1).view(float)).view(complex)
+    cols = cols.reshape(ne, 2 * ne, -1, 2, nlam).transpose(2, 4, 1, 0, 3)
+    return cols.reshape(-1, nlam, 2 * ne, 2 * ne), scale
 
 
 @dataclass
@@ -156,22 +216,12 @@ def char_matrix(graph: MetricGraph, lam: complex) -> CharacteristicSystem:
     """Assemble the characteristic system M(lam) = R(lam) T(lam) at spectral
     parameter lam, with M' = R' T + R T'."""
     lam = complex(lam)
-    n = 2 * len(graph.edges)
-    lam2 = lam * lam
-    powers = np.array(((1.0, lam, lam2, lam2 * lam), (0.0, 1.0, 2.0 * lam, 3.0 * lam2)))
-    laws = (powers @ _law_table(graph)).reshape(2 * n, 2 * n)  # [R; R']
-    try:
-        traces = _trace_map(graph, lam)  # [T, T']
-    except OverflowError:  # cosh(lam l) beyond |Re lam| l ~ 710
-        raise SpectralError(f"M(lam) overflows at lam = {lam}") from None
-    col_scale = np.ones(n)
-    a = abs(lam.real)
-    if a * max(e.ell for e in graph.edges) > 30.0:
-        col_scale = np.repeat(np.exp(-a * np.array([e.ell for e in graph.edges])), 2)
-        traces *= np.tile(col_scale, 2)
-    prod = laws @ traces
-    return CharacteristicSystem(lam, prod[:n, :n], prod[n:, :n] + prod[:n, n:],
-                                col_scale)
+    stack, col_scale = _assemble(graph, np.array((lam,)), derivative=True)
+    if not np.isfinite(stack).all():
+        raise SpectralError(f"M(lam) overflows at lam = {lam}")  # |Re lam| l ~ 710
+    n = stack.shape[-1]
+    return CharacteristicSystem(lam, stack[0, 0], stack[1, 0],
+                                np.ones(n) if col_scale is None else col_scale[0])
 
 
 def char_det(graph: MetricGraph, lam: complex) -> complex:
@@ -260,6 +310,39 @@ def _strips(box):
     return [(re0, re1, float(a), float(b)) for a, b in zip(cuts, cuts[1:])]
 
 
+def _inverses(graph, nodes):
+    """col_scale * M(z)^{-1} at every node z, from one stacked evaluation and
+    one batched inverse.  The first node, in node order, where M overflows
+    or is singular raises SpectralError."""
+    (m,), col_scale = _assemble(graph, nodes, derivative=False)
+    if np.isfinite(m).all():
+        try:
+            inverses = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            pass  # the batched inverse does not say which node is singular
+        else:
+            return inverses if col_scale is None else col_scale[:, :, None] * inverses
+    for z, mz in zip(nodes, m):
+        try:
+            if not np.isfinite(mz).all():
+                raise SpectralError(f"M(lam) overflows at lam = {z}")
+            np.linalg.inv(mz)
+        except (np.linalg.LinAlgError, SpectralError) as exc:
+            raise SpectralError(f"no M(lam)^-1 at contour node {z}: {exc}") from None
+    raise SpectralError("no M(lam)^-1 on the contour")
+
+
+def _max_norm(stack):
+    """The largest 2-norm of a stack of matrices.  Only the matrices whose
+    Frobenius norm, an upper bound on the 2-norm, reaches the 2-norm of the
+    one with the largest Frobenius norm can hold it, so only those take an
+    SVD."""
+    frob = np.linalg.norm(stack, axis=(1, 2))
+    top = np.linalg.norm(stack[np.argmax(frob)], 2)
+    candidates = stack[frob >= top * (1.0 - 1e-12)]
+    return float(np.max(np.linalg.norm(candidates, 2, axis=(1, 2))))
+
+
 def _pencil_eigenvalues(graph, strip):
     """Zeros of det M inside the strip's ellipse, None when the Hankel
     matrix is rank-saturated (more roots than the moments can resolve)."""
@@ -275,21 +358,15 @@ def _pencil_eigenvalues(graph, strip):
     nodes = c + a * np.cos(theta) + 1j * b * np.sin(theta)
     weights = (-a * np.sin(theta) + 1j * b * np.cos(theta)) / (1j * QUAD_NODES)
     n = 2 * len(graph.edges)
-    inverses = np.empty((QUAD_NODES, n, n), dtype=complex)
-    for j, z in enumerate(nodes):
-        try:
-            sys = char_matrix(graph, z)
-            inverses[j] = sys.col_scale[:, None] * np.linalg.inv(sys.matrix)
-        except (np.linalg.LinAlgError, SpectralError) as exc:
-            raise SpectralError(f"no M(lam)^-1 at contour node {z}: {exc}") from None
+    inverses = _inverses(graph, nodes)
     powers = ((nodes - c) / rho)[None, :] ** np.arange(2 * MOMENTS)[:, None]
-    moments = np.einsum("pj,jab->pab", powers * weights, inverses)
+    moments = ((powers * weights) @ inverses.reshape(QUAD_NODES, n * n)).reshape(-1, n, n)
     # block Hankel matrices H0 = [A_{i+j}] and H1 = [A_{i+j+1}], i, j < MOMENTS
     hankel = np.block([[moments[i + j] for j in range(MOMENTS)]
                        for i in range(MOMENTS + 1)])
     h0, h1 = hankel[:-n], hankel[n:]
     u, s, vh = np.linalg.svd(h0)
-    floor = NOISE_FLOOR * 0.5 * (a + b) * np.max(np.linalg.norm(inverses, 2, axis=(1, 2)))
+    floor = NOISE_FLOOR * 0.5 * (a + b) * _max_norm(inverses)
     rank = int(np.sum(s > max(RANK_REL * s[0], floor)))
     if rank >= MOMENTS * n - 1:
         return None
@@ -378,10 +455,8 @@ class EigenFunction:
 
     def y(self, edge_id: str, x):
         a, g = self.coefficients[edge_id]
-        x = np.asarray(x, dtype=float)
-        vals = np.array([_basis(self.lam, float(xx))[:2] for xx in np.atleast_1d(x)])
-        out = a * vals[:, 0] + g * vals[:, 1]
-        return out if np.ndim(x) else out[0]
+        ch, sh = _basis(self.lam, np.asarray(x, dtype=float))[:2]
+        return (a * ch + g * sh)[()]
 
     def v(self, edge_id: str, x):
         return self.lam * self.y(edge_id, x)
@@ -405,7 +480,8 @@ def eigenfunction(graph: MetricGraph, lam: complex) -> EigenFunction:
     }
 
     # y and d y' at every edge end, read through the map the laws are written on
-    traces = _trace_map(graph, lam)[:, :len(coeff)] @ coeff
+    t = _trace_blocks(graph, np.array((lam,)))[:, :, 0, :, 0]
+    traces = (t @ coeff.reshape(-1, 2, 1)).ravel()
     p, q = {}, {}
     for v, ends in zip(graph.vertices, _ends(graph)):
         if v.kind != "mass":
@@ -436,12 +512,9 @@ def _state_norm(graph, lam, coefficients, p, q):
         a, g = coefficients[e.id]
         npts = max(24, int(4.0 * abs(lam) * e.ell) + 8)
         nodes, weights = np.polynomial.legendre.leggauss(npts)
-        xs = 0.5 * e.ell * (nodes + 1.0)
-        ws = 0.5 * e.ell * weights
-        for x, w in zip(xs, ws):
-            b = _basis(lam, x)
-            y, yp = b[0] * a + b[1] * g, b[4] * a + b[5] * g
-            total += w * (abs(yp) ** 2 + abs(lam * y) ** 2)
+        b = _basis(lam, 0.5 * e.ell * (nodes + 1.0))
+        y, yp = b[0] * a + b[1] * g, b[4] * a + b[5] * g
+        total += float(0.5 * e.ell * weights @ (np.abs(yp) ** 2 + np.abs(lam * y) ** 2))
     for v in graph.mass_vertices:
         total += abs(p[v.id]) ** 2 + v.mass * abs(q[v.id]) ** 2
     return math.sqrt(total)
