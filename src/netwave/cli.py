@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import difflib
+import functools
 import io
 import json
 import math
@@ -462,7 +463,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs as much as some 40 parses."""
     ap = argparse.ArgumentParser(
         prog="netwave",
         description="damped wave networks: simulation and stability analysis")

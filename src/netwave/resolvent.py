@@ -15,9 +15,15 @@ H(beta) = H0 + beta H1 + beta^2 H2 of half the size, one sparse LU per
 frequency.  By time-reversal symmetry that factor also serves the
 W-adjoint (W is never factored).  What does not depend on beta (the start
 vector, the diagonals of H1 and H2, W, the largest entries of H0, H1 and
-H2) is computed once per generator.  Since a finite matrix always has finite
+H2, and the CSC storage that each beta's H(beta) is written into) is
+computed once per generator.  Since a finite matrix always has finite
 norms, boundedness on the axis is judged only through a mesh-refinement
 ladder, as recorded in the sweep verdict.
+
+scipy's sparse solver stack (scipy.sparse.linalg, which loads scipy.linalg
+with it) is imported on the first factorization, not with this module: it
+costs 0.15-0.2 s CPU and 10 MB on a 2-vCPU VM, and only `sweep` factors
+anything, so the other subcommands never pay for it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .graph import MetricGraph
 from .simulate import GridLayout, make_layout, MIN_CELLS
@@ -46,6 +51,18 @@ class ResolventError(RuntimeError):
     pass
 
 
+def _superlu():
+    """scipy's sparse LU, imported on the first call."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu
+
+
+def splu(matrix):
+    """The sparse LU factor (scipy's SuperLU object) of the CSC `matrix`."""
+    return _superlu()(matrix)
+
+
 @dataclass(frozen=True)
 class NormConstants:
     """What `resolvent_norm` needs of a generator at every beta.
@@ -59,6 +76,9 @@ class NormConstants:
     h2: np.ndarray  # diagonal of H2
     W: sp.csr_matrix  # the energy weight, complex-typed
     hmax: tuple  # the largest |entry| of H0, H1 and H2
+    # H(beta) on the shared pattern of H0, H1 and H2: each norm overwrites
+    # its values, so one generator's norms must not run concurrently
+    H: sp.csc_matrix
 
 
 @dataclass
@@ -122,7 +142,9 @@ class DiscreteGenerator:
         start.flags.writeable = False
         W = self.W[order][:, order].astype(complex).tocsr()
         hmax = tuple(float(np.max(np.abs(H.data))) for H in (self.H0, self.H1, self.H2))
-        return NormConstants(start, self.H1.diagonal(), self.H2.diagonal(), W, hmax)
+        H = sp.csc_matrix((np.zeros(self.H0.nnz, complex), self.H0.indices, self.H0.indptr),
+                          shape=self.H0.shape)
+        return NormConstants(start, self.H1.diagonal(), self.H2.diagonal(), W, hmax, H)
 
 
 def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
@@ -186,11 +208,14 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
         raise ResolventError(
             f"beta must be finite and keep the entries of H(beta) finite, got {beta!r}")
     nf, k, bpos = gen.nfield, gen.dim // 2, gen.layout.mass_dofs
-    shifted = gen.H1.data + beta * gen.H2.data  # H1 + beta H2
-    H = sp.csc_matrix((gen.H0.data + beta * shifted, gen.H0.indices, gen.H0.indptr),
-                      shape=gen.H0.shape)
+    # H0 + beta (H1 + beta H2), written into the values of the stored H(beta)
+    # with the operands in that expression's order, so bit for bit its value
+    h = c.H.data
+    np.add(gen.H1.data, beta * gen.H2.data, out=h)
+    np.multiply(beta, h, out=h)
+    np.add(gen.H0.data, h, out=h)
     try:
-        lu = splu(H)
+        lu = splu(c.H)
     except RuntimeError:
         return HUGE
     # the right-hand side of the (y, p) system is the v rows times M and the
@@ -198,15 +223,21 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     #   -H2 (f_v, f_q) - i (H1 + beta H2)(f_y, f_p),
     # where H1 + beta H2 is its diagonal plus -i at each mass coupling
     diag, weight, ib = -1j * (c.h1 + beta * c.h2), -c.h2, 1j * beta
+    rhs, tmp = np.empty(k, complex), np.empty(k, complex)
 
     def solve(f):
         """L^{-1} f: (y, p) from H(beta), then v and q from y' = v, p' = q."""
         fp = f[:k]
-        r = diag * fp
-        r[bpos] -= fp[nf:]
-        r[nf:] -= fp[bpos]
-        u = lu.solve(weight * f[k:] + r)
-        return np.concatenate((u, ib * u - fp))
+        np.multiply(diag, fp, out=rhs)
+        rhs[bpos] -= fp[nf:]
+        rhs[nf:] -= fp[bpos]
+        np.add(np.multiply(weight, f[k:], out=tmp), rhs, out=rhs)
+        u = lu.solve(rhs)
+        z = np.empty(2 * k, complex)
+        np.multiply(ib, u, out=z[k:])
+        z[k:] -= fp
+        z[:k] = u
+        return z
 
     # time reversal J = diag(1, -1, -1, 1) on (y, v, p, q) and the energy
     # identity W A + A^T W = -2 diag(0, C, 0, 0) give J A J = -A - 2 W^{-1}
@@ -300,6 +331,7 @@ def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
         # the verdict compares the sup on the two finest meshes
         raise ResolventError(f"mesh ladder {mesh_ladder} needs two distinct meshes")
 
+    _superlu()  # its one-time import lands here, not in the first norm
     curves = []
     for cells in mesh_ladder:
         gen = assemble_generator(graph, 1.0 / cells)

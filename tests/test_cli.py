@@ -2,12 +2,18 @@ import copy
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netwave
+from netwave import cli
 from netwave.cli import BETA_GRID, COMMANDS, INITIAL, main
 
 TREE_SPEC = {
@@ -409,3 +415,67 @@ def test_star_verdict_with_three_probes(tmp_path, capsys, monkeypatch, ratios,
                "--probes", "3", "--expect-stable", "--out", str(tmp_path / "out")])
     assert json.loads(capsys.readouterr().out)["verdict"] == verdict
     assert rc == (1 if verdict == "unbounded" else 0)
+
+
+def test_repeated_main_calls_match_separate_calls(tmp_path, capsys):
+    # one process keeps one parser: a run of different subcommands, with a
+    # usage error and --version in between, prints what each call prints on
+    # a parser of its own
+    out = str(tmp_path / "out")
+    tree = write(tmp_path, "tree.json", TREE_SPEC)
+    pi = write(tmp_path, "pi.json", PI_TREE_SPEC)
+    chain = write(tmp_path, "chain.json", {"lengths": [1.0, 0.9], "masses": [1.0]})
+    calls = [
+        ["check", "--config", tree, "--out", out],
+        ["check", "--out", out],  # --config is required
+        ["chain-check", "--config", chain, "--out", out],
+        ["--version"],
+        ["counterexample", "--variant", "star", "--length", "sqrt(2)",
+         "--probes", "3", "--out", out],
+        ["bogus"],
+        ["check", "--config", pi, "--out", out, "--expect-stable"],
+    ]
+
+    def outputs(argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    kept = [outputs(argv) for argv in calls]
+    assert cli._parser.cache_info().misses <= 1
+    separate = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        separate.append(outputs(argv))
+    assert kept == separate
+    assert [rc for rc, _, _ in kept] == [0, 2, 0, 0, 0, 2, 1]
+    assert kept[3][1] == netwave.__version__ + "\n"
+
+
+def test_import_leaves_the_solver_unloaded(tmp_path):
+    # scipy's sparse solver (which loads scipy.linalg) is imported by the
+    # first factorization, not by importing the package or the CLI
+    cfg = write(tmp_path, "sweep.json", {"graph": TREE_SPEC, "beta": [0.5, 2.0],
+                                         "mesh-ladder": [16, 24]})
+    script = textwrap.dedent("""\
+        import json, sys
+        solver = ("scipy.sparse.linalg", "scipy.linalg")
+        def loaded():
+            return [name for name in solver if name in sys.modules]
+        import netwave
+        after_package = loaded()
+        import netwave.cli
+        after_cli = loaded()
+        rc = netwave.cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]])
+        print(json.dumps([after_package, after_cli, rc, loaded()]))
+        """)
+    # a fresh interpreter, with the package under test on its path
+    src = str(Path(netwave.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    after_package, after_cli, rc, after_sweep = json.loads(done.stdout.splitlines()[-1])
+    assert after_package == [] and after_cli == []
+    assert rc == 0
+    assert after_sweep == ["scipy.sparse.linalg", "scipy.linalg"]

@@ -1,12 +1,16 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import netwave.simulate
+from netwave.cli import main
 from netwave.graph import build_graph, make_circuit, make_star, make_tree_chain
 from netwave.resolvent import assemble_generator
 from netwave.simulate import (
+    BLOWUP_FACTOR,
     SimulationError,
     _bootstrap,
     energy,
@@ -161,6 +165,53 @@ def test_run_samples_the_energies_of_single_steps(stride):
         np.testing.assert_allclose(series.t, [n * dt for n in samples], rtol=1e-12)
         np.testing.assert_allclose(series.E, E, rtol=1e-12, atol=0)
         np.testing.assert_allclose(series.shadow, shadow, rtol=1e-12, atol=0)
+
+
+def growing_steps(monkeypatch):
+    """Make every state that `run` steps to gain energy; returns the list of
+    (t of the state stepped from, shadow energy of the state reached)."""
+    honest = netwave.simulate.step
+    record = []
+
+    def growing(state, dt, *args):
+        new = honest(state, dt, *args)
+        new = replace(new, y=1.02 * new.y)
+        record.append((state.t, shadow_energy(new, dt)))
+        return new
+
+    monkeypatch.setattr(netwave.simulate, "step", growing)
+    return record
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_run_stops_at_the_first_sample_whose_energy_grew(monkeypatch, stride):
+    record = growing_steps(monkeypatch)
+    graph = make_tree_chain(["1", "0.9"], [1.0])
+    with pytest.raises(SimulationError, match="energy grew") as err:
+        run(graph, {"T": 5.0, "sample_stride": stride},
+            y0={e.id: smooth_bump(e.ell) for e in graph.edges})
+    # the guard compares each sample's shadow energy with the previous one's
+    samples = record[::stride]
+    first = next(k for k in range(1, len(samples))
+                 if samples[k][1] > BLOWUP_FACTOR * samples[k - 1][1] + 1e-30)
+    t = samples[first][0]
+    assert f"at t={t}:" in str(err.value)
+    assert len(record) == first * stride + 1  # no step past the offending sample
+
+
+def test_simulate_exits_two_when_the_energy_grows(monkeypatch, tmp_path, capsys):
+    growing_steps(monkeypatch)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"graph": {
+        "variant": "tree",
+        "vertices": [{"id": "a1", "kind": "root"},
+                     {"id": "a2", "kind": "mass", "mass": 1.0},
+                     {"id": "a3", "kind": "controlled"}],
+        "edges": [{"id": "e1", "tail": "a1", "head": "a2", "length": "1"},
+                  {"id": "e2", "tail": "a2", "head": "a3", "length": "9/10"}],
+    }, "T": 1.0}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "energy grew" in capsys.readouterr().err
 
 
 def test_step_coefficients_follow_dt():

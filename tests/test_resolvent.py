@@ -71,19 +71,26 @@ def test_resolvent_norm_matches_dense_svd():
 
 
 def test_resolvent_norm_factors_the_half_size_system(monkeypatch):
-    # one LU per beta, of the (y, p) system, not of the full first-order L
-    shapes = []
+    # one LU per beta, of the (y, p) system H0 + beta (H1 + beta H2), not of
+    # the full first-order L; H(beta) is written into storage kept on the
+    # generator, so two betas in turn must each see their own values
+    recorded = []
 
     def recording_splu(matrix, *args, **kwargs):
-        shapes.append(matrix.shape)
+        recorded.append(matrix.copy())
         return splu(matrix, *args, **kwargs)
 
     gen = assemble_generator(make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]),
                              1.0 / 16.0)
     monkeypatch.setattr(netwave.resolvent, "splu", recording_splu)
-    resolvent_norm(gen, 2.0)
     n = gen.nfield + len(gen.layout.mass_ids)
-    assert shapes == [(n, n)]
+    for count, beta in enumerate((2.0, 0.7), start=1):
+        resolvent_norm(gen, beta)
+        assert len(recorded) == count
+        H = recorded[-1]
+        assert H.shape == (n, n)
+        fresh = gen.H0 + beta * (gen.H1 + beta * gen.H2)
+        assert np.array_equal(H.toarray(), fresh.toarray())
 
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 1e200])
