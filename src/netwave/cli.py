@@ -39,8 +39,8 @@ from .counterexample import (
 )
 from .graph import GraphError, MetricGraph, build_graph, pi_tree_check
 from .resolvent import HUGE, ResolventError, sweep
-from .simulate import SimulationError, run
-from .spectral import SpectralError, find_eigenvalues
+from .simulate import DEFAULT_CELLS, DEFAULT_CFL, DEFAULT_STRIDE, SimulationError, run
+from .spectral import DET_TOL, SpectralError, find_eigenvalues
 from .svgplot import line_plot, scatter_plot
 
 EXIT_OK = 0
@@ -262,8 +262,11 @@ def _initial_data(graph: MetricGraph, spec):
     """
     spec = _read(spec or {}, INITIAL, '"initial"')
     kind, edges = spec["kind"], spec["edges"]
+    if kind not in ("bump", "sine"):
+        raise ConfigError(f"unknown initial-data kind {kind!r}")
     amp = _float(spec["amplitude"], '"initial" amplitude')
-    if not isinstance(edges, (list, type(None))):
+    if not (edges is None or isinstance(edges, list)
+            and all(isinstance(eid, str) for eid in edges)):
         raise ConfigError(f'"initial" edges must be a list of edge ids, got {edges!r}')
     oscillators = spec["oscillators"] or {}
     if not isinstance(oscillators, dict):
@@ -273,15 +276,12 @@ def _initial_data(graph: MetricGraph, spec):
     def profile(ell):
         if kind == "bump":
             return lambda x: amp * (x * (ell - x) / (ell * ell / 4.0)) ** 2
-        if kind == "sine":
-            return lambda x: amp * math.sin(math.pi * x / ell)
-        raise ConfigError(f"unknown initial-data kind {kind!r}")
+        return lambda x: amp * math.sin(math.pi * x / ell)
 
-    fields = {}
-    for e in graph.edges:
-        if edges is not None and e.id not in edges:
-            continue
-        fields[e.id] = profile(e.ell)
+    # an id that names no edge is passed on, for init_state to refuse
+    lengths = {e.id: e.ell for e in graph.edges}
+    fields = {eid: profile(lengths.get(eid))
+              for eid in (lengths if edges is None else edges)}
     if spec["velocity"]:
         return None, fields, osc
     return fields, None, osc
@@ -452,10 +452,10 @@ def _cmd_counterexample(graph, p, em, svg):
 COMMANDS = {
     "check": (_cmd_check, True, {}),
     "simulate": (_cmd_simulate, True, {
-        "T": 10.0, "cfl": 0.9, "cells-per-unit-length": 16.0,
-        "sample-stride": 1, "initial": {}}),
+        "T": 10.0, "cfl": DEFAULT_CFL, "cells-per-unit-length": DEFAULT_CELLS,
+        "sample-stride": DEFAULT_STRIDE, "initial": {}}),
     "spectrum": (_cmd_spectrum, True, {
-        "box": [-5.0, 0.5, -20.0, 20.0], "tol": 1e-9}),
+        "box": [-5.0, 0.5, -20.0, 20.0], "tol": DET_TOL}),
     "sweep": (_cmd_sweep, True, {"beta": {}, "mesh-ladder": None}),
     "chain-check": (_cmd_chain_check, False, {"lengths": None, "masses": None}),
     "counterexample": (_cmd_counterexample, False, {

@@ -94,7 +94,6 @@ class DiscreteGenerator:
     and so are the beta-independent `norm_constants` of the norms.
     """
 
-    graph: MetricGraph
     layout: GridLayout
     H0: sp.csc_matrix
     H1: sp.csc_matrix
@@ -177,7 +176,7 @@ def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
                   for d in ((Kt.data, np.zeros(nf), -np.ones(nm), zm, zm),
                             (zk, 1j * layout.damping, zm, coupling, coupling),
                             (zk, -layout.lumped_mass, layout.masses, zm, zm)))
-    return DiscreteGenerator(graph, layout, H0, H1, H2)
+    return DiscreteGenerator(layout, H0, H1, H2)
 
 
 def dissipation_defect(gen: DiscreteGenerator, z: np.ndarray) -> float:

@@ -17,7 +17,8 @@ the layout, so a step is a few array updates.
 Alongside the physical energy the run loop tracks the staggered (half-step)
 leapfrog energy, which obeys an exact discrete dissipation identity: it
 decreases at every step by dt times the squared centered velocity at the
-damped vertices.  Both are quadratic forms in K, M and the masses.
+damped vertices.  Both are quadratic forms in K, M and the masses.  A stepped
+state holds two leapfrog levels, not velocities.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import scipy.sparse as sp
 from .graph import MetricGraph
 
 DEFAULT_CFL = 0.9
+DEFAULT_CELLS = 16.0  # grid cells per unit edge length
+DEFAULT_STRIDE = 1  # steps per energy sample
 MIN_CELLS = 4
 MAX_DOFS = 4_000_000  # grid nodes of one layout
 CONTINUITY_TOL = 1e-8
@@ -179,15 +182,16 @@ def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
 
 @dataclass(frozen=True)
 class NetworkState:
-    """Sampled fields y, v on the global grid plus oscillator pairs (p, q),
-    the oscillators in `layout.mass_ids` order."""
+    """Field y on the global grid and oscillator displacements p (in
+    `layout.mass_ids` order) at time t.  Initial data carry the velocities
+    (v, q) that start the leapfrog; a stepped state holds the previous
+    level (y_prev, p_prev) instead, with v = q = None."""
 
-    graph: MetricGraph
     layout: GridLayout
     y: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
     p: np.ndarray
-    q: np.ndarray
+    q: np.ndarray | None
     t: float
     y_prev: np.ndarray | None = None  # field one step back (leapfrog memory)
     p_prev: np.ndarray | None = None
@@ -195,13 +199,14 @@ class NetworkState:
 
 
 def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
-               cells_per_unit: float = 16.0) -> NetworkState:
+               cells_per_unit: float = DEFAULT_CELLS) -> NetworkState:
     """Sample initial data onto the grid.
 
     y0 and v0 map edge ids to callables of the arclength x in [0, l_j]
     (tail-to-head); osc maps mass vertex ids to (displacement, velocity).
-    Missing entries mean zero.  y0 must be continuous at shared vertices and
-    vanish at Dirichlet vertices, and all data must be finite.
+    Missing entries mean zero; a key that names no edge, or no mass vertex,
+    is refused.  y0 must be continuous at shared vertices and vanish at
+    Dirichlet vertices, and all data must be finite.
     """
     layout = make_layout(graph, cells_per_unit)
     y = np.zeros(layout.ndof)
@@ -209,6 +214,11 @@ def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
     y0 = y0 or {}
     v0 = v0 or {}
     osc = osc or {}
+    for name, data, ids, what in (("y0", y0, layout.edge_nodes, "an edge"),
+                                  ("v0", v0, layout.edge_nodes, "an edge"),
+                                  ("osc", osc, layout.mass_ids, "a mass vertex")):
+        if stray := [key for key in data if key not in ids]:
+            raise SimulationError(f"{name} names {stray[0]!r}, which is not {what}")
 
     vertex_vals: dict = {}
     for e in graph.edges:
@@ -244,7 +254,7 @@ def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
     q = np.array([float(s1) for _, s1 in pairs])
     if not all(np.all(np.isfinite(a)) for a in (y, v, p, q)):
         raise SimulationError("initial data must be finite")
-    return NetworkState(graph, layout, y, v, p, q, 0.0)
+    return NetworkState(layout, y, v, p, q, 0.0)
 
 
 def _bootstrap(state: NetworkState, dt: float) -> NetworkState:
@@ -269,7 +279,8 @@ def step(state: NetworkState, dt: float, cfl: float = DEFAULT_CFL) -> NetworkSta
 
     The coefficients of this solve are built once per (mesh, dt) and kept on
     the layout (`GridLayout.leapfrog`), so a step is one product K y, a few
-    array updates and the eliminated oscillator rows.
+    array updates and the eliminated oscillator rows.  The new state holds
+    the levels (y+, p+) and (y, p) and K y, no velocities.
     """
     if not dt > 0:
         raise SimulationError("dt must be positive")
@@ -291,15 +302,7 @@ def step(state: NetworkState, dt: float, cfl: float = DEFAULT_CFL) -> NetworkSta
     j = lay.mass_dofs
     p_new = c.p1 * p + c.p2 * p_prev + c.p3 * (y_new[j] - y_prev[j])
     y_new[j] += c.f * (p_new - p_prev)
-
-    v_new = np.subtract(y_new, y, out=tmp)  # (3y+ - 4y + y-)/(2dt)
-    v_new *= 3.0
-    v_new -= y
-    v_new += y_prev
-    v_new /= 2.0 * dt
-    q_new = (3.0 * p_new - 4.0 * p + p_prev) / (2.0 * dt)
-    return NetworkState(state.graph, lay, y_new, v_new, p_new, q_new,
-                        state.t + dt, y, p, ky)
+    return NetworkState(lay, y_new, None, p_new, None, state.t + dt, y, p, ky)
 
 
 def _quadratic_energy(layout: GridLayout, dy, dp, s: float, y, ky, p, p0) -> float:
@@ -312,7 +315,10 @@ def _quadratic_energy(layout: GridLayout, dy, dp, s: float, y, ky, p, p0) -> flo
 
 
 def energy(state: NetworkState) -> float:
-    """Discrete energy: staggered |y_x|^2, lumped |y_t|^2, pointwise masses."""
+    """Discrete energy: staggered |y_x|^2, lumped |y_t|^2, pointwise masses.
+    Reads the velocities (v, q), so a stepped state raises SimulationError."""
+    if state.v is None or state.q is None:
+        raise SimulationError("energy needs velocities; a stepped state has levels only")
     lay = state.layout
     return _quadratic_energy(lay, state.v, state.q, 1.0, state.y,
                              lay.stiffness @ state.y, state.p, state.p)
@@ -352,8 +358,8 @@ class EnergySeries:
 def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergySeries:
     """Simulate to time T through `step` and assemble the energy budget.
 
-    config keys: T (required), cfl (default 0.9), cells_per_unit (default 16),
-    sample_stride (default 1).  Every stride-th step samples the energy with
+    config keys: T (required), cfl, cells_per_unit and sample_stride
+    (defaults DEFAULT_*).  Every stride-th step samples the energy with
     centered velocities, the staggered energy and the trapezoid-accumulated
     dissipation, all from the K y product the step already formed and from
     raw differences of the leapfrog levels.  The series also records the
@@ -363,8 +369,8 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
     try:
         T = float(config["T"])
         cfl = float(config.get("cfl", DEFAULT_CFL))
-        cells = float(config.get("cells_per_unit", 16.0))
-        stride = config.get("sample_stride", 1)
+        cells = float(config.get("cells_per_unit", DEFAULT_CELLS))
+        stride = config.get("sample_stride", DEFAULT_STRIDE)
         whole = float(stride)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"bad run parameter: {exc}") from None

@@ -69,12 +69,13 @@ def _ends(graph: MetricGraph) -> list:
 
 
 @functools.lru_cache(maxsize=64)
-def _law_table(graph: MetricGraph) -> np.ndarray:
+def _edge_laws(graph: MetricGraph) -> np.ndarray:
     """The vertex laws, each written once as a row over the 4E edge-end
-    traces: R(lam) = sum_k lam^k L_k, returned as the rows of L_0..L_3
-    flattened, shape (4, 2E * 4E)."""
+    traces: R(lam) = sum_k lam^k L_k with every coefficient real, cut into
+    one block per edge.  Row r of block j holds L_0..L_3 of law r over the
+    four traces of edge j, shape (E, 2E, 16)."""
     ne = len(graph.edges)
-    table = np.zeros((4, 2 * ne, 4 * ne), dtype=complex)
+    table = np.zeros((4, 2 * ne, 4 * ne))
     pinned, damped = graph.dirichlet_vertices, graph.damped_vertices
     row = 0
     for v, ends in zip(graph.vertices, _ends(graph)):
@@ -97,9 +98,10 @@ def _law_table(graph: MetricGraph) -> np.ndarray:
             table[3, row, ref] = c * m
             table[2, row, ref] = v.mass is not None
         row += 1
-    table = table.reshape(4, -1)
-    table.flags.writeable = False
-    return table
+    table = table.reshape(4, 2 * ne, ne, 4).transpose(2, 1, 0, 3)
+    laws = np.ascontiguousarray(table.reshape(ne, 2 * ne, 16))
+    laws.flags.writeable = False
+    return laws
 
 
 @functools.lru_cache(maxsize=64)
@@ -108,18 +110,6 @@ def _lengths(graph: MetricGraph) -> np.ndarray:
     ell = np.array([[e.ell] for e in graph.edges])
     ell.flags.writeable = False
     return ell
-
-
-@functools.lru_cache(maxsize=64)
-def _edge_laws(graph: MetricGraph) -> np.ndarray:
-    """The law table cut into one block per edge: row r of block j holds
-    L_0..L_3 of law r over the four traces of edge j, shape (E, 2E, 16).
-    Every law coefficient is real."""
-    ne = len(graph.edges)
-    table = _law_table(graph).real.reshape(4, 2 * ne, ne, 4).transpose(2, 1, 0, 3)
-    laws = np.ascontiguousarray(table.reshape(ne, 2 * ne, 16))
-    laws.flags.writeable = False
-    return laws
 
 
 # the tail traces in the layout of _basis: y(0) = alpha, -y'(0) = -gamma

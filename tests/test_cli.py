@@ -317,6 +317,14 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
     (["simulate"], {"graph": TREE_SPEC, "T": 0.5, "sample-stride": True}, "integer"),
     (["spectrum"], {"graph": TREE_SPEC, "box": [-1000.0, -990.0, -1.0, 1.0]},
      "contour node"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {"edges": ["E1"]}},
+     "'E1'"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {
+        "edges": ["e1"], "velocity": True, "oscillators": {"zz": [1, 0]}}}, "'zz'"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0,
+                    "initial": {"oscillators": {"a3": [1, 0]}}}, "'a3'"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0,
+                    "initial": {"kind": "x", "edges": []}}, "kind"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
         "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
         "mesh-ladder-single", "mesh-ladder-repeated", "amplitude-x",
@@ -334,7 +342,9 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
         "length-1e300-sweep", "chain-length-1e400", "chain-mass-1e400",
         "beta-empty-list", "beta-count-0", "beta-max-infinity", "amplitude-1e400",
         "tol-huge-integer", "beta-count-1e12", "beta-count-2.7", "beta-count-true",
-        "sample-stride-2.5", "sample-stride-true", "box-far-left"])
+        "sample-stride-2.5", "sample-stride-true", "box-far-left",
+        "initial-unknown-edge", "initial-unknown-oscillator",
+        "initial-oscillator-not-a-mass", "initial-unknown-kind"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]

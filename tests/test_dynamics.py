@@ -20,7 +20,7 @@ from netwave.simulate import (
     shadow_energy,
     step,
 )
-from netwave.spectral import _ends, _law_table
+from netwave.spectral import _edge_laws, _ends
 
 
 def smooth_bump(ell, amp=1.0):
@@ -86,9 +86,10 @@ def test_mesh_and_laws_damp_the_same_vertices(graph):
     dofs = [layout.vertex_dof[v.id] for v in damped]
     assert np.flatnonzero(layout.damping).tolist() == sorted(dofs)
     assert np.all(layout.damping[dofs] == 1.0)
-    # the lambda^1 layer of the law table holds the damping term c lam y
+    # the lambda^1 layer of the laws, as rows over the 4E edge-end traces,
+    # holds the damping term c lam y
     ne = len(graph.edges)
-    lam1 = _law_table(graph).reshape(4, 2 * ne, 4 * ne)[1]
+    lam1 = _edge_laws(graph)[:, :, 4:8].transpose(1, 0, 2).reshape(2 * ne, 4 * ne)
     for v, ends in zip(graph.vertices, _ends(graph)):
         assert np.any(lam1[:, ends] != 0) == (v in damped)
 
@@ -121,9 +122,16 @@ def test_shadow_energy_exactly_conserved_without_damping():
     assert abs(last - first) <= 1e-12 * first
 
 
+def centered(state, after, dt):
+    """`state` with the centered velocities of the levels around it, the
+    ones `run` samples: (y_{n+1} - y_{n-1}) / 2dt and likewise for p."""
+    return replace(state, v=(after.y - state.y_prev) / (2.0 * dt),
+                   q=(after.p - state.p_prev) / (2.0 * dt))
+
+
 def test_energy_is_the_generator_weight():
     # the simulator and A_h share one operator: E = 1/2 z'W_h z for
-    # z = (y, v, p, q)
+    # z = (y, v, p, q), v and q the centered velocities of a stepped state
     rng = np.random.default_rng(13)
     for graph in GRAPHS:
         gen = assemble_generator(graph, 1.0 / 16.0)
@@ -132,10 +140,22 @@ def test_energy_is_the_generator_weight():
         dt = 0.5 * min(state.layout.edge_h.values())
         for _ in range(40):
             state = step(state, dt)
+        state = centered(state, step(state, dt), dt)
         assert gen.layout.mass_ids == state.layout.mass_ids
         z = np.concatenate([state.y, state.v, state.p, state.q])
         e = energy(state)
         assert abs(e - 0.5 * z @ (gen.W @ z)) <= 1e-12 * e
+
+
+def test_a_stepped_state_holds_levels_not_velocities():
+    graph = make_tree_chain(["1", "0.9"], [1.0])
+    rng = np.random.default_rng(4)
+    state = init_state(graph, *random_initial(graph, rng), cells_per_unit=16)
+    assert energy(state) > 0
+    stepped = step(state, 0.5 * state.layout.hmin)
+    assert stepped.v is None and stepped.q is None
+    with pytest.raises(SimulationError, match="velocities"):
+        energy(stepped)
 
 
 @pytest.mark.parametrize("stride", [1, 3])
@@ -158,13 +178,43 @@ def test_run_samples_the_energies_of_single_steps(stride):
         E, shadow = [], []
         for n in samples:
             s, after = states[n], states[n + 1]
-            v = (after.y - s.y_prev) / (2.0 * dt)
-            q = (after.p - s.p_prev) / (2.0 * dt)
-            E.append(energy(replace(s, v=v, q=q)))
+            E.append(energy(centered(s, after, dt)))
             shadow.append(shadow_energy(after, dt))
         np.testing.assert_allclose(series.t, [n * dt for n in samples], rtol=1e-12)
         np.testing.assert_allclose(series.E, E, rtol=1e-12, atol=0)
         np.testing.assert_allclose(series.shadow, shadow, rtol=1e-12, atol=0)
+
+
+# (graph, steps, dt, every 10th sample of E, D and the shadow energy) of a
+# run to T = 2 on 16 cells per unit, from fixed bumps (`fixed_initial`)
+RUN_OUTPUTS = [
+    (make_tree_chain(["1", "0.8", "1.3"], [1, 2]), 38, 0.05405405405405406,
+     [7.846938966979301, 7.351289678822465, 6.935680512431473, 6.431038843903927],
+     [0.0, 0.34645828677899565, 0.7991810812219139, 1.295322286278359],
+     [7.619418957917429, 7.271176562296763, 6.781272337582579, 6.321964917967802]),
+    (make_circuit("sqrt(2)"), 38, 0.05405405405405406,
+     [9.62148081888192, 7.748029147239062, 4.19383505847429, 3.95377761569761],
+     [0.0, 1.714792951708934, 5.2578300715597175, 5.499780796205813],
+     [9.393741175319432, 7.636486402401358, 4.11519991782498, 3.8748662981842434]),
+]
+
+
+def fixed_initial(graph):
+    """A bump of height 1 in y and -1/2 in v on every edge, and (1/4, -1/2)
+    on every oscillator."""
+    return ({e.id: smooth_bump(e.ell, 1.0) for e in graph.edges},
+            {e.id: smooth_bump(e.ell, -0.5) for e in graph.edges},
+            {v.id: (0.25, -0.5) for v in graph.mass_vertices})
+
+
+@pytest.mark.parametrize("graph, steps, dt, E, D, shadow", RUN_OUTPUTS,
+                         ids=["tree-chain", "circuit"])
+def test_run_outputs_are_unchanged(graph, steps, dt, E, D, shadow):
+    series = run(graph, {"T": 2.0, "cells_per_unit": 16}, *fixed_initial(graph))
+    assert series.steps == steps
+    assert series.dt == pytest.approx(dt, rel=1e-12, abs=0)
+    for got, want in ((series.E, E), (series.D, D), (series.shadow, shadow)):
+        np.testing.assert_allclose(got[::10], want, rtol=1e-12, atol=0)
 
 
 def growing_steps(monkeypatch):
@@ -231,7 +281,7 @@ def test_step_coefficients_follow_dt():
     for _ in range(5):
         reused = step(reused, 0.7 * hmin)
         fresh = step(fresh, 0.7 * hmin)
-    for name in ("y", "v", "p", "q", "y_prev", "p_prev"):
+    for name in ("y", "p", "y_prev", "p_prev"):
         assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
 
 
@@ -262,10 +312,9 @@ def test_time_reversal_without_damping():
     for _ in range(80):
         fwd = step(fwd, dt)
     # reversal map of the mass-coupled wave system: (y, v, s, s') goes to
-    # (y, -v, -s, s'), with the leapfrog levels swapped
-    back = fwd.__class__(
-        graph=fwd.graph, layout=fwd.layout, y=fwd.y_prev, v=-fwd.v,
-        p=-fwd.p_prev, q=fwd.q.copy(), t=0.0, y_prev=fwd.y, p_prev=-fwd.p)
+    # (y, -v, -s, s'); on the leapfrog levels it swaps them and flips s
+    back = replace(fwd, y=fwd.y_prev, p=-fwd.p_prev, t=0.0,
+                   y_prev=fwd.y, p_prev=-fwd.p, ky_prev=None)
     for _ in range(80):
         back = step(back, dt)
     assert np.max(np.abs(back.y - state0.y)) <= 1e-9
