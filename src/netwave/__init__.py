@@ -32,7 +32,6 @@ from .graph import (  # noqa: F401
     MetricGraph,
     Vertex,
     build_graph,
-    load_graph,
     make_chain,
     make_circuit,
     make_star,

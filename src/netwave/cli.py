@@ -194,6 +194,10 @@ def _read(params, defaults: dict, what: str) -> dict:
 
 
 def _float(value, what: str) -> float:
+    """A finite config number, never a boolean (JSON's true would otherwise
+    read as 1.0)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -265,6 +269,9 @@ def _initial_data(graph: MetricGraph, spec):
     if kind not in ("bump", "sine"):
         raise ConfigError(f"unknown initial-data kind {kind!r}")
     amp = _float(spec["amplitude"], '"initial" amplitude')
+    velocity = spec["velocity"]
+    if not isinstance(velocity, bool):
+        raise ConfigError(f'"initial" velocity must be true or false, got {velocity!r}')
     if not (edges is None or isinstance(edges, list)
             and all(isinstance(eid, str) for eid in edges)):
         raise ConfigError(f'"initial" edges must be a list of edge ids, got {edges!r}')
@@ -282,7 +289,7 @@ def _initial_data(graph: MetricGraph, spec):
     lengths = {e.id: e.ell for e in graph.edges}
     fields = {eid: profile(lengths.get(eid))
               for eid in (lengths if edges is None else edges)}
-    if spec["velocity"]:
+    if velocity:
         return None, fields, osc
     return fields, None, osc
 
@@ -359,7 +366,10 @@ def _cmd_sweep(graph: MetricGraph, p, em, svg):
             raise ConfigError(f'bad "beta": {exc}') from None
     else:
         grid = np.asarray(_floats(beta, '"beta"'), dtype=float)
-    report = sweep(graph, grid, p["mesh-ladder"])
+    ladder = p["mesh-ladder"]
+    if ladder is not None:
+        ladder = _floats(ladder, '"mesh-ladder"')
+    report = sweep(graph, grid, ladder)
     rows = []
     for curve in report.curves:
         for b, n in zip(curve.beta.tolist(), curve.norm.tolist()):

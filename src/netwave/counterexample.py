@@ -27,7 +27,6 @@ import mpmath as mp
 
 from .graph import Length
 
-EQCIR_RTOL = 1e-10
 CONVERGENT_CAP = 10_000
 
 

@@ -14,7 +14,6 @@ entry d_kj is +1 if edge j ends at vertex k and -1 if it starts there.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import sys
@@ -307,12 +306,6 @@ def _validate(graph: MetricGraph):
                 )
 
 
-def load_graph(path) -> MetricGraph:
-    """Read a JSON network config file."""
-    with open(path) as fh:
-        return build_graph(json.load(fh))
-
-
 PI_TOL = 1e-9
 
 
@@ -350,43 +343,38 @@ def _near_pi_multiple(length: Length) -> bool:
 
 # -- convenience builders ---------------------------------------------------
 
+def _path(variant: str, first: str, last: str, lengths, masses) -> MetricGraph:
+    """The path first a1 -- a2 -- ... -- aN -- last a(N+1) of the given
+    variant, with edge e_j = (a_j, a_(j+1)) and one mass per interior vertex."""
+    lengths = [Length.parse(l) for l in lengths]
+    n = len(lengths)
+    if len(masses) != n - 1:
+        raise GraphError("need one mass per interior vertex")
+    vertices = [{"id": "a1", "kind": first}]
+    for k, m in enumerate(masses, start=2):
+        vertices.append({"id": f"a{k}", "kind": "mass", "mass": m})
+    vertices.append({"id": f"a{n + 1}", "kind": last})
+    edges = [
+        {"id": f"e{j + 1}", "tail": f"a{j + 1}", "head": f"a{j + 2}", "length": l}
+        for j, l in enumerate(lengths)
+    ]
+    return build_graph({"variant": variant, "vertices": vertices, "edges": edges})
+
+
 def make_tree_chain(lengths, masses=None) -> MetricGraph:
     """Chain-shaped network: root -- a2 -- ... -- aN -- controlled leaf.
 
     Interior vertices carry unit masses unless given.
     """
-    lengths = [Length.parse(l) for l in lengths]
-    n = len(lengths)
+    lengths = list(lengths)
     if masses is None:
-        masses = [1.0] * (n - 1)
-    if len(masses) != n - 1:
-        raise GraphError("need one mass per interior vertex")
-    vertices = [{"id": "a1", "kind": "root"}]
-    for k, m in enumerate(masses, start=2):
-        vertices.append({"id": f"a{k}", "kind": "mass", "mass": m})
-    vertices.append({"id": f"a{n + 1}", "kind": "controlled"})
-    edges = [
-        {"id": f"e{j + 1}", "tail": f"a{j + 1}", "head": f"a{j + 2}", "length": l}
-        for j, l in enumerate(lengths)
-    ]
-    return build_graph({"variant": "tree", "vertices": vertices, "edges": edges})
+        masses = [1.0] * (len(lengths) - 1)
+    return _path("tree", "root", "controlled", lengths, masses)
 
 
 def make_chain(lengths, masses) -> MetricGraph:
     """Feedback-at-the-near-end chain: controlled a1, masses m_2..m_N, fixed far end."""
-    lengths = [Length.parse(l) for l in lengths]
-    n = len(lengths)
-    if len(masses) != n - 1:
-        raise GraphError("need one mass per interior vertex")
-    vertices = [{"id": "a1", "kind": "controlled"}]
-    for k, m in enumerate(masses, start=2):
-        vertices.append({"id": f"a{k}", "kind": "mass", "mass": m})
-    vertices.append({"id": f"a{n + 1}", "kind": "fixed"})
-    edges = [
-        {"id": f"e{j + 1}", "tail": f"a{j + 1}", "head": f"a{j + 2}", "length": l}
-        for j, l in enumerate(lengths)
-    ]
-    return build_graph({"variant": "chain", "vertices": vertices, "edges": edges})
+    return _path("chain", "controlled", "fixed", lengths, masses)
 
 
 def make_star(l1=1.0, l2=1.0, l3=1.0) -> MetricGraph:

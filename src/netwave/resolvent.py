@@ -146,19 +146,12 @@ class DiscreteGenerator:
         return NormConstants(start, self.H1.diagonal(), self.H2.diagonal(), W, hmax, H)
 
 
-def assemble_generator(graph: MetricGraph, h: float) -> DiscreteGenerator:
-    """Build the generator (the (y, p) system; A_h and W_h on first use)
-    with target grid spacing h (>= 4 cells per edge) on the semi-discrete
-    operator of `make_layout`."""
-    if not h > 0:
-        raise ResolventError("h must be positive")
-    min_ell = min(e.ell for e in graph.edges)
-    if min_ell / h < MIN_CELLS - 0.5:
-        raise ResolventError(
-            f"h={h} under-resolves an edge of length {min_ell}; "
-            f"need at least {MIN_CELLS} cells"
-        )
-    layout = make_layout(graph, 1.0 / h)
+def assemble_generator(graph: MetricGraph, cells_per_unit: float) -> DiscreteGenerator:
+    """Build the generator (the (y, p) system; A_h and W_h on first use) on
+    the semi-discrete operator of `make_layout` at `cells_per_unit` grid
+    cells per unit edge length.  `make_layout` checks that mesh and raises
+    SimulationError for one it refuses."""
+    layout = make_layout(graph, cells_per_unit)
     nf, nm = layout.ndof, len(layout.mass_ids)
     # (i beta - A)(y, v, p, q) = f with v = i beta y - f_y, q = i beta p - f_p
     # substituted, the v rows times M and the q rows times -m:
@@ -333,7 +326,7 @@ def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
     _superlu()  # its one-time import lands here, not in the first norm
     curves = []
     for cells in mesh_ladder:
-        gen = assemble_generator(graph, 1.0 / cells)
+        gen = assemble_generator(graph, cells)
         norms = np.array([resolvent_norm(gen, b) for b in beta_grid])
         curves.append(MeshCurve(cells, beta_grid.copy(), norms))
 

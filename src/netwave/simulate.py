@@ -127,13 +127,25 @@ def _leapfrog(layout: GridLayout, dt: float) -> Leapfrog:
 
 
 def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
+    """The grid of `cells_per_unit` cells per unit edge length, rounded to a
+    whole number of cells on each edge, and its semi-discrete operator.
+
+    This is the one check of a mesh for both the time-domain scheme and the
+    resolvent generator: a cell density that is not finite and positive, an
+    edge with fewer than MIN_CELLS cells, or more than MAX_DOFS grid nodes
+    raises SimulationError.
+    """
+    if not 0 < cells_per_unit < math.inf:
+        raise SimulationError(
+            f"a mesh needs a finite positive number of cells per unit length, "
+            f"got {cells_per_unit!r}")
     # counted in floats before any allocation: an edge of length 1e300 asks
     # for 1e301 nodes, and its cell count may not even be a finite number
     nodes = len(graph.vertices) + sum(cells_per_unit * e.ell - 1 for e in graph.edges)
     if not nodes <= MAX_DOFS:
         raise SimulationError(
             f"the mesh needs {nodes:.3g} grid nodes, more than {MAX_DOFS}; "
-            f"lower cells-per-unit-length or the edge lengths"
+            f"lower the cells per unit length or the edge lengths"
         )
     # the unknowns are the free vertices, then the interior nodes edge by
     # edge; the pinned vertices are numbered after them
@@ -146,7 +158,7 @@ def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
         if n < MIN_CELLS:
             raise SimulationError(
                 f"edge {e.id!r}: {n} cells < {MIN_CELLS}; refusing an "
-                f"under-resolved edge (raise cells-per-unit-length)"
+                f"under-resolved edge (raise the cells per unit length)"
             )
         # int32 halves the assembly's memory
         edge_nodes[e.id] = np.arange(nd - 1, nd + n, dtype=np.int32)
@@ -367,23 +379,25 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
     the shadow-energy blow-up guard.  Bad parameters raise SimulationError.
     """
     try:
-        T = float(config["T"])
-        cfl = float(config.get("cfl", DEFAULT_CFL))
-        cells = float(config.get("cells_per_unit", DEFAULT_CELLS))
+        given = {"T": config["T"], "cfl": config.get("cfl", DEFAULT_CFL),
+                 "cells_per_unit": config.get("cells_per_unit", DEFAULT_CELLS)}
+        T, cfl, cells = (float(value) for value in given.values())
         stride = config.get("sample_stride", DEFAULT_STRIDE)
         whole = float(stride)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SimulationError(f"bad run parameter: {exc}") from None
     # a boolean would read as 1 and a fraction would truncate
+    for key, value in given.items():
+        if isinstance(value, bool):
+            raise SimulationError(f"{key} must be a number, got {value!r}")
     if isinstance(stride, bool) or not whole.is_integer():
         raise SimulationError(f"sample_stride must be an integer, got {stride!r}")
     stride = int(whole)
-    if not (0 < T < math.inf and 0 < cfl < math.inf and 0 < cells < math.inf
-            and stride >= 1):
+    # make_layout checks cells_per_unit
+    if not (0 < T < math.inf and 0 < cfl < math.inf and stride >= 1):
         raise SimulationError(
-            f"need finite positive T, cfl and cells_per_unit and "
-            f"sample_stride >= 1; got T={T}, cfl={cfl}, cells_per_unit={cells}, "
-            f"sample_stride={stride}")
+            f"need finite positive T and cfl and sample_stride >= 1; "
+            f"got T={T}, cfl={cfl}, sample_stride={stride}")
 
     state = init_state(graph, y0, v0, osc, cells)
     layout = state.layout

@@ -236,12 +236,14 @@ class EigenReport:
     tol: float
 
 
-def newton_refine(graph: MetricGraph, lam0: complex,
-                  tol: float = DET_TOL) -> tuple[complex, float]:
-    """Polish a root of det M by Newton on the logarithmic derivative.
+def newton_refine(graph: MetricGraph, lam0: complex) -> tuple[complex, float]:
+    """Polish a root of det M by Newton on the logarithmic derivative, and
+    return the last iterate with its `residual`.
 
-    A step that lands exactly on a root leaves M(lam) singular; the iteration
-    stops there and the returned residual reports it.  An iterate where M(lam)
+    Newton runs until its step falls below 1e-14 relative or NEWTON_MAXIT
+    steps; it accepts nothing, and the caller judges the residual.  A step
+    that lands exactly on a root leaves M(lam) singular; the iteration stops
+    there and the returned residual reports it.  An iterate where M(lam)
     overflows stops it too, with residual inf.
     """
     lam = complex(lam0)
@@ -278,13 +280,16 @@ ELLIPSE_SCALE = 1.5
 MAX_STRIPS = 16
 MAX_SPLITS = 6
 # The rank of the Hankel matrix counts its singular values above both
-# RANK_REL * (the largest) and NOISE_FLOOR * max ||M^{-1}|| * mean semi-axis.
+# RANK_REL * (the largest) and NOISE_FLOOR * max ||M^{-1}||_F * mean semi-axis.
 # The roots of one strip spread its singular values over many decades with
 # no gap, so the numerical rank is relative to the largest; a cut at 1e-12
 # of the absolute scale alone lost roots.  In a strip without roots every
 # singular value is rounding noise, and the floor keeps that noise from
-# saturating the rank.  Relative cuts from 1e-12 to 1e-14 and floors from
-# 1e-16 to 1e-18 find the same roots on the benchmark's spectrum jobs.
+# saturating the rank.  The floor takes the Frobenius norm of the 2E x 2E
+# inverses, which exceeds their 2-norm by at most sqrt(2E) (3.5 at six
+# edges), well inside the factor 10 either way that leaves the roots as they
+# are: relative cuts from 1e-12 to 1e-14 and floors from 1e-16 to 1e-18 find
+# the same roots on the benchmark's spectrum jobs.
 RANK_REL = 1e-13
 NOISE_FLOOR = 1e-17
 CANDIDATE_MARGIN = 0.25  # pencil eigenvalues further outside are noise
@@ -295,7 +300,10 @@ CLUSTER_TOL = 1e-6  # pencil eigenvalues this close (relative) are one root
 def _strips(box):
     """Horizontal strips tiling the box, each at most twice as tall as wide."""
     re0, re1, im0, im1 = box
-    count = min(MAX_STRIPS, math.ceil((im1 - im0) / (2.0 * (re1 - re0))))
+    # capped before rounding up, since a box far taller than wide has a ratio
+    # that overflows to inf, and at least one, since a box far wider than
+    # tall has a ratio that underflows to 0
+    count = max(1, math.ceil(min(MAX_STRIPS, (im1 - im0) / (2.0 * (re1 - re0)))))
     cuts = np.linspace(im0, im1, count + 1)
     return [(re0, re1, float(a), float(b)) for a, b in zip(cuts, cuts[1:])]
 
@@ -322,17 +330,6 @@ def _inverses(graph, nodes):
     raise SpectralError("no M(lam)^-1 on the contour")
 
 
-def _max_norm(stack):
-    """The largest 2-norm of a stack of matrices.  Only the matrices whose
-    Frobenius norm, an upper bound on the 2-norm, reaches the 2-norm of the
-    one with the largest Frobenius norm can hold it, so only those take an
-    SVD."""
-    frob = np.linalg.norm(stack, axis=(1, 2))
-    top = np.linalg.norm(stack[np.argmax(frob)], 2)
-    candidates = stack[frob >= top * (1.0 - 1e-12)]
-    return float(np.max(np.linalg.norm(candidates, 2, axis=(1, 2))))
-
-
 def _pencil_eigenvalues(graph, strip):
     """Zeros of det M inside the strip's ellipse, None when the Hankel
     matrix is rank-saturated (more roots than the moments can resolve)."""
@@ -356,7 +353,7 @@ def _pencil_eigenvalues(graph, strip):
                        for i in range(MOMENTS + 1)])
     h0, h1 = hankel[:-n], hankel[n:]
     u, s, vh = np.linalg.svd(h0)
-    floor = NOISE_FLOOR * 0.5 * (a + b) * _max_norm(inverses)
+    floor = NOISE_FLOOR * 0.5 * (a + b) * np.linalg.norm(inverses, axis=(1, 2)).max()
     rank = int(np.sum(s > max(RANK_REL * s[0], floor)))
     if rank >= MOMENTS * n - 1:
         return None
@@ -383,7 +380,7 @@ def _strip_roots(graph, strip, tol, splits=0):
     for start in raw:
         if not inside(start, CANDIDATE_MARGIN):
             continue
-        lam, res = newton_refine(graph, start, tol)
+        lam, res = newton_refine(graph, start)
         if res <= tol and inside(lam, BOX_SLACK):
             near = np.abs(raw - lam) <= CLUSTER_TOL * (1.0 + abs(lam))
             roots.append(EigenRecord(lam, res, max(1, int(np.sum(near)))))
@@ -396,14 +393,17 @@ def find_eigenvalues(graph: MetricGraph, box, tol: float = DET_TOL) -> EigenRepo
     One contour-integral pass per horizontal strip of the box gives the
     candidates; each is polished by Newton and kept when its residual is at
     most tol and it lies in its strip.  A root's box_count is its
-    multiplicity.  An empty or non-finite box, a tol that is not finite and
-    positive, or a contour node where M(lam) cannot be inverted, raises
-    SpectralError.
+    multiplicity.  An empty box, one whose width or height is not finite, a
+    tol that is not finite and positive, or a contour node where M(lam)
+    cannot be inverted, raises SpectralError.
     """
     box = tuple(float(b) for b in box)
     re0, re1, im0, im1 = box
-    if not (all(math.isfinite(b) for b in box) and re0 < re1 and im0 < im1):
-        raise SpectralError(f"box {box} needs finite re0 < re1 and im0 < im1")
+    # the corners may be finite while the width or height overflows
+    if not (math.isfinite(re1 - re0) and math.isfinite(im1 - im0)
+            and re0 < re1 and im0 < im1):
+        raise SpectralError(
+            f"box {box} needs re0 < re1 and im0 < im1 with a finite width and height")
     if not 0 < tol < math.inf:
         raise SpectralError(f"tol {tol} must be finite and positive")
     roots = [r for strip in _strips(box) for r in _strip_roots(graph, strip, tol)]
@@ -447,9 +447,6 @@ class EigenFunction:
         a, g = self.coefficients[edge_id]
         ch, sh = _basis(self.lam, np.asarray(x, dtype=float))[:2]
         return (a * ch + g * sh)[()]
-
-    def v(self, edge_id: str, x):
-        return self.lam * self.y(edge_id, x)
 
 
 def eigenfunction(graph: MetricGraph, lam: complex) -> EigenFunction:

@@ -186,7 +186,7 @@ def test_criterion_7_discrete_dissipativity():
     ]
     worst = 0.0
     for graph in graphs:
-        gen = assemble_generator(graph, 1.0 / 16.0)
+        gen = assemble_generator(graph, 16.0)
         for _ in range(200):  # 1000 states over the 5 graphs
             z = rng.standard_normal(gen.dim)
             wnorm = float(np.real(np.vdot(gen.W @ z, z)))

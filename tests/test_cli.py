@@ -325,6 +325,21 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
                     "initial": {"oscillators": {"a3": [1, 0]}}}, "'a3'"),
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0,
                     "initial": {"kind": "x", "edges": []}}, "kind"),
+    (["simulate"], {"graph": TREE_SPEC, "T": True}, "T"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {"amplitude": True}},
+     "amplitude"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "initial": {"velocity": "false"}},
+     "velocity"),
+    (["spectrum"], {"graph": TREE_SPEC, "box": [-1.0, True, -3.0, 3.0]}, "box"),
+    (["spectrum"], {"graph": TREE_SPEC, "box": [-1.0, 0.5, -3.0, 3.0], "tol": True},
+     "tol"),
+    (["sweep"], {"graph": TREE_SPEC, "beta": [0.0, True], "mesh-ladder": [16, 24]},
+     "beta"),
+    (["chain-check"], {"lengths": [True, 1.0], "masses": [1.0]}, "lengths"),
+    # on edges of length 5, true would read as a mesh of 5 cells per edge
+    (["sweep"], {"graph": {**TREE_SPEC, "edges": [
+        {**e, "length": "5"} for e in TREE_SPEC["edges"]]}, "beta": [0.5],
+        "mesh-ladder": [True, 16]}, "mesh-ladder"),
 ], ids=["sample-stride-0", "cfl-0", "T-abc", "beta-count-negative",
         "probes-0", "box-not-numeric", "tol-abc", "mesh-ladder-0", "mesh-ladder-x",
         "mesh-ladder-single", "mesh-ladder-repeated", "amplitude-x",
@@ -344,7 +359,10 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
         "tol-huge-integer", "beta-count-1e12", "beta-count-2.7", "beta-count-true",
         "sample-stride-2.5", "sample-stride-true", "box-far-left",
         "initial-unknown-edge", "initial-unknown-oscillator",
-        "initial-oscillator-not-a-mass", "initial-unknown-kind"])
+        "initial-oscillator-not-a-mass", "initial-unknown-kind", "T-true",
+        "amplitude-true", "velocity-string", "box-entry-true", "tol-true",
+        "beta-entry-true", "chain-length-true",
+        "mesh-ladder-entry-true"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]

@@ -134,7 +134,7 @@ def test_energy_is_the_generator_weight():
     # z = (y, v, p, q), v and q the centered velocities of a stepped state
     rng = np.random.default_rng(13)
     for graph in GRAPHS:
-        gen = assemble_generator(graph, 1.0 / 16.0)
+        gen = assemble_generator(graph, 16.0)
         state = init_state(graph, *random_initial(graph, rng),
                            cells_per_unit=16)
         dt = 0.5 * min(state.layout.edge_h.values())
@@ -383,6 +383,21 @@ def test_run_refuses_a_stride_that_is_not_an_integer(stride):
     graph = make_tree_chain(["1", "0.9"], [1.0])
     with pytest.raises(SimulationError, match="integer"):
         run(graph, {"T": 1.0, "sample_stride": stride})
+
+
+@pytest.mark.parametrize("key", ["T", "cfl", "cells_per_unit"])
+def test_run_refuses_a_boolean_number(key):
+    # True used to read as 1.0
+    graph = make_tree_chain(["1", "0.9"], [1.0])
+    with pytest.raises(SimulationError, match=key):
+        run(graph, {"T": 1.0, key: True})
+
+
+@pytest.mark.parametrize("cells", [0.0, -16.0, math.nan, math.inf])
+def test_run_refuses_a_mesh_that_is_not_finite_and_positive(cells):
+    graph = make_tree_chain(["1", "0.9"], [1.0])
+    with pytest.raises(SimulationError, match="cells per unit length"):
+        run(graph, {"T": 1.0, "cells_per_unit": cells})
 
 
 def test_cfl_violation_detected():

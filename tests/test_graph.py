@@ -6,7 +6,6 @@ from netwave.graph import (
     GraphError,
     Length,
     build_graph,
-    load_graph,
     make_chain,
     make_circuit,
     make_star,
@@ -157,10 +156,10 @@ def test_chain_builder():
     assert len(g.controlled_vertices) == 1
 
 
-def test_load_graph_round_trip(tmp_path):
-    import json
-
-    spec = {
+def test_path_builders_build_their_specs():
+    # make_tree_chain and make_chain share one path builder; each must still
+    # build the graph of its own spec
+    tree = {
         "variant": "tree",
         "vertices": [
             {"id": "a1", "kind": "root"},
@@ -172,8 +171,27 @@ def test_load_graph_round_trip(tmp_path):
             {"id": "e2", "tail": "a2", "head": "a3", "length": "1"},
         ],
     }
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps(spec))
-    g = load_graph(path)
+    g = make_tree_chain(["pi*1/2", "1"], [2.0])
+    assert g == build_graph(tree)
     assert g.vertex("a2").mass == 2.0
     assert g.edges[0].length.kind == "pi"
+    unit = make_tree_chain(["pi*1/2", "1"])
+    assert unit.vertex("a2").mass == 1.0
+    chain = {
+        "variant": "chain",
+        "vertices": [
+            {"id": "a1", "kind": "controlled"},
+            {"id": "a2", "kind": "mass", "mass": 0.5},
+            {"id": "a3", "kind": "mass", "mass": 3.0},
+            {"id": "a4", "kind": "fixed"},
+        ],
+        "edges": [
+            {"id": "e1", "tail": "a1", "head": "a2", "length": "1"},
+            {"id": "e2", "tail": "a2", "head": "a3", "length": "sqrt(2)"},
+            {"id": "e3", "tail": "a3", "head": "a4", "length": 0.7},
+        ],
+    }
+    assert make_chain(["1", "sqrt(2)", 0.7], [0.5, 3.0]) == build_graph(chain)
+    for builder in (make_tree_chain, make_chain):
+        with pytest.raises(GraphError, match="one mass per interior vertex"):
+            builder(["1", "1"], [1.0, 1.0])

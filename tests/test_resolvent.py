@@ -15,6 +15,7 @@ from netwave.resolvent import (
     resolvent_norm,
     sweep,
 )
+from netwave.simulate import SimulationError
 
 GRAPHS = [
     make_tree_chain(["1", "0.9"], [1.0]),
@@ -28,7 +29,7 @@ GRAPHS = [
 def test_generator_dissipative_on_random_states():
     rng = np.random.default_rng(31)
     for graph in GRAPHS:
-        gen = assemble_generator(graph, 1.0 / 16.0)
+        gen = assemble_generator(graph, 16.0)
         for _ in range(50):
             z = rng.standard_normal(gen.dim)
             wnorm = float(np.real(np.vdot(gen.W @ z, z)))
@@ -39,7 +40,7 @@ def test_dissipation_matches_damped_vertex_velocities():
     # Re<A z, z>_W equals minus the sum of squared velocities at the damped
     # vertices, exactly
     graph = make_tree_chain(["1", "0.9"], [1.0])
-    gen = assemble_generator(graph, 1.0 / 16.0)
+    gen = assemble_generator(graph, 16.0)
     rng = np.random.default_rng(7)
     damped = [i for i in range(gen.nfield)
               if gen.A[gen.nfield + i, gen.nfield + i] != 0]
@@ -51,7 +52,7 @@ def test_dissipation_matches_damped_vertex_velocities():
 
 def test_resolvent_norm_symmetric_in_beta():
     graph = make_tree_chain(["1", "0.9"], [1.0])
-    gen = assemble_generator(graph, 1.0 / 32.0)
+    gen = assemble_generator(graph, 32.0)
     for beta in (0.7, 3.1, 12.0):
         n1 = resolvent_norm(gen, beta)
         n2 = resolvent_norm(gen, -beta)
@@ -61,7 +62,7 @@ def test_resolvent_norm_symmetric_in_beta():
 def test_resolvent_norm_matches_dense_svd():
     # ||R||_W = ||G R G^{-1}||_2 with W = G'G, on every variant's generator
     for graph in GRAPHS:
-        gen = assemble_generator(graph, 1.0 / 8.0)
+        gen = assemble_generator(graph, 8.0)
         G = np.linalg.cholesky(gen.W.toarray()).T
         # beta = 0, and the oscillator resonances of the masses 2 and 1
         for beta in (0.0, 0.5, 1.0 / math.sqrt(2.0), 1.0, 2.0):
@@ -80,8 +81,7 @@ def test_resolvent_norm_factors_the_half_size_system(monkeypatch):
         recorded.append(matrix.copy())
         return splu(matrix, *args, **kwargs)
 
-    gen = assemble_generator(make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]),
-                             1.0 / 16.0)
+    gen = assemble_generator(make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]), 16.0)
     monkeypatch.setattr(netwave.resolvent, "splu", recording_splu)
     n = gen.nfield + len(gen.layout.mass_ids)
     for count, beta in enumerate((2.0, 0.7), start=1):
@@ -97,7 +97,7 @@ def test_resolvent_norm_factors_the_half_size_system(monkeypatch):
 def test_resolvent_norm_refuses_non_finite_beta(beta):
     # NaN used to read as the HUGE sentinel of an axis eigenvalue, and
     # beta^2 = inf overflowed in the assembly of H(beta)
-    gen = assemble_generator(make_tree_chain(["1", "0.9"], [1.0]), 1.0 / 8.0)
+    gen = assemble_generator(make_tree_chain(["1", "0.9"], [1.0]), 8.0)
     with pytest.raises(ResolventError, match="finite"):
         resolvent_norm(gen, beta)
 
@@ -106,8 +106,7 @@ def test_resolvent_norm_refuses_non_finite_beta(beta):
 def test_resolvent_norm_at_large_finite_beta(beta):
     # ||(i beta - A)^{-1}|| ~ 1/beta far up the axis; the squared W-norm of
     # the iterate (~1/beta^4) underflowed and read as an axis eigenvalue
-    gen = assemble_generator(make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]),
-                             1.0 / 8.0)
+    gen = assemble_generator(make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]), 8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         norm = resolvent_norm(gen, beta)
@@ -118,8 +117,7 @@ def test_resolvent_norm_at_large_finite_beta(beta):
 def test_resolvent_norm_refuses_a_beta_that_overflows_h():
     # beta^2 is finite at 1.3e154, but beta^2 times the oscillator mass 2
     # in H2 is not
-    gen = assemble_generator(make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]),
-                             1.0 / 8.0)
+    gen = assemble_generator(make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]), 8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ResolventError, match="finite"):
@@ -131,7 +129,7 @@ def test_resolvent_norm_refuses_a_beta_that_overflows_h():
 def test_resolvent_norm_at_the_top_of_the_beta_range():
     # on the circuit H(1.3e154) is finite, and the iterate ~ 1/beta^2 is
     # subnormal: rescaling it must not overflow
-    gen = assemble_generator(make_circuit("sqrt(2)"), 1.0 / 8.0)
+    gen = assemble_generator(make_circuit("sqrt(2)"), 8.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         norm = resolvent_norm(gen, 1.3e154)
@@ -143,10 +141,10 @@ def test_resolvent_norm_keeps_no_state_between_calls():
     # must not depend on the order of the calls or on reuse of the generator
     graph = make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0])
     betas = [0.0, 0.5, 1.0 / math.sqrt(2.0), 2.0, 7.0]
-    gen = assemble_generator(graph, 1.0 / 16.0)
+    gen = assemble_generator(graph, 16.0)
     forward = [resolvent_norm(gen, b) for b in betas]
     backward = [resolvent_norm(gen, b) for b in reversed(betas)][::-1]
-    fresh = assemble_generator(graph, 1.0 / 16.0)
+    fresh = assemble_generator(graph, 16.0)
     assert forward == backward == [resolvent_norm(fresh, b) for b in betas]
 
 
@@ -154,7 +152,7 @@ def test_resolvent_norm_mesh_converged_on_stable_graph():
     graph = make_tree_chain(["1", "0.9"], [1.0])
     vals = []
     for cells in (32, 64):
-        gen = assemble_generator(graph, 1.0 / cells)
+        gen = assemble_generator(graph, cells)
         vals.append(resolvent_norm(gen, 2.0))
     assert abs(vals[1] - vals[0]) <= 0.05 * vals[0]
 
@@ -165,15 +163,16 @@ def test_resolvent_norm_diverges_at_axis_eigenvalue():
     graph = make_tree_chain(["1", "pi*1", "1"], [1.0, 1.0])
     vals = []
     for cells in (16, 32, 64):
-        gen = assemble_generator(graph, 1.0 / cells)
+        gen = assemble_generator(graph, cells)
         vals.append(resolvent_norm(gen, 1.0))
     assert vals[1] > 2.0 * vals[0]
     assert vals[2] > 2.0 * vals[1]
 
 
 def test_assemble_rejects_coarse_mesh():
-    with pytest.raises(ResolventError):
-        assemble_generator(make_tree_chain(["1", "0.9"], [1.0]), 0.5)
+    # make_layout checks the mesh: 2 cells per unit leave the 0.9 edge 2 cells
+    with pytest.raises(SimulationError, match="cells"):
+        assemble_generator(make_tree_chain(["1", "0.9"], [1.0]), 2.0)
 
 
 def test_sweep_bounded_on_stable_chain():
@@ -205,6 +204,12 @@ def test_sweep_rejects_non_finite_beta():
         sweep(make_tree_chain(["1", "0.9"], [1.0]), [0.5, math.nan])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweep_refuses_a_non_finite_mesh(bad):
+    with pytest.raises(SimulationError, match="cells per unit length"):
+        sweep(make_tree_chain(["1", "0.9"], [1.0]), [0.5], mesh_ladder=[16, bad])
+
+
 def test_sweep_empty_grid_refused():
     with pytest.raises(ResolventError, match="empty"):
         sweep(make_tree_chain(["1", "0.9"], [1.0]), [])
@@ -220,8 +225,41 @@ def test_discrete_eigenvalues_approach_characteristic_roots():
     target, _ = newton_refine(graph, -0.3 + 2.5j)
     errs = []
     for cells in (16, 32):
-        gen = assemble_generator(graph, 1.0 / cells)
+        gen = assemble_generator(graph, cells)
         vals = eigs(gen.A.astype(complex), k=12, sigma=target,
                     return_eigenvectors=False)
         errs.append(min(abs(v - target) for v in vals))
     assert errs[1] <= 0.4 * errs[0]
+
+
+# resolvent norms at 8 and 40 cells per unit length on three variants, at
+# beta = 0, at 1/sqrt(2) (the resonance m beta^2 = 1 of the tree's mass 2)
+# and at three other frequencies; a change of the generator or of the power
+# iteration moves them
+NORM_BETAS = (0.0, 0.5, 1.0 / math.sqrt(2.0), 3.7, 20.0)
+NORMS = [
+    (make_tree_chain(["1", "0.8", "1.3"], [1, 2]), {
+        8: (4.301117124319061, 11.353361026590337, 16.31918323738996,
+            3.6091113921348663, 0.23753373381309234),
+        40: (4.300695287836989, 11.349522206052919, 16.287236107745567,
+             3.5813829203428735, 4.148767411616502)}),
+    (make_star("1", "1", "sqrt(2)"), {
+        8: (2.2253505081568865, 4.558985617528897, 12.285477030569085,
+            4.754519316286801, 0.24237522382272114),
+        40: (2.224609997747123, 4.555580423778393, 12.270184256590108,
+             4.375704163522408, 3.2058516398646306)}),
+    (make_circuit("sqrt(2)"), {
+        8: (5.321806603518295, 4.136834976933629, 7.8894908513453474,
+            6.714258445735411, 0.24250079287796455),
+        40: (5.321477746385028, 4.137188230426495, 7.877942787920425,
+             6.6643812414828805, 4.389872067084012)}),
+]
+
+
+@pytest.mark.parametrize("graph, expected", NORMS,
+                         ids=[f"{g.variant}-{len(g.edges)}-edges" for g, _ in NORMS])
+def test_norms_are_unchanged(graph, expected):
+    for cells, norms in expected.items():
+        gen = assemble_generator(graph, cells)
+        for beta, norm in zip(NORM_BETAS, norms):
+            assert abs(resolvent_norm(gen, beta) - norm) <= 1e-12 * norm

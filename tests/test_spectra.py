@@ -255,6 +255,23 @@ def test_find_eigenvalues_rejects_reversed_box():
         find_eigenvalues(pi_chain(), (0.5, -3.0, -12.0, 12.0))
 
 
+@pytest.mark.parametrize("box, message", [
+    ((-1e308, 1e308, -1.0, 1.0), "finite width"),  # re1 - re0 overflows to inf
+    ((-3.0, 1e10, 0.0, 1e-320), "contour node"),  # the strip count underflows to 0
+], ids=["width-overflows", "height-underflows"])
+def test_find_eigenvalues_searches_at_least_one_strip(box, message):
+    # both boxes were searched with no strip at all and reported no roots
+    with pytest.raises(SpectralError, match=message):
+        find_eigenvalues(make_tree_chain(["1", "0.9"], [1.0]), box)
+
+
+def test_find_eigenvalues_takes_a_box_far_taller_than_wide():
+    # its height over width overflows to inf, which is capped at MAX_STRIPS
+    # before it is rounded up to a strip count
+    box = (0.0, 1e-320, -1.0, 1.0)
+    assert find_eigenvalues(make_tree_chain(["1", "0.9"], [1.0]), box).roots == []
+
+
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
 def test_find_eigenvalues_rejects_bad_tol(tol):
     with pytest.raises(SpectralError, match="tol"):
