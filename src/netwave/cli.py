@@ -38,7 +38,7 @@ from .counterexample import (
     star_probe,
 )
 from .graph import GraphError, MetricGraph, build_graph, pi_tree_check
-from .resolvent import HUGE, ResolventError, sweep
+from .resolvent import HUGE, SWEEP_ORDER, ResolventError, sweep
 from .simulate import DEFAULT_CELLS, DEFAULT_CFL, DEFAULT_STRIDE, SimulationError, run
 from .spectral import DET_TOL, SpectralError, find_eigenvalues
 from .svgplot import line_plot, scatter_plot
@@ -370,6 +370,8 @@ def _cmd_sweep(graph: MetricGraph, p, em, svg):
     if ladder is not None:
         ladder = _floats(ladder, '"mesh-ladder"')
     report = sweep(graph, grid, ladder)
+    em.stats = {"order": SWEEP_ORDER, "dims": [c.dim for c in report.curves],
+                "norms": sum(len(c.norm) for c in report.curves)}
     rows = []
     for curve in report.curves:
         for b, n in zip(curve.beta.tolist(), curve.norm.tolist()):

@@ -20,6 +20,16 @@ computed once per generator.  Since a finite matrix always has finite
 norms, boundedness on the axis is judged only through a mesh-refinement
 ladder, as recorded in the sweep verdict.
 
+`sweep` runs on elements of order SWEEP_ORDER (8), whose spectral accuracy
+reads a sup to about 1e-7 with a fraction of the unknowns the
+piecewise-linear mesh needs: its ladder is in elements per unit length,
+by default two meshes of b and 1.5 b elements with
+b = max(MIN_CELLS / shortest edge, ELEMENTS_PER_BETA * beta_max, 8).
+Such a mesh puts an eigenvalue that lies on the axis within round-off of
+it, so the norm there is limited by round-off, not by the mesh, and the
+verdict reads a sup above AXIS_RATIO = 1/sqrt(eps) times its curve's median
+on both finest meshes as unbounded.
+
 scipy's sparse solver stack (scipy.sparse.linalg, which loads scipy.linalg
 with it) is imported on the first factorization, not with this module: it
 costs 0.15-0.2 s CPU and 10 MB on a 2-vCPU VM, and only `sweep` factors
@@ -42,9 +52,11 @@ from .simulate import GridLayout, make_layout, MIN_CELLS
 POWER_TOL = 1e-6
 POWER_MAXIT = 1000
 HUGE = 1e30
-MESH_BETA_PRODUCT = 0.2  # enforce h * beta <= this in sweeps
+SWEEP_ORDER = 8  # element order of every sweep mesh
+ELEMENTS_PER_BETA = 0.2  # default sweep elements per unit length per unit beta_max
 BOUNDED_CHANGE = 0.2
 UNBOUNDED_FACTOR = 2.0
+AXIS_RATIO = 1.0 / math.sqrt(sys.float_info.epsilon)  # 6.7e7
 
 
 class ResolventError(RuntimeError):
@@ -146,12 +158,13 @@ class DiscreteGenerator:
         return NormConstants(start, self.H1.diagonal(), self.H2.diagonal(), W, hmax, H)
 
 
-def assemble_generator(graph: MetricGraph, cells_per_unit: float) -> DiscreteGenerator:
+def assemble_generator(graph: MetricGraph, cells_per_unit: float,
+                       order: int = 1) -> DiscreteGenerator:
     """Build the generator (the (y, p) system; A_h and W_h on first use) on
-    the semi-discrete operator of `make_layout` at `cells_per_unit` grid
-    cells per unit edge length.  `make_layout` checks that mesh and raises
-    SimulationError for one it refuses."""
-    layout = make_layout(graph, cells_per_unit)
+    the semi-discrete operator of `make_layout` at `cells_per_unit` elements
+    of `order` per unit edge length.  `make_layout` checks that mesh and
+    raises SimulationError for one it refuses."""
+    layout = make_layout(graph, cells_per_unit, order)
     nf, nm = layout.ndof, len(layout.mass_ids)
     # (i beta - A)(y, v, p, q) = f with v = i beta y - f_y, q = i beta p - f_p
     # substituted, the v rows times M and the q rows times -m:
@@ -217,19 +230,18 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     diag, weight, ib = -1j * (c.h1 + beta * c.h2), -c.h2, 1j * beta
     rhs, tmp = np.empty(k, complex), np.empty(k, complex)
 
-    def solve(f):
-        """L^{-1} f: (y, p) from H(beta), then v and q from y' = v, p' = q."""
+    def solve(f, z):
+        """z = L^{-1} f: (y, p) from H(beta), then v and q from y' = v,
+        p' = q.  z may be f: each half of f is read before it is written."""
         fp = f[:k]
         np.multiply(diag, fp, out=rhs)
         rhs[bpos] -= fp[nf:]
         rhs[nf:] -= fp[bpos]
         np.add(np.multiply(weight, f[k:], out=tmp), rhs, out=rhs)
         u = lu.solve(rhs)
-        z = np.empty(2 * k, complex)
         np.multiply(ib, u, out=z[k:])
         z[k:] -= fp
         z[:k] = u
-        return z
 
     # time reversal J = diag(1, -1, -1, 1) on (y, v, p, q) and the energy
     # identity W A + A^T W = -2 diag(0, C, 0, 0) give J A J = -A - 2 W^{-1}
@@ -238,13 +250,14 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
     # reuses the factor of L and needs none of W.  In the order
     # (y, p | v, q), J negates the slice p, v.
     flip = slice(nf, nf + k)
-    x = c.start
+    # the iterate and its image, allocated once per norm
+    x, z, xn = c.start, np.empty(2 * k, complex), np.empty(2 * k, complex)
     prev = 0.0
     for it in range(POWER_MAXIT):
         # z = L^{-1} x, then W^{-1} L^{-H} W z = J conj(L^{-1} conj(J z))
-        z = solve(x)
+        solve(x, z)
         z[flip] *= -1
-        z = solve(np.conjugate(z, out=z))
+        solve(np.conjugate(z, out=z), z)
         np.conjugate(z, out=z)
         z[flip] *= -1
         Wz = c.W @ z
@@ -259,7 +272,7 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
         nz = math.sqrt(nz2)
         if not math.isfinite(nz) or nz > HUGE:
             return HUGE
-        x = z / nz
+        x = np.divide(z, nz, out=xn)
         val = math.sqrt(rho)
         if it > 3 and abs(val - prev) <= POWER_TOL * max(val, 1e-300):
             return val
@@ -269,7 +282,8 @@ def resolvent_norm(gen: DiscreteGenerator, beta: float) -> float:
 
 @dataclass
 class MeshCurve:
-    cells_per_unit: float
+    cells_per_unit: float  # elements per unit length
+    dim: int  # of the generator
     beta: np.ndarray
     norm: np.ndarray
 
@@ -297,11 +311,13 @@ class SweepReport:
 def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
     """Resolvent-norm curves over a frequency grid on a ladder of meshes.
 
-    The mesh ladder (cells per unit length, at least two distinct meshes,
-    sorted ascending) defaults to two refinements of the coarsest mesh
-    resolving h * beta_max <= 0.2.  Verdict: "bounded" when the sup changes
-    < 20% between the two finest meshes, "unbounded" when it grows by > 2x,
-    otherwise "inconclusive".
+    The mesh ladder (elements of order SWEEP_ORDER per unit length, at
+    least two distinct meshes, sorted ascending) defaults to [b, 1.5 b] with
+    b = max(MIN_CELLS / shortest edge, ELEMENTS_PER_BETA * beta_max, 8).
+    Verdict, from the two finest meshes: "unbounded" when the sup is HUGE,
+    grows by > 2x, or exceeds AXIS_RATIO times its curve's median on both
+    (an eigenvalue on the axis); otherwise "bounded" when the sup changes
+    < 20%, and "inconclusive" when it does not.
     """
     beta_grid = np.asarray(list(beta_grid), dtype=float)
     if not np.all(np.isfinite(beta_grid)):
@@ -310,9 +326,9 @@ def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
         raise ResolventError("beta grid is empty")
     bmax = float(np.max(np.abs(beta_grid)))
     min_ell = min(e.ell for e in graph.edges)
-    base = max(MIN_CELLS / min_ell, bmax / MESH_BETA_PRODUCT, 8.0)
+    base = max(MIN_CELLS / min_ell, ELEMENTS_PER_BETA * bmax, 8.0)
     if mesh_ladder is None:
-        mesh_ladder = [base, 1.5 * base, 2.0 * base]
+        mesh_ladder = [base, 1.5 * base]
     try:
         mesh_ladder = sorted({float(m) for m in mesh_ladder})
     except (TypeError, ValueError):
@@ -326,16 +342,17 @@ def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
     _superlu()  # its one-time import lands here, not in the first norm
     curves = []
     for cells in mesh_ladder:
-        gen = assemble_generator(graph, cells)
+        gen = assemble_generator(graph, cells, SWEEP_ORDER)
         norms = np.array([resolvent_norm(gen, b) for b in beta_grid])
-        curves.append(MeshCurve(cells, beta_grid.copy(), norms))
+        curves.append(MeshCurve(cells, gen.dim, beta_grid.copy(), norms))
 
     fine, prev = curves[-1], curves[-2]
     if prev.sup > 0:
         change = abs(fine.sup - prev.sup) / prev.sup
     else:
         change = 0.0
-    if fine.sup >= HUGE or fine.sup > UNBOUNDED_FACTOR * prev.sup:
+    on_axis = all(c.sup > AXIS_RATIO * np.median(c.norm) for c in (prev, fine))
+    if fine.sup >= HUGE or fine.sup > UNBOUNDED_FACTOR * prev.sup or on_axis:
         verdict = "unbounded"
     elif change < BOUNDED_CHANGE:
         verdict = "bounded"

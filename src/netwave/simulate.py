@@ -1,13 +1,18 @@
 """Explicit time-domain simulation of the damped wave network.
 
-Each edge carries a uniform grid whose nodes, the Dirichlet vertices
-excepted, are the unknowns of one semi-discrete system (see `GridLayout`)
+Each edge carries a uniform grid of elements whose nodes, the Dirichlet
+vertices excepted, are the unknowns of one semi-discrete system (see
+`GridLayout`)
 
     M y'' + C y' + K y = B q,    m_k s_k'' + s_k = -(B^T y')_k,    q = s'.
 
 Half-cell lumping at a vertex reproduces, as the mesh is refined, the
 Kirchhoff flux law with the oscillator source (interior masses), the
 absorbing impedance y_x = -y_t (controlled leaves) or the Dirichlet pin.
+`make_layout` builds elements of order p on the Gauss-Lobatto-Legendre
+nodes, whose quadrature keeps M diagonal; order 1 is the piecewise-linear
+mesh with lumped mass, the only order the stepper runs, since its CFL
+bound dt <= cfl * hmin is known for that order only.
 Leapfrog in time takes one product K y per step; the damped vertices and the
 vertex-oscillator pairs are implicit but local, so each mass costs one 2x2
 solve.  Every coefficient that depends on the time step (the implicit vertex
@@ -54,18 +59,20 @@ class GridLayout:
     nodes of each edge in tail-to-head order.  A Dirichlet vertex carries
     no DOF: it is numbered after the last unknown, so `edge_nodes` holds
     both ends of every edge while a pinned index into a state array fails.
-    K is the stiffness of the piecewise-linear meshes over the unknowns, M
-    the lumped mass, C the unit damping at `graph.damped_vertices` and B the
-    unit injection of each oscillator at its mass vertex.  M and C are kept
-    as diagonals, B as the DOF index of each oscillator's unit entry.
+    K is the stiffness of the order-p elements over the unknowns, M the
+    mass lumped by their Gauss-Lobatto-Legendre quadrature, C the unit
+    damping at `graph.damped_vertices` and B the unit injection of each
+    oscillator at its mass vertex.  M and C are kept as diagonals, B as the
+    DOF index of each oscillator's unit entry.
     """
 
     vertex_dof: dict
     edge_nodes: dict  # edge id -> int array of DOF indices, tail..head
-    edge_h: dict  # edge id -> grid spacing
+    edge_h: dict  # edge id -> element width
+    order: int  # p: an element spans p + 1 nodes
     ndof: int
-    lumped_mass: np.ndarray  # M: h on interior nodes, sum of h_j/2 at vertices
-    stiffness: sp.csr_matrix  # K: sum over cells of (e_a - e_b)(e_a - e_b)^T / h
+    lumped_mass: np.ndarray  # M: sum over elements of (h/2) w_j at node j
+    stiffness: sp.csr_matrix  # K: sum over elements of (2/h) D^T W D
     damping: np.ndarray  # C: 1 at the damped DOFs, 0 elsewhere
     mass_ids: tuple  # the oscillators, in graph order
     mass_dofs: np.ndarray  # B: the vertex DOF each oscillator drives
@@ -73,7 +80,8 @@ class GridLayout:
 
     @functools.cached_property
     def hmin(self) -> float:
-        """The smallest grid spacing, which bounds dt by the CFL condition."""
+        """The smallest element width, which bounds dt by the CFL condition
+        at order 1."""
         return min(self.edge_h.values())
 
     @functools.cached_property
@@ -110,6 +118,9 @@ class Leapfrog:
 
 
 def _leapfrog(layout: GridLayout, dt: float) -> Leapfrog:
+    if layout.order != 1:
+        raise SimulationError(
+            f"the leapfrog step needs order-1 elements, got order {layout.order}")
     # each row of M (y+ - 2y + y-)/dt^2 + C (y+ - y-)/(2dt) + K y = 0, solved
     # for y+; C is nonzero at vertices only, so interior rows are explicit
     a = layout.lumped_mass / (dt * dt)
@@ -126,13 +137,49 @@ def _leapfrog(layout: GridLayout, dt: float) -> Leapfrog:
                     -b / den, np.flatnonzero(layout.damping))
 
 
-def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
-    """The grid of `cells_per_unit` cells per unit edge length, rounded to a
-    whole number of cells on each edge, and its semi-discrete operator.
+@functools.cache
+def _gll(order: int) -> tuple:
+    """The Gauss-Lobatto-Legendre weights w of `order` on [-1, 1] and the
+    element stiffness D^T W D, D the derivative of the nodal interpolant
+    at the nodes; read-only, computed once per order."""
+    p = order
+    # Newton on (1 - x^2) P_p'(x) from the Chebyshev-Gauss-Lobatto points,
+    # with P_p and P_(p-1) by the three-term recurrence
+    x = np.array([-math.cos(math.pi * k / p) for k in range(p + 1)])
+    for _ in range(100):
+        prev, cur = np.ones_like(x), x
+        for k in range(2, p + 1):
+            prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+        dx = (x * cur - prev) / ((p + 1) * cur)
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    w = 2.0 / (p * (p + 1) * cur * cur)
+    # D_ij = P_p(x_i) / (P_p(x_j)(x_i - x_j)), with zero row sums
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    D = cur[:, None] / (cur[None, :] * diff)
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    # summed without BLAS, and the start above is taken without numpy's
+    # cos: the first call of either raises peak RSS by about 0.5 MB, which a
+    # simulate run, which calls neither otherwise, would pay
+    stiffness = (w[:, None, None] * D[:, :, None] * D[:, None, :]).sum(axis=0)
+    for a in (w, stiffness):
+        a.flags.writeable = False
+    return w, stiffness
+
+
+def make_layout(graph: MetricGraph, cells_per_unit: float, order: int = 1) -> GridLayout:
+    """The mesh of `cells_per_unit` elements (cells) of `order` per unit
+    edge length, rounded to a whole number of elements on each edge, and its
+    semi-discrete operator.  An element of width h carries the p + 1
+    Gauss-Lobatto-Legendre nodes of order p; order 1 is the piecewise-linear
+    mesh with lumped mass.
 
     This is the one check of a mesh for both the time-domain scheme and the
     resolvent generator: a cell density that is not finite and positive, an
-    edge with fewer than MIN_CELLS cells, or more than MAX_DOFS grid nodes
+    edge with fewer than MIN_CELLS elements, or more than MAX_DOFS grid nodes
     raises SimulationError.
     """
     if not 0 < cells_per_unit < math.inf:
@@ -141,18 +188,20 @@ def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
             f"got {cells_per_unit!r}")
     # counted in floats before any allocation: an edge of length 1e300 asks
     # for 1e301 nodes, and its cell count may not even be a finite number
-    nodes = len(graph.vertices) + sum(cells_per_unit * e.ell - 1 for e in graph.edges)
+    nodes = len(graph.vertices) + sum(cells_per_unit * order * e.ell - 1
+                                      for e in graph.edges)
     if not nodes <= MAX_DOFS:
         raise SimulationError(
             f"the mesh needs {nodes:.3g} grid nodes, more than {MAX_DOFS}; "
             f"lower the cells per unit length or the edge lengths"
         )
+    w, kref = _gll(order)
     # the unknowns are the free vertices, then the interior nodes edge by
     # edge; the pinned vertices are numbered after them
     pinned = graph.dirichlet_vertices
     free = [v for v in graph.vertices if v not in pinned]
     vertex_dof = {v.id: i for i, v in enumerate(free)}
-    edge_nodes, edge_h, nd = {}, {}, len(free)
+    edge_nodes, edge_h, cells, nd = {}, {}, [], len(free)
     for e in graph.edges:
         n = int(round(cells_per_unit * e.ell))
         if n < MIN_CELLS:
@@ -161,25 +210,32 @@ def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
                 f"under-resolved edge (raise the cells per unit length)"
             )
         # int32 halves the assembly's memory
-        edge_nodes[e.id] = np.arange(nd - 1, nd + n, dtype=np.int32)
-        nd += n - 1
+        edge_nodes[e.id] = np.arange(nd - 1, nd + n * order, dtype=np.int32)
+        nd += n * order - 1
         edge_h[e.id] = e.ell / n
+        cells.append(n)
     vertex_dof.update((v.id, nd + k) for k, v in enumerate(pinned))
     for e in graph.edges:
         edge_nodes[e.id][[0, -1]] = vertex_dof[e.tail], vertex_dof[e.head]
-    # every cell (a, b) of width h adds h/2 to M at both ends and the
-    # element stiffness [[1, -1], [-1, 1]] / h to K, kept on the unknowns
-    cells = [(idx[:-1], idx[1:], np.full(len(idx) - 1, edge_h[eid]))
-             for eid, idx in edge_nodes.items()]
-    a, b, h = (np.concatenate(c) for c in zip(*cells))
+    # node[j]: the j-th node of every element, and h: its width
+    node = [np.concatenate([idx[j:len(idx) - order + j:order] for idx in edge_nodes.values()])
+            for j in range(order + 1)]
+    h = np.repeat(list(edge_h.values()), cells)
     total = nd + len(pinned)
-    lumped = (np.bincount(a, h / 2.0, total) + np.bincount(b, h / 2.0, total))[:nd]
-    w = 1.0 / h
-    rows, cols = np.concatenate([a, b, a, b]), np.concatenate([a, b, b, a])
+    half = h / 2.0
+    lumped = sum(np.bincount(node[j], half * w[j], total) for j in range(order + 1))[:nd]
+    # the element entries (i, j): the diagonal, then i < j, then i > j, each
+    # over every element; at order 1 that is aa, bb, ab, ba, the order in
+    # which the CSR conversion sums the duplicates at a vertex
+    upper = [(i, j) for i in range(order + 1) for j in range(i + 1, order + 1)]
+    pairs = [(i, i) for i in range(order + 1)] + upper + [(j, i) for i, j in upper]
+    scale = 2.0 / h
+    rows = np.concatenate([node[i] for i, _ in pairs])
+    cols = np.concatenate([node[j] for _, j in pairs])
+    values = np.concatenate([kref[i, j] * scale for i, j in pairs])
     unknown = (rows < nd) & (cols < nd)
     stiffness = sp.csr_matrix(
-        (np.concatenate([w, w, -w, -w])[unknown], (rows[unknown], cols[unknown])),
-        shape=(nd, nd))
+        (values[unknown], (rows[unknown], cols[unknown])), shape=(nd, nd))
 
     def dofs(vertices):
         return np.array([vertex_dof[v.id] for v in vertices], dtype=int)
@@ -187,7 +243,7 @@ def make_layout(graph: MetricGraph, cells_per_unit: float) -> GridLayout:
     damping = np.zeros(nd)
     damping[dofs(graph.damped_vertices)] = 1.0
     return GridLayout(
-        vertex_dof, edge_nodes, edge_h, nd, lumped, stiffness, damping,
+        vertex_dof, edge_nodes, edge_h, order, nd, lumped, stiffness, damping,
         tuple(v.id for v in graph.mass_vertices), dofs(graph.mass_vertices),
         np.array([v.mass for v in graph.mass_vertices], dtype=float))
 
@@ -238,8 +294,11 @@ def init_state(graph: MetricGraph, y0=None, v0=None, osc=None,
         xs = np.linspace(0.0, e.ell, len(idx))
         fy = y0.get(e.id)
         fv = v0.get(e.id)
-        ye = np.array([float(fy(x)) for x in xs]) if fy else np.zeros(len(xs))
-        ve = np.array([float(fv(x)) for x in xs]) if fv else np.zeros(len(xs))
+        # one call per node on Python floats, so scalar profiles such as
+        # math.sin serve as well as numpy-ready ones
+        nodes = xs.tolist()
+        ye = np.fromiter(map(fy, nodes), float, len(xs)) if fy else np.zeros(len(xs))
+        ve = np.fromiter(map(fv, nodes), float, len(xs)) if fv else np.zeros(len(xs))
         scale = max(1.0, float(np.max(np.abs(ye))))
         for end, vid in ((0, e.tail), (-1, e.head)):
             val = ye[end]

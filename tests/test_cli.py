@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import netwave
 from netwave import cli
 from netwave.cli import BETA_GRID, COMMANDS, INITIAL, main
+from netwave.graph import build_graph
+from netwave.resolvent import assemble_generator
 
 TREE_SPEC = {
     "variant": "tree",
@@ -86,6 +88,20 @@ def test_malformed_config_exit_two(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "line" in err and "column" in err
+
+
+def test_sweep_manifest_reports_its_stats(tmp_path, capsys):
+    cfg = write(tmp_path, "sweep.json", {"graph": TREE_SPEC, "beta": [0.0, 0.5, 2.0],
+                                         "mesh-ladder": [16, 24]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    graph = build_graph(TREE_SPEC)
+    # one norm per beta and mesh, on generators of order-8 elements
+    assert stats == {"order": 8, "norms": 6,
+                     "dims": [assemble_generator(graph, cells, 8).dim for cells in (16, 24)]}
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "beta,mesh,sigma_min,norm" and len(rows) == 7
 
 
 def test_unknown_subcommand_exit_two(capsys):

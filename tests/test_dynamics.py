@@ -7,7 +7,14 @@ import pytest
 
 import netwave.simulate
 from netwave.cli import main
-from netwave.graph import build_graph, make_circuit, make_star, make_tree_chain
+from netwave.graph import (
+    MetricGraph,
+    build_graph,
+    make_chain,
+    make_circuit,
+    make_star,
+    make_tree_chain,
+)
 from netwave.resolvent import assemble_generator
 from netwave.simulate import (
     BLOWUP_FACTOR,
@@ -77,6 +84,38 @@ def test_layout_gives_the_pinned_vertices_no_dof(graph):
     assert layout.ndof == free + interior
     assert all(layout.vertex_dof[v.id] >= layout.ndof
                for v in graph.dirichlet_vertices)
+
+
+ELEMENT_GRAPHS = [make_chain(["1.3", "0.7"], [0.5]), GRAPHS[1], GRAPHS[3]]
+
+
+@pytest.mark.parametrize("order", [1, 4, 8])
+@pytest.mark.parametrize("graph", ELEMENT_GRAPHS, ids=["chain", "tree", "circuit"])
+def test_elements_integrate_constants(graph, order, monkeypatch):
+    # with no vertex pinned every node is an unknown: the lumped mass
+    # (the element quadrature of 1) sums to the total edge length, and K,
+    # the stiffness of the derivative, annihilates constants
+    monkeypatch.setattr(MetricGraph, "dirichlet_vertices", property(lambda self: []))
+    layout = make_layout(graph, 6, order)
+    interior = sum(len(idx) - 2 for idx in layout.edge_nodes.values())
+    assert layout.ndof == len(graph.vertices) + interior
+    assert interior == sum(round(6 * e.ell) * order - 1 for e in graph.edges)
+    total = graph.total_length()
+    assert np.all(layout.lumped_mass > 0)
+    assert abs(layout.lumped_mass.sum() - total) <= 1e-13 * total
+    K = layout.stiffness
+    assert np.max(np.abs(K @ np.ones(layout.ndof))) <= 1e-12 * np.max(np.abs(K.data))
+
+
+def test_the_stepper_refuses_higher_order_elements():
+    # the CFL bound dt <= cfl * hmin holds for order-1 elements only
+    graph = GRAPHS[1]
+    layout = make_layout(graph, 16, 4)
+    zeros, nm = np.zeros(layout.ndof), len(layout.mass_ids)
+    state = netwave.simulate.NetworkState(layout, zeros, zeros, np.zeros(nm),
+                                          np.zeros(nm), 0.0)
+    with pytest.raises(SimulationError, match="order-1"):
+        step(state, 0.5 * layout.hmin)
 
 
 @pytest.mark.parametrize("graph", [GRAPHS[1], make_circuit("sqrt(2)")])

@@ -8,6 +8,7 @@ from scipy.sparse.linalg import splu
 import netwave.resolvent
 from netwave.graph import make_circuit, make_star, make_tree_chain
 from netwave.resolvent import (
+    AXIS_RATIO,
     HUGE,
     ResolventError,
     assemble_generator,
@@ -16,6 +17,7 @@ from netwave.resolvent import (
     sweep,
 )
 from netwave.simulate import SimulationError
+from netwave.spectral import find_eigenvalues
 
 GRAPHS = [
     make_tree_chain(["1", "0.9"], [1.0]),
@@ -232,34 +234,76 @@ def test_discrete_eigenvalues_approach_characteristic_roots():
     assert errs[1] <= 0.4 * errs[0]
 
 
-# resolvent norms at 8 and 40 cells per unit length on three variants, at
-# beta = 0, at 1/sqrt(2) (the resonance m beta^2 = 1 of the tree's mass 2)
-# and at three other frequencies; a change of the generator or of the power
-# iteration moves them
+# resolvent norms keyed by (elements per unit length, order): at 8 and 40
+# cells of order 1 and at 6 and 12 elements of order 8, on three variants,
+# at beta = 0, at 1/sqrt(2) (the resonance m beta^2 = 1 of the tree's mass
+# 2) and at three other frequencies; a change of the element, the generator
+# or the power iteration moves them
 NORM_BETAS = (0.0, 0.5, 1.0 / math.sqrt(2.0), 3.7, 20.0)
 NORMS = [
     (make_tree_chain(["1", "0.8", "1.3"], [1, 2]), {
-        8: (4.301117124319061, 11.353361026590337, 16.31918323738996,
-            3.6091113921348663, 0.23753373381309234),
-        40: (4.300695287836989, 11.349522206052919, 16.287236107745567,
-             3.5813829203428735, 4.148767411616502)}),
+        (8, 1): (4.301117124319061, 11.353361026590337, 16.31918323738996,
+                 3.6091113921348663, 0.23753373381309234),
+        (40, 1): (4.300695287836989, 11.349522206052919, 16.287236107745567,
+                  3.5813829203428735, 4.148767411616502),
+        (6, 8): (4.30067884455523, 11.349377141002769, 16.285967601982687,
+                 3.5807554888037587, 3.887605081705777),
+        (12, 8): (4.300678841739765, 11.349377136124408, 16.28596761427069,
+                  3.5807554878970635, 3.8876050922421648)}),
     (make_star("1", "1", "sqrt(2)"), {
-        8: (2.2253505081568865, 4.558985617528897, 12.285477030569085,
-            4.754519316286801, 0.24237522382272114),
-        40: (2.224609997747123, 4.555580423778393, 12.270184256590108,
-             4.375704163522408, 3.2058516398646306)}),
+        (8, 1): (2.2253505081568865, 4.558985617528897, 12.285477030569085,
+                 4.754519316286801, 0.24237522382272114),
+        (40, 1): (2.224609997747123, 4.555580423778393, 12.270184256590108,
+                  4.375704163522408, 3.2058516398646306),
+        (6, 8): (2.2245795284146013, 4.555443615403744, 12.269559909446285,
+                 4.361862674856698, 3.4550161506010415),
+        (12, 8): (2.224579480623141, 4.555443663691355, 12.269559909460776,
+                  4.361862653604831, 3.455016105792578)}),
     (make_circuit("sqrt(2)"), {
-        8: (5.321806603518295, 4.136834976933629, 7.8894908513453474,
-            6.714258445735411, 0.24250079287796455),
-        40: (5.321477746385028, 4.137188230426495, 7.877942787920425,
-             6.6643812414828805, 4.389872067084012)}),
+        (8, 1): (5.321806603518295, 4.136834976933629, 7.8894908513453474,
+                 6.714258445735411, 0.24250079287796455),
+        (40, 1): (5.321477746385028, 4.137188230426495, 7.877942787920425,
+                  6.6643812414828805, 4.389872067084012),
+        (6, 8): (5.3214639833342225, 4.137202558917463, 7.877486286556561,
+                 6.65824082883876, 3.0827222356743986),
+        (12, 8): (5.321464001261002, 4.137202695012431, 7.87748595771612,
+                  6.658240831147069, 3.082722236866824)}),
 ]
 
 
 @pytest.mark.parametrize("graph, expected", NORMS,
                          ids=[f"{g.variant}-{len(g.edges)}-edges" for g, _ in NORMS])
 def test_norms_are_unchanged(graph, expected):
-    for cells, norms in expected.items():
-        gen = assemble_generator(graph, cells)
+    for (cells, order), norms in expected.items():
+        gen = assemble_generator(graph, cells, order)
         for beta, norm in zip(NORM_BETAS, norms):
             assert abs(resolvent_norm(gen, beta) - norm) <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("q", [12, 29])
+def test_sweep_reads_the_near_axis_roots_of_the_circuit(q):
+    # ||R(i Im lam)|| >= 1/|Re lam| for every eigenvalue lam; the sqrt(2)
+    # circuit has one near 2 pi q i with |Re lam| ~ 1/(4 q^2), which the
+    # default ladder must resolve to 1e-3 on both meshes (the order-1 mesh
+    # read 8.0, 17.9 and 31.8 against 582 at q = 12)
+    graph = make_circuit("sqrt(2)")
+    im = 2.0 * math.pi * q
+    roots = find_eigenvalues(graph, (-0.01, 0.001, im - 0.1, im + 0.1)).roots
+    assert len(roots) == 1
+    lam = roots[0].lam
+    report = sweep(graph, [lam.imag])
+    assert len(report.curves) == 2
+    for curve in report.curves:
+        assert curve.norm[0] >= (1.0 - 1e-3) / abs(lam.real)
+
+
+def test_sweep_reads_an_axis_eigenvalue_as_unbounded():
+    # the order-8 mesh puts the pi tree's eigenvalue i within round-off of
+    # the axis, so the norm at beta = 1 is round-off-limited and unordered by
+    # mesh: the axis rule, not growth, reads it as unbounded
+    graph = make_tree_chain(["1", "pi*1", "1"], [1.0, 1.0])
+    report = sweep(graph, sorted({*np.linspace(0.0, 33.0, 41).tolist(), 1.0}))
+    assert report.verdict == "unbounded"
+    assert report.peak_beta == 1.0
+    for curve in report.curves[-2:]:
+        assert curve.sup > AXIS_RATIO * np.median(curve.norm)
