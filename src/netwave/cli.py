@@ -14,10 +14,8 @@ exactly the reported values.
 from __future__ import annotations
 
 import argparse
-import csv
 import difflib
 import functools
-import io
 import json
 import math
 import sys
@@ -104,12 +102,12 @@ class Emitter:
         return path
 
     def csv(self, name: str, header, rows):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-        return self._write(name, buf.getvalue())
+        """Comma-separated numeric rows under a header of plain names:
+        floats to 12 significant digits, integers as written."""
+        lines = [",".join(header)]
+        lines.extend(",".join([f"{v:.12e}" if isinstance(v, float) else str(v)
+                               for v in row]) for row in rows)
+        return self._write(name, "\n".join(lines) + "\n")
 
     def json(self, name: str, payload):
         text = json.dumps(_round12(payload), sort_keys=True, indent=2) + "\n"

@@ -8,6 +8,7 @@ import textwrap
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ import netwave
 from netwave import cli
 from netwave.cli import BETA_GRID, COMMANDS, INITIAL, main
 from netwave.graph import build_graph
-from netwave.resolvent import assemble_generator
+from netwave.resolvent import HUGE, assemble_generator
 
 TREE_SPEC = {
     "variant": "tree",
@@ -166,6 +167,30 @@ def test_spectrum_empty_box_header_only_csv(tmp_path, capsys):
     lines = (out / "spectrum.csv").read_text().splitlines()
     assert lines == ["re,im,residual,box_count"]
     assert json.loads((out / "manifest.json").read_text())["outputs"]
+
+
+def test_csv_bytes_are_pinned(tmp_path):
+    # the text that csv.writer(lineterminator="\n") wrote for these rows,
+    # floats through "%.12e" and everything else through str
+    rows = [(0.0, -0.0, 1, -3),
+            (np.float64(1.0) / 3, np.float64(-2.5e-7), 12, 0),
+            (1e300, -1e-300, 9.999999999999e299, 2 ** 70),
+            (HUGE, 1.0 / HUGE, -HUGE, 5),
+            (np.float64(1e-300), np.float64(-1.7976931348623157e308), 5e-324, -7),
+            (math.inf, -math.inf, math.nan, 1)]
+    em = cli.Emitter(tmp_path, "test", None, {}, {})
+    em.csv("rows.csv", ["a", "b", "c", "d"], rows)
+    em.csv("empty.csv", ["re", "im"], [])
+    assert (tmp_path / "rows.csv").read_bytes() == (
+        b"a,b,c,d\n"
+        b"0.000000000000e+00,-0.000000000000e+00,1,-3\n"
+        b"3.333333333333e-01,-2.500000000000e-07,12,0\n"
+        b"1.000000000000e+300,-1.000000000000e-300,9.999999999999e+299,"
+        b"1180591620717411303424\n"
+        b"1.000000000000e+30,1.000000000000e-30,-1.000000000000e+30,5\n"
+        b"1.000000000000e-300,-1.797693134862e+308,4.940656458412e-324,-7\n"
+        b"inf,-inf,nan,1\n")
+    assert (tmp_path / "empty.csv").read_bytes() == b"re,im\n"
 
 
 def test_svg_is_self_contained(tmp_path, capsys):

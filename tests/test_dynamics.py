@@ -224,6 +224,36 @@ def test_run_samples_the_energies_of_single_steps(stride):
         np.testing.assert_allclose(series.shadow, shadow, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("stride", [1, 3])
+def test_run_samples_the_energies_of_a_grid_mode(stride):
+    # node values alternating in sign: the fastest grid mode, whose level
+    # differences d_n = y_{n+1} - y_n and d_{n-1} nearly cancel in the
+    # centered velocity, so E's cross term (M d_n)'d_{n-1} is as large as
+    # its one-step terms and of opposite sign
+    graph = make_tree_chain(["1", "0.9"], [1.0])
+    edge_h = make_layout(graph, 16).edge_h
+
+    def grid_mode(e):
+        bump = smooth_bump(e.ell)
+        return lambda x: math.cos(math.pi * x / edge_h[e.id]) * bump(x)
+
+    y0 = {e.id: grid_mode(e) for e in graph.edges}
+    osc = {"a2": (0.3, -0.2)}
+    series = run(graph, {"T": 1.0, "cells_per_unit": 16, "sample_stride": stride},
+                 y0=y0, osc=osc)
+    dt = series.dt
+    state = _bootstrap(init_state(graph, y0, None, osc, 16), dt)
+    E, shadow = [], []
+    for n in range(series.steps):
+        after = step(state, dt)
+        if n % stride == 0 or n == series.steps - 1:
+            E.append(energy(centered(state, after, dt)))
+            shadow.append(shadow_energy(after, dt))
+        state = after
+    np.testing.assert_allclose(series.E, E, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(series.shadow, shadow, rtol=1e-12, atol=0)
+
+
 # (graph, steps, dt, every 10th sample of E, D and the shadow energy) of a
 # run to T = 2 on 16 cells per unit, from fixed bumps (`fixed_initial`)
 RUN_OUTPUTS = [
@@ -408,6 +438,18 @@ def test_init_state_rejects_nonzero_at_clamped_end():
     graph = make_tree_chain(["1", "0.9"], [1.0])
     with pytest.raises(SimulationError):
         init_state(graph, y0={"e1": lambda x: 1.0 - x})
+
+
+def test_init_state_rejects_discontinuous_velocity():
+    graph = make_tree_chain(["1", "0.9"], [1.0])
+    with pytest.raises(SimulationError, match="v0 discontinuous at vertex 'a2'"):
+        init_state(graph, v0={"e1": lambda x: x})
+
+
+def test_init_state_rejects_nonzero_velocity_at_clamped_end():
+    graph = make_tree_chain(["1", "0.9"], [1.0])
+    with pytest.raises(SimulationError, match="v0 nonzero .* clamped vertex 'a1'"):
+        init_state(graph, v0={"e1": lambda x: 1.0 - x})
 
 
 def test_under_resolved_edge_refused():
