@@ -19,7 +19,6 @@ from .counterexample import (  # noqa: F401
     GrowthReport,
     StarProbe,
     asymptotic_defects,
-    bracketing_angles,
     circuit_solve,
     dirichlet_convergents,
     growth_law,

@@ -249,20 +249,6 @@ def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
         )
 
 
-def bracketing_angles(pair: ConvergentPair, l4) -> tuple:
-    """(lambda_n, theta_n, mu_n) with theta_n = beta_n l4 - 2 pi p_n.
-
-    For large enough q the reduced angle theta_n is bracketed as
-    0 < lambda_n < theta_n < mu_n < pi/2 where
-    lambda_n, mu_n = -+ 2 pi / q + 2 pi l4 / q^{1/4}.
-    """
-    with mp.workdps(_precision_for(pair.q)):
-        l4v = Length.parse(l4).mpf()
-        _, th1, theta = _probe_angles(None, l4v, pair)
-        gap = 2 * mp.pi / pair.q
-        return th1 * l4v - gap, theta, th1 * l4v + gap
-
-
 def asymptotic_defects(probe: CircuitProbe) -> dict:
     """Relative distance of A..H from their leading-order forms.
 

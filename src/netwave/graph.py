@@ -35,7 +35,8 @@ class Length:
     """Edge length with its exact provenance when known.
 
     kind is one of "rational" (value = frac), "pi" (value = frac * pi),
-    "sqrt" (value = sqrt(frac)) or "float" (value only).
+    "sqrt" (value = sqrt(frac), frac not the square of a rational) or
+    "float" (value only).
     """
 
     value: float
@@ -63,7 +64,11 @@ class Length:
                 frac = Fraction(text[5:-1])
                 if frac < 0:
                     raise GraphError(f"negative radicand in {text!r}")
-                length = Length(math.sqrt(float(frac)), "sqrt", frac)
+                root = Fraction(math.isqrt(frac.numerator), math.isqrt(frac.denominator))
+                if root * root == frac:  # the square root of a square is rational
+                    length = Length(float(root), "rational", root)
+                else:
+                    length = Length(math.sqrt(float(frac)), "sqrt", frac)
             else:
                 frac = Fraction(text)
                 length = Length(float(frac), "rational", frac)

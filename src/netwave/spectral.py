@@ -15,6 +15,10 @@ d/dlam log det M = tr(M^{-1} M'), with M' assembled analytically.  A strip
 evaluates M at all of its quadrature nodes in one stacked pass: one basis
 broadcast over the nodes and the edge lengths, one batched inverse.  M' is
 built only for Newton, whose char_matrix is the same pass on a single lam.
+
+eigenfunction lifts a null vector of M(lam) to a unit-norm state of the
+energy space: each oscillator from its vertex's flux law, q = sum d y' +
+c lam y(v) and p = q / lam, and each edge's energy from its exact integral.
 """
 
 from __future__ import annotations
@@ -469,19 +473,15 @@ def eigenfunction(graph: MetricGraph, lam: complex) -> EigenFunction:
     # y and d y' at every edge end, read through the map the laws are written on
     t = _trace_blocks(graph, np.array((lam,)))[:, :, 0, :, 0]
     traces = (t @ coeff.reshape(-1, 2, 1)).ravel()
+    # each oscillator from its vertex's flux law, which holds at a resonant
+    # mass too: q = sum d y' + c lam y(v), and p = q / lam (lam = 0 is no root)
     p, q = {}, {}
+    damped = graph.damped_vertices
     for v, ends in zip(graph.vertices, _ends(graph)):
-        if v.kind != "mass":
-            continue
-        den = v.mass * lam * lam + 1.0
-        if abs(den) > 1e-8:
-            pk = -lam * traces[ends[0]] / den
-        else:
-            # resonant mass: the flux law forces y_k = 0 and leaves
-            # q_k = lam p_k = sum d y', in every variant
-            pk = traces[[end + 1 for end in ends]].sum() / lam
-        p[v.id] = pk
-        q[v.id] = lam * pk
+        if v.kind == "mass":
+            c = float(v in damped)
+            q[v.id] = traces[[end + 1 for end in ends]].sum() + c * lam * traces[ends[0]]
+            p[v.id] = q[v.id] / lam
 
     norm = _state_norm(graph, lam, coefficients, p, q)
     if norm > 0:
@@ -492,16 +492,21 @@ def eigenfunction(graph: MetricGraph, lam: complex) -> EigenFunction:
     return EigenFunction(lam, coefficients, p, q, residual, null_dim)
 
 
+def _edge_energy(lam, alpha, gamma, ell):
+    """int_0^ell (|y'|^2 + |lam y|^2) dx for y = alpha cosh(lam x) +
+    gamma sinh(lam x)/lam, in closed form.  With u = lam alpha the parts
+    (u +- gamma) e^(+-lam x)/2 of y' and lam y leave no cross term; a = Re lam.
+    counterexample._edge_energy is the same integral on the axis."""
+    u, a = lam * alpha, lam.real
+    if a == 0:
+        return (abs(u) ** 2 + abs(gamma) ** 2) * ell
+    return (abs(u + gamma) ** 2 * math.expm1(2.0 * a * ell)
+            - abs(u - gamma) ** 2 * math.expm1(-2.0 * a * ell)) / (4.0 * a)
+
+
 def _state_norm(graph, lam, coefficients, p, q):
     """H-norm: sum_j int(|y'|^2 + |v|^2) + sum_k (|p|^2 + m_k |q|^2)."""
-    total = 0.0
-    for e in graph.edges:
-        a, g = coefficients[e.id]
-        npts = max(24, int(4.0 * abs(lam) * e.ell) + 8)
-        nodes, weights = np.polynomial.legendre.leggauss(npts)
-        b = _basis(lam, 0.5 * e.ell * (nodes + 1.0))
-        y, yp = b[0] * a + b[1] * g, b[4] * a + b[5] * g
-        total += float(0.5 * e.ell * weights @ (np.abs(yp) ** 2 + np.abs(lam * y) ** 2))
+    total = sum(_edge_energy(lam, *coefficients[e.id], e.ell) for e in graph.edges)
     for v in graph.mass_vertices:
         total += abs(p[v.id]) ** 2 + v.mass * abs(q[v.id]) ** 2
     return math.sqrt(total)

@@ -11,8 +11,9 @@ from netwave.counterexample import (
     CounterexampleError,
     _edge_energy,
     _lu_solve,
+    _precision_for,
+    _probe_angles,
     asymptotic_defects,
-    bracketing_angles,
     circuit_solve,
     dirichlet_convergents,
     growth_law,
@@ -126,6 +127,20 @@ def test_asymptotic_defects_decrease():
         assert d_large[key] < d_small[key]
     # the leading coefficient of A: A * q^{1/4} -> 2 pi (2 + l4)
     assert d_large["A"] < 0.05
+
+
+def bracketing_angles(pair: ConvergentPair, l4) -> tuple:
+    """(lambda_n, theta_n, mu_n) with theta_n = beta_n l4 - 2 pi p_n.
+
+    For large enough q the reduced angle theta_n is bracketed as
+    0 < lambda_n < theta_n < mu_n < pi/2 where
+    lambda_n, mu_n = -+ 2 pi / q + 2 pi l4 / q^{1/4}.
+    """
+    with mp.workdps(_precision_for(pair.q)):
+        l4v = Length.parse(l4).mpf()
+        _, th1, theta = _probe_angles(None, l4v, pair)
+        gap = 2 * mp.pi / pair.q
+        return th1 * l4v - gap, theta, th1 * l4v + gap
 
 
 def test_bracketing_angles_hold_beyond_threshold():
