@@ -30,10 +30,11 @@ it, so the norm there is limited by round-off, not by the mesh, and the
 verdict reads a sup above AXIS_RATIO = 1/sqrt(eps) times its curve's median
 on both finest meshes as unbounded.
 
-scipy's sparse solver stack (scipy.sparse.linalg, which loads scipy.linalg
-with it) is imported on the first factorization, not with this module: it
-costs 0.15-0.2 s CPU and 10 MB on a 2-vCPU VM, and only `sweep` factors
-anything, so the other subcommands never pay for it.
+scipy.sparse is imported with the first generator, and its solver stack
+(scipy.sparse.linalg, which loads scipy.linalg with it) on the first
+factorization, not with this module: together they cost about 0.35-0.4 s
+CPU and 30 MB on a 2-vCPU VM, and only `sweep` builds or factors anything,
+so the other subcommands never pay for them.
 """
 
 from __future__ import annotations
@@ -42,12 +43,15 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import MetricGraph
 from .simulate import GridLayout, make_layout, MIN_CELLS
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 POWER_TOL = 1e-6
 POWER_MAXIT = 1000
@@ -122,6 +126,8 @@ class DiscreteGenerator:
     @functools.cached_property
     def W(self) -> sp.csr_matrix:
         """The energy weight diag(K, M, 1, m)."""
+        import scipy.sparse as sp
+
         lay = self.layout
         return sp.block_diag([lay.stiffness, sp.diags(lay.lumped_mass),
                               sp.identity(len(lay.masses)), sp.diags(lay.masses)], "csr")
@@ -129,6 +135,8 @@ class DiscreteGenerator:
     @functools.cached_property
     def A(self) -> sp.csr_matrix:
         """The first-order generator A_h."""
+        import scipy.sparse as sp
+
         lay = self.layout
         nf, nm = self.nfield, len(lay.mass_ids)
         Minv, m_inv = sp.diags(1.0 / lay.lumped_mass), sp.diags(1.0 / lay.masses)
@@ -144,6 +152,8 @@ class DiscreteGenerator:
     @functools.cached_property
     def norm_constants(self) -> NormConstants:
         """The beta-independent data of `resolvent_norm`."""
+        import scipy.sparse as sp
+
         n, nf, nm = self.dim, self.nfield, len(self.layout.mass_ids)
         rng = np.random.default_rng(12345)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -164,6 +174,8 @@ def assemble_generator(graph: MetricGraph, cells_per_unit: float,
     the semi-discrete operator of `make_layout` at `cells_per_unit` elements
     of `order` per unit edge length.  `make_layout` checks that mesh and
     raises SimulationError for one it refuses."""
+    import scipy.sparse as sp
+
     layout = make_layout(graph, cells_per_unit, order)
     nf, nm = layout.ndof, len(layout.mass_ids)
     # (i beta - A)(y, v, p, q) = f with v = i beta y - f_y, q = i beta p - f_p

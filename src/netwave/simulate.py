@@ -17,7 +17,11 @@ Leapfrog in time takes one product K y per step; the damped vertices and the
 vertex-oscillator pairs are implicit but local, so each mass costs one 2x2
 solve.  Every coefficient that depends on the time step (the implicit vertex
 rows, the eliminated mass solve) is built once per (mesh, dt) and cached on
-the layout, so a step is a few array updates.
+the layout, so a step is a few array updates.  The stepper forms K y with
+numpy alone (`Bands`), from the same entries as the CSR matrix
+`GridLayout.stiffness`, which only the resolvent and the tests read: it is
+built on first access, and scipy.sparse imported with it, so a simulation
+loads no sparse stack.
 
 Alongside the physical energy the run loop tracks the staggered (half-step)
 leapfrog energy, which obeys an exact discrete dissipation identity: it
@@ -37,11 +41,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import MetricGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_CFL = 0.9
 DEFAULT_CELLS = 16.0  # grid cells per unit edge length
@@ -69,7 +76,8 @@ class GridLayout:
     mass lumped by their Gauss-Lobatto-Legendre quadrature, C the unit
     damping at `graph.damped_vertices` and B the unit injection of each
     oscillator at its mass vertex.  M and C are kept as diagonals, B as the
-    DOF index of each oscillator's unit entry.
+    DOF index of each oscillator's unit entry, and K as the element entries
+    that `stiffness` and `bands` read.
     """
 
     vertex_dof: dict
@@ -78,11 +86,28 @@ class GridLayout:
     order: int  # p: an element spans p + 1 nodes
     ndof: int
     lumped_mass: np.ndarray  # M: sum over elements of (h/2) w_j at node j
-    stiffness: sp.csr_matrix  # K: sum over elements of (2/h) D^T W D
+    # K: sum over elements of (2/h) D^T W D, as its element entries
+    # (values, rows, cols); see `make_layout` for which are summed
+    k_triplets: tuple
     damping: np.ndarray  # C: 1 at the damped DOFs, 0 elsewhere
     mass_ids: tuple  # the oscillators, in graph order
     mass_dofs: np.ndarray  # B: the vertex DOF each oscillator drives
     masses: np.ndarray
+
+    @functools.cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """K as a CSR matrix; built, and scipy.sparse imported, on first
+        access."""
+        import scipy.sparse as sp
+
+        values, rows, cols = self.k_triplets
+        return sp.csr_matrix((values, (rows, cols)), shape=(self.ndof, self.ndof))
+
+    @functools.cached_property
+    def bands(self) -> Bands:
+        """K as the order-1 stepper applies it, entry for entry that of
+        `stiffness`."""
+        return _bands(self)
 
     @functools.cached_property
     def hmin(self) -> float:
@@ -124,9 +149,7 @@ class Leapfrog:
 
 
 def _leapfrog(layout: GridLayout, dt: float) -> Leapfrog:
-    if layout.order != 1:
-        raise SimulationError(
-            f"the leapfrog step needs order-1 elements, got order {layout.order}")
+    _check_order(layout)
     # each row of M (y+ - 2y + y-)/dt^2 + C (y+ - y-)/(2dt) + K y = 0, solved
     # for y+; C is nonzero at vertices only, so interior rows are explicit
     a = layout.lumped_mass / (dt * dt)
@@ -141,6 +164,59 @@ def _leapfrog(layout: GridLayout, dt: float) -> Leapfrog:
     den = a22 + b * f
     return Leapfrog(a1, a2, g, f, (2.0 * a22 - 1.0) / den, (b * f - a22) / den,
                     -b / den, np.flatnonzero(layout.damping))
+
+
+def _check_order(layout: GridLayout) -> None:
+    if layout.order != 1:
+        raise SimulationError(
+            f"the leapfrog step needs order-1 elements, got order {layout.order}")
+
+
+@dataclass(frozen=True)
+class Bands:
+    """K of an order-1 layout as numpy arrays: its entries in the rows and
+    columns of the free vertices, and its diagonal and band K[i, i-1],
+    K[i, i+1] at the interior nodes.  Each entry of K lies in exactly one
+    of them, and `bands @ y` sums each row in the order of the CSR product,
+    so it is K y bit for bit."""
+
+    rows: np.ndarray  # the vertex entries, sorted by row, then column
+    cols: np.ndarray
+    values: np.ndarray
+    diag: np.ndarray  # K[i, i] at the interior nodes, 0 at the vertices
+    lower: np.ndarray  # K[i, i-1] at i - 1 between interior nodes, else 0
+    upper: np.ndarray  # K[i, i+1] at i, likewise
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        # the CSR product sums a row from 0 in column order, and a vertex
+        # column comes before the interior ones: the vertex entries first,
+        # by bincount's running sums, then K[i, i-1], K[i, i], K[i, i+1]
+        ky = np.bincount(self.rows, self.values * y[self.cols], len(y))
+        tmp = self.lower * y[:-1]
+        tail, head = ky[1:], ky[:-1]
+        tail += tmp
+        ky += self.diag * y
+        np.multiply(self.upper, y[1:], out=tmp)
+        head += tmp
+        return ky
+
+
+def _bands(layout: GridLayout) -> Bands:
+    _check_order(layout)
+    nd = layout.ndof
+    values, rows, cols = layout.k_triplets
+    # the free vertices are the DOFs below the first interior node
+    nv = sum(dof < nd for dof in layout.vertex_dof.values())
+    interior = (rows >= nv) & (cols >= nv)
+    diag, lower, upper = np.zeros(nd), np.zeros(nd - 1), np.zeros(nd - 1)
+    for part, where, at in ((diag, rows == cols, rows), (lower, rows == cols + 1, cols),
+                            (upper, rows + 1 == cols, rows)):
+        where &= interior
+        part[at[where]] = values[where]
+    vertex = ~interior
+    order = np.lexsort((cols[vertex], rows[vertex]))
+    return Bands(rows[vertex][order], cols[vertex][order], values[vertex][order],
+                 diag, lower, upper)
 
 
 @functools.cache
@@ -231,8 +307,13 @@ def make_layout(graph: MetricGraph, cells_per_unit: float, order: int = 1) -> Gr
     half = h / 2.0
     lumped = sum(np.bincount(node[j], half * w[j], total) for j in range(order + 1))[:nd]
     # the element entries (i, j): the diagonal, then i < j, then i > j, each
-    # over every element; at order 1 that is aa, bb, ab, ba, the order in
-    # which the CSR conversion sums the duplicates at a vertex
+    # over every element.  Only diagonal entries meet, at the nodes that
+    # elements share, and the CSR conversion sums them in the order of its
+    # per-row sort, which keeps this order only in rows of up to 16 entries
+    # (at order 1, a vertex of degree 8).  At order 1, the stepper's, they
+    # are summed here in this order instead, so that `bands` and
+    # `stiffness` hold the same sums at a vertex of any degree; higher
+    # orders leave them to the conversion, which the sweeps are pinned to
     upper = [(i, j) for i in range(order + 1) for j in range(i + 1, order + 1)]
     pairs = [(i, i) for i in range(order + 1)] + upper + [(j, i) for i, j in upper]
     scale = 2.0 / h
@@ -240,8 +321,12 @@ def make_layout(graph: MetricGraph, cells_per_unit: float, order: int = 1) -> Gr
     cols = np.concatenate([node[j] for _, j in pairs])
     values = np.concatenate([kref[i, j] * scale for i, j in pairs])
     unknown = (rows < nd) & (cols < nd)
-    stiffness = sp.csr_matrix(
-        (values[unknown], (rows[unknown], cols[unknown])), shape=(nd, nd))
+    rows, cols, values = rows[unknown], cols[unknown], values[unknown]
+    if order == 1:
+        on = rows == cols
+        dof = np.arange(nd, dtype=rows.dtype)
+        values = np.concatenate([np.bincount(rows[on], values[on], nd), values[~on]])
+        rows, cols = np.concatenate([dof, rows[~on]]), np.concatenate([dof, cols[~on]])
 
     def dofs(vertices):
         return np.array([vertex_dof[v.id] for v in vertices], dtype=int)
@@ -249,7 +334,7 @@ def make_layout(graph: MetricGraph, cells_per_unit: float, order: int = 1) -> Gr
     damping = np.zeros(nd)
     damping[dofs(graph.damped_vertices)] = 1.0
     return GridLayout(
-        vertex_dof, edge_nodes, edge_h, order, nd, lumped, stiffness, damping,
+        vertex_dof, edge_nodes, edge_h, order, nd, lumped, (values, rows, cols), damping,
         tuple(v.id for v in graph.mass_vertices), dofs(graph.mass_vertices),
         np.array([v.mass for v in graph.mass_vertices], dtype=float))
 
@@ -343,7 +428,7 @@ def _bootstrap(state: NetworkState, dt: float) -> NetworkState:
     with the accelerations M^{-1}(-K y - C v + B q) and -(p + B^T v) / m."""
     lay = state.layout
     y, v, p, q = state.y, state.v, state.p, state.q
-    force = -(lay.stiffness @ y) - lay.damping * v
+    force = -(lay.bands @ y) - lay.damping * v
     force[lay.mass_dofs] += q
     acc = force / lay.lumped_mass
     sdd = (-p - v[lay.mass_dofs]) / lay.masses
@@ -368,11 +453,11 @@ def step(state: NetworkState, dt: float, cfl: float = DEFAULT_CFL) -> NetworkSta
     lay = state.layout
     if dt > cfl * lay.hmin * (1.0 + 1e-12):
         raise SimulationError(f"dt={dt} violates the CFL bound {cfl}*{lay.hmin}")
+    c = lay.leapfrog(dt)
     if state.y_prev is None:
         state = _bootstrap(state, dt)
-    c = lay.leapfrog(dt)
     y, y_prev, p, p_prev = state.y, state.y_prev, state.p, state.p_prev
-    ky = lay.stiffness @ y
+    ky = lay.bands @ y
     # formed in place: a fresh temporary of a fine-mesh field costs more
     # than its arithmetic
     y_new = c.a1 * y
@@ -380,9 +465,12 @@ def step(state: NetworkState, dt: float, cfl: float = DEFAULT_CFL) -> NetworkSta
     y_new -= tmp
     np.multiply(c.g, y_prev, out=tmp)
     y_new += tmp
+    # the mass vertices, gathered once and written back once
     j = lay.mass_dofs
-    p_new = c.p1 * p + c.p2 * p_prev + c.p3 * (y_new[j] - y_prev[j])
-    y_new[j] += c.f * (p_new - p_prev)
+    u = y_new[j]
+    p_new = c.p1 * p + c.p2 * p_prev + c.p3 * (u - y_prev[j])
+    u += c.f * (p_new - p_prev)
+    y_new[j] = u
     return NetworkState(lay, y_new, None, p_new, None, state.t + dt, y, p, ky)
 
 
@@ -402,7 +490,7 @@ def energy(state: NetworkState) -> float:
         raise SimulationError("energy needs velocities; a stepped state has levels only")
     lay = state.layout
     return _quadratic_energy(lay, state.v, state.q, 1.0, state.y,
-                             lay.stiffness @ state.y, state.p, state.p)
+                             lay.bands @ state.y, state.p, state.p)
 
 
 def shadow_energy(state: NetworkState, dt: float) -> float | None:
@@ -413,7 +501,7 @@ def shadow_energy(state: NetworkState, dt: float) -> float | None:
     if state.y_prev is None:
         return None
     lay = state.layout
-    ky = state.ky_prev if state.ky_prev is not None else lay.stiffness @ state.y_prev
+    ky = state.ky_prev if state.ky_prev is not None else lay.bands @ state.y_prev
     return _quadratic_energy(lay, state.y - state.y_prev, state.p - state.p_prev,
                              dt, state.y, ky, state.p, state.p_prev)
 

@@ -548,3 +548,45 @@ def test_import_leaves_the_solver_unloaded(tmp_path):
     assert after_package == [] and after_cli == []
     assert rc == 0
     assert after_sweep == ["scipy.sparse.linalg", "scipy.linalg"]
+
+
+def test_only_sweep_loads_the_sparse_stack(tmp_path):
+    # scipy.sparse is imported with the first resolvent generator: the
+    # package, the CLI and every other subcommand run without it.  Pytest's
+    # own filterwarnings setting imports it here, hence a fresh interpreter
+    chain = {"lengths": [1.0, 0.9], "masses": [1.0]}
+    configs = {
+        "check": {"graph": TREE_SPEC},
+        "spectrum": {"graph": TREE_SPEC, "box": [-3.0, 0.5, -5.0, 5.0]},
+        "chain-check": chain,
+        "simulate": {"graph": TREE_SPEC, "T": 1.0, "cells-per-unit-length": 16},
+        "sweep": {"graph": TREE_SPEC, "beta": [0.5, 2.0], "mesh-ladder": [16, 24]},
+    }
+    runs = [[sub, "--config", write(tmp_path, f"{sub}.json", cfg)]
+            for sub, cfg in configs.items()]
+    runs.insert(3, ["counterexample", "--variant", "circuit", "--length", "sqrt(2)",
+                    "--probes", "3"])
+    script = textwrap.dedent("""\
+        import json, sys
+        def loaded():
+            return "scipy.sparse" in sys.modules
+        import netwave
+        seen = [["import netwave", loaded()]]
+        import netwave.cli
+        seen.append(["import netwave.cli", loaded()])
+        for k, argv in enumerate(json.loads(sys.argv[1])):
+            rc = netwave.cli.main([*argv, "--out", f"{sys.argv[2]}/{k}"])
+            seen.append([argv[0], rc, loaded()])
+        print(json.dumps(seen))
+        """)
+    # a fresh interpreter, with the package under test on its path
+    src = str(Path(netwave.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == [["import netwave", False], ["import netwave.cli", False],
+                    ["check", 0, False], ["spectrum", 0, False], ["chain-check", 0, False],
+                    ["counterexample", 0, False], ["simulate", 0, False],
+                    ["sweep", 0, True]]

@@ -1,6 +1,8 @@
 import json
 import math
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +107,72 @@ def test_elements_integrate_constants(graph, order, monkeypatch):
     assert abs(layout.lumped_mass.sum() - total) <= 1e-13 * total
     K = layout.stiffness
     assert np.max(np.abs(K @ np.ones(layout.ndof))) <= 1e-12 * np.max(np.abs(K.data))
+
+
+def drawn_tree(rng, n_edges, hub=None):
+    """A random recursive tree as the wide-transient benchmark draws one: a
+    pinned root leaf, point masses at the interior vertices and controlled
+    leaves; `hub` makes every edge but the first hang from vertex 1."""
+    parent = {1: 0}
+    for v in range(2, n_edges + 1):
+        parent[v] = hub or rng.randint(1, v - 1)
+    inner = set(parent.values())
+    vertices = [{"id": "v0", "kind": "root"}]
+    vertices += [{"id": f"v{v}", "kind": "mass", "mass": round(rng.uniform(0.5, 2.0), 2)}
+                 if v in inner else {"id": f"v{v}", "kind": "controlled"}
+                 for v in range(1, n_edges + 1)]
+    edges = [{"id": f"e{v}", "tail": f"v{p}", "head": f"v{v}",
+              "length": str(Fraction(rng.randint(500, 1500), 1000))}
+             for v, p in parent.items()]
+    return build_graph({"variant": "tree", "vertices": vertices, "edges": edges})
+
+
+def drawn_chain(rng, n_edges):
+    """A chain as the wide-transient benchmark draws one: controlled near
+    end, point masses inside, pinned far end."""
+    vertices = [{"id": "a1", "kind": "controlled"}]
+    vertices += [{"id": f"a{k}", "kind": "mass", "mass": round(rng.uniform(0.5, 2.0), 2)}
+                 for k in range(2, n_edges + 1)]
+    vertices.append({"id": f"a{n_edges + 1}", "kind": "fixed"})
+    edges = [{"id": f"e{k}", "tail": f"a{k}", "head": f"a{k + 1}",
+              "length": str(Fraction(rng.randint(500, 1500), 1000))}
+             for k in range(1, n_edges + 1)]
+    return build_graph({"variant": "chain", "vertices": vertices, "edges": edges})
+
+
+# the hub's 12 edges fill a CSR row past the 16 entries up to which the
+# conversion sums a vertex's duplicates in element order
+PRODUCT_GRAPHS = GRAPHS + [drawn_tree(random.Random(1), 48), drawn_chain(random.Random(1), 48),
+                           drawn_tree(random.Random(2), 12, hub=1)]
+
+
+@pytest.mark.parametrize("graph", PRODUCT_GRAPHS,
+                         ids=[f"{g.variant}-{len(g.edges)}" for g in PRODUCT_GRAPHS])
+def test_the_stepper_product_is_the_stiffness(graph):
+    # the stepper's numpy K holds each entry of the CSR matrix exactly once,
+    # with the same value, and its product agrees with the CSR product
+    layout = make_layout(graph, 16)
+    K, bands = layout.stiffness, layout.bands
+    dense = K.toarray()
+    interior = np.ones(layout.ndof, bool)
+    interior[[d for d in layout.vertex_dof.values() if d < layout.ndof]] = False
+    np.testing.assert_array_equal(bands.diag, np.where(interior, K.diagonal(), 0.0))
+    inner = interior[1:] & interior[:-1]
+    np.testing.assert_array_equal(bands.lower, np.where(inner, K.diagonal(-1), 0.0))
+    np.testing.assert_array_equal(bands.upper, np.where(inner, K.diagonal(1), 0.0))
+    np.testing.assert_array_equal(bands.values, dense[bands.rows, bands.cols])
+    rebuilt = np.diag(bands.diag) + np.diag(bands.lower, -1) + np.diag(bands.upper, 1)
+    np.add.at(rebuilt, (bands.rows, bands.cols), bands.values)
+    np.testing.assert_array_equal(rebuilt, dense)
+    parts = (np.count_nonzero(bands.diag) + np.count_nonzero(bands.lower)
+             + np.count_nonzero(bands.upper) + len(bands.rows))
+    assert parts == K.nnz
+    norm = np.max(np.abs(dense).sum(axis=1))
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        y = rng.standard_normal(layout.ndof) * 10.0 ** rng.uniform(-3, 3)
+        gap = np.max(np.abs(bands @ y - K @ y))
+        assert gap <= 1e-15 * norm * np.max(np.abs(y))
 
 
 def test_the_stepper_refuses_higher_order_elements():
