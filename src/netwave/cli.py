@@ -9,6 +9,12 @@ run's own counts and margins under "stats", into the output directory.  All
 floats are rounded to 12 significant digits before serialization, so
 identical inputs yield byte-identical files and emitted JSON re-parses to
 exactly the reported values.
+
+The front end itself loads no numpy: check, chain-check and counterexample
+compute without it, and simulate, spectrum and sweep import their numerical
+module, and numpy with it, at their first call (see `run`).  Every error the
+package raises on bad input derives from `NetwaveError`, which `main` maps
+to exit code 2.
 """
 
 from __future__ import annotations
@@ -22,23 +28,25 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .chaincrit import ChainSpec, chain_stable
 from .counterexample import (
-    AxisEigenvalue,
-    CounterexampleError,
     asymptotic_defects,
     circuit_solve,
     dirichlet_convergents,
     growth_law,
     star_probe,
 )
-from .graph import GraphError, MetricGraph, build_graph, pi_tree_check
-from .resolvent import HUGE, SWEEP_ORDER, ResolventError, sweep
-from .simulate import DEFAULT_CELLS, DEFAULT_CFL, DEFAULT_STRIDE, SimulationError, run
-from .spectral import DET_TOL, SpectralError, find_eigenvalues
+from .graph import (
+    DEFAULT_CELLS,
+    DEFAULT_CFL,
+    DEFAULT_STRIDE,
+    DET_TOL,
+    MetricGraph,
+    NetwaveError,
+    build_graph,
+    pi_tree_check,
+)
 from .svgplot import line_plot, scatter_plot
 
 EXIT_OK = 0
@@ -46,8 +54,30 @@ EXIT_UNSTABLE = 1
 EXIT_USAGE = 2
 
 
-class ConfigError(RuntimeError):
+class ConfigError(NetwaveError, RuntimeError):
     pass
+
+
+# The numerical entry points, each importing its module (and numpy) on the
+# first call.  The handlers look them up here at call time, so a caller that
+# replaces `netwave.cli.run`, `.find_eigenvalues` or `.sweep` sees every call.
+
+def run(*args, **kwargs):
+    """`netwave.simulate.run`."""
+    from . import simulate
+    return simulate.run(*args, **kwargs)
+
+
+def find_eigenvalues(*args, **kwargs):
+    """`netwave.spectral.find_eigenvalues`."""
+    from . import spectral
+    return spectral.find_eigenvalues(*args, **kwargs)
+
+
+def sweep(*args, **kwargs):
+    """`netwave.resolvent.sweep`."""
+    from . import resolvent
+    return resolvent.sweep(*args, **kwargs)
 
 
 def _fmt(x) -> str:
@@ -55,21 +85,27 @@ def _fmt(x) -> str:
 
 
 def _round12(obj):
-    """Round every float in a JSON-ready structure to 12 significant digits."""
-    if isinstance(obj, bool):
+    """Round every float in a JSON-ready structure to 12 significant digits.
+
+    numpy's float64 and complex128 are a float and a complex; its other
+    scalars are converted only when numpy is loaded, as none exists before.
+    """
+    if obj is None or isinstance(obj, (str, int)):  # a bool is an int
         return obj
     if isinstance(obj, float):
         return float(_fmt(obj))
-    if isinstance(obj, complex):
-        return {"re": float(_fmt(obj.real)), "im": float(_fmt(obj.imag))}
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(_fmt(float(obj)))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": float(_fmt(obj.real)), "im": float(_fmt(obj.imag))}
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.floating):
+            return float(_fmt(float(obj)))
+        if isinstance(obj, np.integer):
+            return int(obj)
     return obj
 
 
@@ -315,7 +351,7 @@ def _cmd_simulate(graph: MetricGraph, p, em, svg):
         "omega": series.omega,
         "fit_residual": series.fit_residual,
         "fit_ok": series.fit_ok,
-        "max_rel_residual": float(np.max(np.abs(series.R)) / series.e0)
+        "max_rel_residual": float(abs(series.R).max() / series.e0)
         if series.e0 > 0 else 0.0,
         "verdict": "decaying" if decaying else "plateau",
     }
@@ -351,6 +387,10 @@ MAX_BETA_COUNT = 100_000
 
 
 def _cmd_sweep(graph: MetricGraph, p, em, svg):
+    import numpy as np
+
+    from .resolvent import HUGE, SWEEP_ORDER
+
     beta = p["beta"]
     if isinstance(beta, dict):
         beta = _read(beta, BETA_GRID, '"beta"')
@@ -534,8 +574,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0) and EXIT_USAGE
     try:
         return _run(args)
-    except (ConfigError, GraphError, AxisEigenvalue, CounterexampleError,
-            SimulationError, SpectralError, ResolventError) as exc:
+    except NetwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .graph import Length
+from .graph import Length, NetwaveError
 
 CONVERGENT_CAP = 10_000
 
 
-class CounterexampleError(RuntimeError):
+class CounterexampleError(NetwaveError, RuntimeError):
     pass
 
 

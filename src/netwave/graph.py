@@ -25,8 +25,21 @@ import mpmath
 VERTEX_KINDS = ("root", "mass", "controlled", "fixed")
 VARIANTS = ("tree", "circuit", "star", "chain")
 
+# the run defaults the CLI echoes, kept here, away from numpy, so that the
+# command table needs no numerical module: `simulate` reads the first three,
+# `spectral` the last
+DEFAULT_CFL = 0.9
+DEFAULT_CELLS = 16.0  # grid cells per unit edge length
+DEFAULT_STRIDE = 1  # steps per energy sample
+DET_TOL = 1e-9  # residual up to which a polished characteristic root is kept
 
-class GraphError(ValueError):
+
+class NetwaveError(Exception):
+    """Base of every error the package raises on bad input or an analysis
+    it cannot carry out."""
+
+
+class GraphError(NetwaveError, ValueError):
     """Invalid network description."""
 
 

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import MetricGraph
+from .graph import MetricGraph, NetwaveError
 from .simulate import GridLayout, make_layout, MIN_CELLS
 
 if TYPE_CHECKING:
@@ -63,7 +63,7 @@ UNBOUNDED_FACTOR = 2.0
 AXIS_RATIO = 1.0 / math.sqrt(sys.float_info.epsilon)  # 6.7e7
 
 
-class ResolventError(RuntimeError):
+class ResolventError(NetwaveError, RuntimeError):
     pass
 
 

@@ -45,14 +45,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import MetricGraph
+from .graph import DEFAULT_CELLS, DEFAULT_CFL, DEFAULT_STRIDE, MetricGraph, NetwaveError
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-DEFAULT_CFL = 0.9
-DEFAULT_CELLS = 16.0  # grid cells per unit edge length
-DEFAULT_STRIDE = 1  # steps per energy sample
 MIN_CELLS = 4
 MAX_DOFS = 4_000_000  # grid nodes of one layout
 CONTINUITY_TOL = 1e-8
@@ -60,7 +57,7 @@ BLOWUP_FACTOR = 1.01
 FIT_REJECT = 0.2
 
 
-class SimulationError(RuntimeError):
+class SimulationError(NetwaveError, RuntimeError):
     pass
 
 
@@ -150,20 +147,26 @@ class Leapfrog:
 
 def _leapfrog(layout: GridLayout, dt: float) -> Leapfrog:
     _check_order(layout)
-    # each row of M (y+ - 2y + y-)/dt^2 + C (y+ - y-)/(2dt) + K y = 0, solved
-    # for y+; C is nonzero at vertices only, so interior rows are explicit
-    a = layout.lumped_mass / (dt * dt)
-    b = 0.5 / dt
-    diag = a + b * layout.damping
-    a1, a2, g = 2.0 * a / diag, 1.0 / diag, (b * layout.damping - a) / diag
-    # the force B (p+ - p-)/(2dt) at a mass vertex makes y+ = y+ so far
-    # + f (p+ - p-): eliminating y+ from the oscillator row
-    # m (p+ - 2p + p-)/dt^2 + p = -(y+ - y-)/(2dt) leaves one equation in p+
-    f = b / diag[layout.mass_dofs]
-    a22 = layout.masses / (dt * dt)
-    den = a22 + b * f
-    return Leapfrog(a1, a2, g, f, (2.0 * a22 - 1.0) / den, (b * f - a22) / den,
-                    -b / den, np.flatnonzero(layout.damping))
+    # a dt so small that 1/dt^2 leaves the double range is refused below
+    with np.errstate(all="ignore"):
+        # each row of M (y+ - 2y + y-)/dt^2 + C (y+ - y-)/(2dt) + K y = 0,
+        # solved for y+; C is nonzero at vertices only, so interior rows are
+        # explicit
+        a = layout.lumped_mass / (dt * dt)
+        b = 0.5 / dt
+        diag = a + b * layout.damping
+        a1, a2, g = 2.0 * a / diag, 1.0 / diag, (b * layout.damping - a) / diag
+        # the force B (p+ - p-)/(2dt) at a mass vertex makes y+ = y+ so far
+        # + f (p+ - p-): eliminating y+ from the oscillator row
+        # m (p+ - 2p + p-)/dt^2 + p = -(y+ - y-)/(2dt) leaves one equation in p+
+        f = b / diag[layout.mass_dofs]
+        a22 = layout.masses / (dt * dt)
+        den = a22 + b * f
+        coefficients = (a1, a2, g, f, (2.0 * a22 - 1.0) / den, (b * f - a22) / den,
+                        -b / den)
+    if not all(np.isfinite(c).all() for c in coefficients):
+        raise SimulationError(f"dt={dt} is too small: the step coefficients overflow")
+    return Leapfrog(*coefficients, np.flatnonzero(layout.damping))
 
 
 def _check_order(layout: GridLayout) -> None:
@@ -537,7 +540,8 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
     while E differs from `energy` of the centered state by round-off.  The
     series also records the steps taken, dt and the least relative headroom
     1 - E_shadow / limit of the shadow-energy blow-up guard.  Bad parameters
-    raise SimulationError.
+    raise SimulationError, as do a dt whose step coefficients overflow and
+    a sampled energy budget that is not finite.
     """
     try:
         given = {"T": config["T"], "cfl": config.get("cfl", DEFAULT_CFL),
@@ -586,45 +590,52 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
     # one step of lookahead so every sample uses centered differences;
     # the loop advances through t = (nsteps+1) * dt but reports up to T.
     # A sample reads the level differences of its own step and the one
-    # before, the bootstrap's for the first
-    state = _bootstrap(state, dt)
-    d, dp, md, mdp, kin = difference(state)
-    for n in range(nsteps + 1):
-        new = step(state, dt, cfl)
-        dy = new.y[damped] - state.y_prev[damped]
-        rate = float(dy.dot(dy)) / (4.0 * dt * dt)  # v'Cv, C = 1 when damped
-        if prev_rate is not None:  # trapezoid in time over the samples
-            d_acc += 0.5 * dt * (prev_rate + rate)
-        prev_rate = rate
-        if sampled(n) or sampled(n + 1):
-            d_prev, dp_prev, kin_prev = d, dp, kin
-            d, dp, md, mdp, kin = difference(new)
-        if sampled(n):
-            # the centered difference is d + d_prev; the staggered energy is
-            # `shadow_energy(new, dt)` operation for operation, ndarray.dot
-            # being np.dot's product without its dispatch
-            cross = float(md.dot(d_prev)) + float(mdp.dot(dp_prev))
-            e = 0.5 * ((kin + kin_prev + 2.0 * cross) / (4.0 * dt * dt)
-                       + float(state.y.dot(new.ky_prev))
-                       + float(state.p.dot(state.p)))
-            sh = 0.5 * (kin / (dt * dt) + float(new.y.dot(new.ky_prev))
-                        + float(new.p.dot(new.p_prev)))
-            # the staggered energy is exactly nonincreasing for a correct
-            # scheme, so any growth there flags a genuine failure
-            if prev_sample_e is not None:
-                limit = BLOWUP_FACTOR * prev_sample_e + 1e-30
-                if sh > limit:
+    # before, the bootstrap's for the first.  A state that leaves the double
+    # range is refused at the next sample, by its energy, rather than warned
+    # about by each product
+    with np.errstate(all="ignore"):
+        state = _bootstrap(state, dt)
+        d, dp, md, mdp, kin = difference(state)
+        for n in range(nsteps + 1):
+            new = step(state, dt, cfl)
+            dy = new.y[damped] - state.y_prev[damped]
+            rate = float(dy.dot(dy)) / (4.0 * dt * dt)  # v'Cv, C = 1 when damped
+            if prev_rate is not None:  # trapezoid in time over the samples
+                d_acc += 0.5 * dt * (prev_rate + rate)
+            prev_rate = rate
+            if sampled(n) or sampled(n + 1):
+                d_prev, dp_prev, kin_prev = d, dp, kin
+                d, dp, md, mdp, kin = difference(new)
+            if sampled(n):
+                # the centered difference is d + d_prev; the staggered energy is
+                # `shadow_energy(new, dt)` operation for operation, ndarray.dot
+                # being np.dot's product without its dispatch
+                cross = float(md.dot(d_prev)) + float(mdp.dot(dp_prev))
+                e = 0.5 * ((kin + kin_prev + 2.0 * cross) / (4.0 * dt * dt)
+                           + float(state.y.dot(new.ky_prev))
+                           + float(state.p.dot(state.p)))
+                sh = 0.5 * (kin / (dt * dt) + float(new.y.dot(new.ky_prev))
+                            + float(new.p.dot(new.p_prev)))
+                if not math.isfinite(e + sh + d_acc):
                     raise SimulationError(
-                        f"energy grew from {prev_sample_e} to {sh} at t={state.t}: "
-                        f"scheme or boundary-condition failure"
-                    )
-                margin = min(margin, 1.0 - sh / limit)
-            prev_sample_e = sh
-            ts.append(state.t)
-            es.append(e)
-            ds.append(d_acc)
-            shadows.append(sh)
-        state = new
+                        f"the energy budget left the double range at t={state.t}: "
+                        f"E={e}, staggered {sh}, dissipated {d_acc}")
+                # the staggered energy is exactly nonincreasing for a correct
+                # scheme, so any growth there flags a genuine failure
+                if prev_sample_e is not None:
+                    limit = BLOWUP_FACTOR * prev_sample_e + 1e-30
+                    if sh > limit:
+                        raise SimulationError(
+                            f"energy grew from {prev_sample_e} to {sh} at t={state.t}: "
+                            f"scheme or boundary-condition failure"
+                        )
+                    margin = min(margin, 1.0 - sh / limit)
+                prev_sample_e = sh
+                ts.append(state.t)
+                es.append(e)
+                ds.append(d_acc)
+                shadows.append(sh)
+            state = new
 
     e0 = es[0]
     t = np.array(ts)

@@ -29,15 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MetricGraph
+from .graph import DET_TOL, MetricGraph, NetwaveError
 
-DET_TOL = 1e-9
 NEWTON_MAXIT = 60
 EIGEN_TOL = 1e-7  # residual up to which eigenfunction accepts a root
 NULL_RTOL = 1e-10  # singular values up to this share of the largest are null
 
 
-class SpectralError(RuntimeError):
+class SpectralError(NetwaveError, RuntimeError):
     pass
 
 

@@ -1,7 +1,9 @@
 import copy
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import netwave
 from netwave import cli
 from netwave.cli import BETA_GRID, COMMANDS, INITIAL, main
-from netwave.graph import build_graph
+from netwave.graph import GraphError, NetwaveError, build_graph
 from netwave.resolvent import HUGE, assemble_generator
 
 TREE_SPEC = {
@@ -377,6 +379,12 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
     (["sweep"], {"graph": TREE_SPEC, "beta": [0.0, True], "mesh-ladder": [16, 24]},
      "beta"),
     (["chain-check"], {"lengths": [True, 1.0], "masses": [1.0]}, "lengths"),
+    # numbers that leave the double range: dt * dt underflows to 0, the step
+    # coefficients overflow, the energy overflows
+    (["simulate"], {"graph": TREE_SPEC, "T": 1e-300}, "too small"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1e-160}, "too small"),
+    (["simulate"], {"graph": TREE_SPEC, "initial": {"amplitude": 1e200}},
+     "double range"),
     # on edges of length 5, true would read as a mesh of 5 cells per edge
     (["sweep"], {"graph": {**TREE_SPEC, "edges": [
         {**e, "length": "5"} for e in TREE_SPEC["edges"]]}, "beta": [0.5],
@@ -402,8 +410,8 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
         "initial-unknown-edge", "initial-unknown-oscillator",
         "initial-oscillator-not-a-mass", "initial-unknown-kind", "T-true",
         "amplitude-true", "velocity-string", "box-entry-true", "tol-true",
-        "beta-entry-true", "chain-length-true",
-        "mesh-ladder-entry-true"])
+        "beta-entry-true", "chain-length-true", "T-1e-300", "T-1e-160",
+        "amplitude-1e200", "mesh-ladder-entry-true"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]
@@ -551,25 +559,26 @@ def test_import_leaves_the_solver_unloaded(tmp_path):
 
 
 def test_only_sweep_loads_the_sparse_stack(tmp_path):
-    # scipy.sparse is imported with the first resolvent generator: the
-    # package, the CLI and every other subcommand run without it.  Pytest's
-    # own filterwarnings setting imports it here, hence a fresh interpreter
+    # numpy is imported with the first numerical subcommand and scipy.sparse
+    # with the first resolvent generator: the package, the CLI and the
+    # subcommands before them run without either.  Pytest's own
+    # filterwarnings setting imports both here, hence a fresh interpreter
     chain = {"lengths": [1.0, 0.9], "masses": [1.0]}
     configs = {
         "check": {"graph": TREE_SPEC},
-        "spectrum": {"graph": TREE_SPEC, "box": [-3.0, 0.5, -5.0, 5.0]},
         "chain-check": chain,
+        "spectrum": {"graph": TREE_SPEC, "box": [-3.0, 0.5, -5.0, 5.0]},
         "simulate": {"graph": TREE_SPEC, "T": 1.0, "cells-per-unit-length": 16},
         "sweep": {"graph": TREE_SPEC, "beta": [0.5, 2.0], "mesh-ladder": [16, 24]},
     }
     runs = [[sub, "--config", write(tmp_path, f"{sub}.json", cfg)]
             for sub, cfg in configs.items()]
-    runs.insert(3, ["counterexample", "--variant", "circuit", "--length", "sqrt(2)",
+    runs.insert(2, ["counterexample", "--variant", "circuit", "--length", "sqrt(2)",
                     "--probes", "3"])
     script = textwrap.dedent("""\
         import json, sys
         def loaded():
-            return "scipy.sparse" in sys.modules
+            return [name for name in ("numpy", "scipy.sparse") if name in sys.modules]
         import netwave
         seen = [["import netwave", loaded()]]
         import netwave.cli
@@ -586,7 +595,65 @@ def test_only_sweep_loads_the_sparse_stack(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == [["import netwave", False], ["import netwave.cli", False],
-                    ["check", 0, False], ["spectrum", 0, False], ["chain-check", 0, False],
-                    ["counterexample", 0, False], ["simulate", 0, False],
-                    ["sweep", 0, True]]
+    assert seen == [["import netwave", []], ["import netwave.cli", []],
+                    ["check", 0, []], ["chain-check", 0, []], ["counterexample", 0, []],
+                    ["spectrum", 0, ["numpy"]], ["simulate", 0, ["numpy"]],
+                    ["sweep", 0, ["numpy", "scipy.sparse"]]]
+
+
+def test_numerical_entry_points_are_looked_up_at_call_time(tmp_path, capsys,
+                                                           monkeypatch):
+    # the benchmark's tracer replaces these names of the CLI module, so each
+    # subcommand must call through them; the package's own names stay the
+    # submodules' objects
+    calls = []
+    for name in ("run", "find_eigenvalues", "sweep"):
+        def spy(*args, _name=name, _through=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _through(*args, **kwargs)
+        monkeypatch.setattr(f"netwave.cli.{name}", spy)
+    configs = {
+        "simulate": {"graph": TREE_SPEC, "T": 1.0},
+        "spectrum": {"graph": TREE_SPEC, "box": [-3.0, 0.5, -5.0, 5.0]},
+        "sweep": {"graph": TREE_SPEC, "beta": [0.5, 2.0], "mesh-ladder": [16, 24]},
+    }
+    for sub, cfg in configs.items():
+        argv = [sub, "--config", write(tmp_path, f"{sub}.json", cfg)]
+        assert main(argv + ["--out", str(tmp_path / sub)]) == 0
+    assert calls == ["run", "find_eigenvalues", "sweep"]
+
+    from netwave import find_eigenvalues, make_tree_chain, run, sweep
+    from netwave import graph, resolvent, simulate, spectral
+    assert run is simulate.run
+    assert find_eigenvalues is spectral.find_eigenvalues
+    assert sweep is resolvent.sweep
+    assert make_tree_chain is graph.make_tree_chain
+
+
+def _package_errors():
+    """Every exception class the package's modules define."""
+    found = []
+    for info in pkgutil.iter_modules(netwave.__path__):
+        module = importlib.import_module(f"netwave.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+@pytest.mark.parametrize("error", _package_errors(), ids=lambda cls: cls.__name__)
+def test_every_error_is_a_netwave_error(error):
+    # main maps exactly these to exit code 2; each keeps its builtin base
+    assert issubclass(error, NetwaveError)
+    if error is not NetwaveError:
+        assert issubclass(error, ValueError if error is GraphError else RuntimeError)
+
+
+def test_round12_rounds_numpy_scalars_and_keeps_the_rest():
+    payload = {"f": 1 / 3, "c": 1j / 3, "f32": np.float32(0.1), "i64": np.int64(7),
+               "f64": np.float64(2 / 3), "list": [1, "x", None, True, (0.5,)]}
+    assert cli._round12(payload) == {
+        "f": 0.3333333333333, "c": {"re": 0.0, "im": 0.3333333333333},
+        "f32": 0.1000000014901, "i64": 7, "f64": 0.6666666666667,
+        "list": [1, "x", None, True, [0.5]]}
+    assert type(cli._round12(np.int64(7))) is int
