@@ -108,9 +108,13 @@ def dirichlet_convergents(ell, count: int) -> list:
     Dirichlet inequality |q ell - p| < 1/q, in ascending q.
 
     Rational lengths are refused: their approximation never improves and the
-    probe construction does not apply.
+    probe construction does not apply.  So is a count above CONVERGENT_CAP,
+    which the iteration cannot reach, before any precision is set for it.
     """
     length = _irrational_length(ell)
+    if count > CONVERGENT_CAP:
+        raise CounterexampleError(
+            f"{count} convergents asked for, more than the iteration cap {CONVERGENT_CAP}")
     out = []
     with mp.workdps(60 + 4 * count):
         target = length.mpf()

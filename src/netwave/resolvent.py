@@ -30,11 +30,8 @@ it, so the norm there is limited by round-off, not by the mesh, and the
 verdict reads a sup above AXIS_RATIO = 1/sqrt(eps) times its curve's median
 on both finest meshes as unbounded.
 
-scipy.sparse is imported with the first generator, and its solver stack
-(scipy.sparse.linalg, which loads scipy.linalg with it) on the first
-factorization, not with this module: together they cost about 0.35-0.4 s
-CPU and 30 MB on a 2-vCPU VM, and only `sweep` builds or factors anything,
-so the other subcommands never pay for them.
+scipy's sparse stack loads with this module, and of the subcommands only
+`sweep` imports it.
 """
 
 from __future__ import annotations
@@ -43,15 +40,13 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .graph import MetricGraph, NetwaveError
 from .simulate import GridLayout, make_layout, MIN_CELLS
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 POWER_TOL = 1e-6
 POWER_MAXIT = 1000
@@ -65,18 +60,6 @@ AXIS_RATIO = 1.0 / math.sqrt(sys.float_info.epsilon)  # 6.7e7
 
 class ResolventError(NetwaveError, RuntimeError):
     pass
-
-
-def _superlu():
-    """scipy's sparse LU, imported on the first call."""
-    from scipy.sparse.linalg import splu as superlu
-
-    return superlu
-
-
-def splu(matrix):
-    """The sparse LU factor (scipy's SuperLU object) of the CSC `matrix`."""
-    return _superlu()(matrix)
 
 
 @dataclass(frozen=True)
@@ -103,14 +86,16 @@ class DiscreteGenerator:
 
     State layout: [y nodes, v nodes, p_1..p_K, q_1..q_K], where the y/v
     blocks run over the unknowns of the layout, which gives the Dirichlet
-    vertices no DOF, and the oscillators follow `layout.mass_ids`.  H0, H1
-    and H2 are the coefficients of the (y, p) system H(beta) = H0 + beta H1
-    + beta^2 H2 of i beta - A_h, on one shared CSC pattern.  A_h and W_h are
-    read off the layout on first use, since resolvent norms never need A_h,
-    and so are the beta-independent `norm_constants` of the norms.
+    vertices no DOF, and the oscillators follow `layout.mass_ids`.  K is the
+    layout's stiffness as a CSR matrix.  H0, H1 and H2 are the coefficients
+    of the (y, p) system H(beta) = H0 + beta H1 + beta^2 H2 of i beta - A_h,
+    on one shared CSC pattern.  A_h and W_h are built on first use, since
+    resolvent norms never need A_h, and so are the beta-independent
+    `norm_constants` of the norms.
     """
 
     layout: GridLayout
+    K: sp.csr_matrix
     H0: sp.csc_matrix
     H1: sp.csc_matrix
     H2: sp.csc_matrix
@@ -126,17 +111,13 @@ class DiscreteGenerator:
     @functools.cached_property
     def W(self) -> sp.csr_matrix:
         """The energy weight diag(K, M, 1, m)."""
-        import scipy.sparse as sp
-
         lay = self.layout
-        return sp.block_diag([lay.stiffness, sp.diags(lay.lumped_mass),
+        return sp.block_diag([self.K, sp.diags(lay.lumped_mass),
                               sp.identity(len(lay.masses)), sp.diags(lay.masses)], "csr")
 
     @functools.cached_property
     def A(self) -> sp.csr_matrix:
         """The first-order generator A_h."""
-        import scipy.sparse as sp
-
         lay = self.layout
         nf, nm = self.nfield, len(lay.mass_ids)
         Minv, m_inv = sp.diags(1.0 / lay.lumped_mass), sp.diags(1.0 / lay.masses)
@@ -144,7 +125,7 @@ class DiscreteGenerator:
         # rows: y' = v ; v' = M^{-1}(-K y - C v + B q) ; p' = q ;
         #       q' = -(p + B^T v) / m
         return sp.bmat([[None, sp.identity(nf), None, None],
-                        [Minv @ (-lay.stiffness), Minv @ (-sp.diags(lay.damping)),
+                        [Minv @ (-self.K), Minv @ (-sp.diags(lay.damping)),
                          None, Minv @ B],
                         [None, None, None, sp.identity(nm)],
                         [None, -m_inv @ B.T, -m_inv, None]], format="csr")
@@ -152,8 +133,6 @@ class DiscreteGenerator:
     @functools.cached_property
     def norm_constants(self) -> NormConstants:
         """The beta-independent data of `resolvent_norm`."""
-        import scipy.sparse as sp
-
         n, nf, nm = self.dim, self.nfield, len(self.layout.mass_ids)
         rng = np.random.default_rng(12345)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -174,27 +153,26 @@ def assemble_generator(graph: MetricGraph, cells_per_unit: float,
     the semi-discrete operator of `make_layout` at `cells_per_unit` elements
     of `order` per unit edge length.  `make_layout` checks that mesh and
     raises SimulationError for one it refuses."""
-    import scipy.sparse as sp
-
     layout = make_layout(graph, cells_per_unit, order)
     nf, nm = layout.ndof, len(layout.mass_ids)
+    kv, kr, kc = layout.k_triplets
+    K = sp.csr_matrix((kv, (kr, kc)), shape=(nf, nf))
     # (i beta - A)(y, v, p, q) = f with v = i beta y - f_y, q = i beta p - f_p
     # substituted, the v rows times M and the q rows times -m:
     #   H(beta) = [[K - beta^2 M + i beta C, -i beta B],
     #              [-i beta B^T,             m beta^2 - 1]]
     # as triplets over K, the diagonal and the two coupling blocks; the
-    # conversion to CSC sums duplicates and keeps explicit zeros, so the
-    # three coefficients share one pattern
-    Kt = layout.stiffness.tocoo()
+    # conversion to CSC sums each duplicate, a diagonal entry and a 0, and
+    # keeps explicit zeros, so the three coefficients share one pattern
     diag, mass, bpos = np.arange(nf + nm), nf + np.arange(nm), layout.mass_dofs
-    rows = np.concatenate([Kt.row, diag, bpos, mass])
-    cols = np.concatenate([Kt.col, diag, mass, bpos])
-    zk, zm, coupling = np.zeros(Kt.nnz), np.zeros(nm), np.full(nm, -1j)
+    rows = np.concatenate([kr, diag, bpos, mass])
+    cols = np.concatenate([kc, diag, mass, bpos])
+    zk, zm, coupling = np.zeros(len(kv)), np.zeros(nm), np.full(nm, -1j)
     H0, H1, H2 = (sp.csc_matrix((np.concatenate(d), (rows, cols)), shape=(nf + nm,) * 2)
-                  for d in ((Kt.data, np.zeros(nf), -np.ones(nm), zm, zm),
+                  for d in ((kv, np.zeros(nf), -np.ones(nm), zm, zm),
                             (zk, 1j * layout.damping, zm, coupling, coupling),
                             (zk, -layout.lumped_mass, layout.masses, zm, zm)))
-    return DiscreteGenerator(layout, H0, H1, H2)
+    return DiscreteGenerator(layout, K, H0, H1, H2)
 
 
 def dissipation_defect(gen: DiscreteGenerator, z: np.ndarray) -> float:
@@ -351,7 +329,6 @@ def sweep(graph: MetricGraph, beta_grid, mesh_ladder=None) -> SweepReport:
         # the verdict compares the sup on the two finest meshes
         raise ResolventError(f"mesh ladder {mesh_ladder} needs two distinct meshes")
 
-    _superlu()  # its one-time import lands here, not in the first norm
     curves = []
     for cells in mesh_ladder:
         gen = assemble_generator(graph, cells, SWEEP_ORDER)

@@ -18,10 +18,9 @@ vertex-oscillator pairs are implicit but local, so each mass costs one 2x2
 solve.  Every coefficient that depends on the time step (the implicit vertex
 rows, the eliminated mass solve) is built once per (mesh, dt) and cached on
 the layout, so a step is a few array updates.  The stepper forms K y with
-numpy alone (`Bands`), from the same entries as the CSR matrix
-`GridLayout.stiffness`, which only the resolvent and the tests read: it is
-built on first access, and scipy.sparse imported with it, so a simulation
-loads no sparse stack.
+numpy alone (`Bands`), from the entries of K that `make_layout` sums: the
+resolvent builds its sparse matrices from the same entries, so a
+simulation loads no sparse stack.
 
 Alongside the physical energy the run loop tracks the staggered (half-step)
 leapfrog energy, which obeys an exact discrete dissipation identity: it
@@ -41,17 +40,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graph import DEFAULT_CELLS, DEFAULT_CFL, DEFAULT_STRIDE, MetricGraph, NetwaveError
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
 MIN_CELLS = 4
 MAX_DOFS = 4_000_000  # grid nodes of one layout
+MAX_STEPS = 10_000_000  # leapfrog steps of one run
 CONTINUITY_TOL = 1e-8
 BLOWUP_FACTOR = 1.01
 FIT_REJECT = 0.2
@@ -73,8 +69,8 @@ class GridLayout:
     mass lumped by their Gauss-Lobatto-Legendre quadrature, C the unit
     damping at `graph.damped_vertices` and B the unit injection of each
     oscillator at its mass vertex.  M and C are kept as diagonals, B as the
-    DOF index of each oscillator's unit entry, and K as the element entries
-    that `stiffness` and `bands` read.
+    DOF index of each oscillator's unit entry, and K as its entries, each
+    listed once, which `bands` and the resolvent read.
     """
 
     vertex_dof: dict
@@ -83,8 +79,8 @@ class GridLayout:
     order: int  # p: an element spans p + 1 nodes
     ndof: int
     lumped_mass: np.ndarray  # M: sum over elements of (h/2) w_j at node j
-    # K: sum over elements of (2/h) D^T W D, as its element entries
-    # (values, rows, cols); see `make_layout` for which are summed
+    # K: sum over elements of (2/h) D^T W D, as its entries (values, rows,
+    # cols), each (row, col) once; see `make_layout` for the summation order
     k_triplets: tuple
     damping: np.ndarray  # C: 1 at the damped DOFs, 0 elsewhere
     mass_ids: tuple  # the oscillators, in graph order
@@ -92,18 +88,9 @@ class GridLayout:
     masses: np.ndarray
 
     @functools.cached_property
-    def stiffness(self) -> sp.csr_matrix:
-        """K as a CSR matrix; built, and scipy.sparse imported, on first
-        access."""
-        import scipy.sparse as sp
-
-        values, rows, cols = self.k_triplets
-        return sp.csr_matrix((values, (rows, cols)), shape=(self.ndof, self.ndof))
-
-    @functools.cached_property
     def bands(self) -> Bands:
         """K as the order-1 stepper applies it, entry for entry that of
-        `stiffness`."""
+        `k_triplets`."""
         return _bands(self)
 
     @functools.cached_property
@@ -179,9 +166,10 @@ def _check_order(layout: GridLayout) -> None:
 class Bands:
     """K of an order-1 layout as numpy arrays: its entries in the rows and
     columns of the free vertices, and its diagonal and band K[i, i-1],
-    K[i, i+1] at the interior nodes.  Each entry of K lies in exactly one
-    of them, and `bands @ y` sums each row in the order of the CSR product,
-    so it is K y bit for bit."""
+    K[i, i+1] at the interior nodes.  Each entry of `k_triplets` lies in
+    exactly one of them, and `bands @ y` sums each row from 0 in column
+    order, as a CSR product over those entries does, so it is that K y bit
+    for bit."""
 
     rows: np.ndarray  # the vertex entries, sorted by row, then column
     cols: np.ndarray
@@ -311,12 +299,8 @@ def make_layout(graph: MetricGraph, cells_per_unit: float, order: int = 1) -> Gr
     lumped = sum(np.bincount(node[j], half * w[j], total) for j in range(order + 1))[:nd]
     # the element entries (i, j): the diagonal, then i < j, then i > j, each
     # over every element.  Only diagonal entries meet, at the nodes that
-    # elements share, and the CSR conversion sums them in the order of its
-    # per-row sort, which keeps this order only in rows of up to 16 entries
-    # (at order 1, a vertex of degree 8).  At order 1, the stepper's, they
-    # are summed here in this order instead, so that `bands` and
-    # `stiffness` hold the same sums at a vertex of any degree; higher
-    # orders leave them to the conversion, which the sweeps are pinned to
+    # elements share, and they are summed here in this order, so that K
+    # lists each entry once and no library's summation order reaches it
     upper = [(i, j) for i in range(order + 1) for j in range(i + 1, order + 1)]
     pairs = [(i, i) for i in range(order + 1)] + upper + [(j, i) for i, j in upper]
     scale = 2.0 / h
@@ -325,11 +309,10 @@ def make_layout(graph: MetricGraph, cells_per_unit: float, order: int = 1) -> Gr
     values = np.concatenate([kref[i, j] * scale for i, j in pairs])
     unknown = (rows < nd) & (cols < nd)
     rows, cols, values = rows[unknown], cols[unknown], values[unknown]
-    if order == 1:
-        on = rows == cols
-        dof = np.arange(nd, dtype=rows.dtype)
-        values = np.concatenate([np.bincount(rows[on], values[on], nd), values[~on]])
-        rows, cols = np.concatenate([dof, rows[~on]]), np.concatenate([dof, cols[~on]])
+    on = rows == cols
+    dof = np.arange(nd, dtype=rows.dtype)
+    values = np.concatenate([np.bincount(rows[on], values[on], nd), values[~on]])
+    rows, cols = np.concatenate([dof, rows[~on]]), np.concatenate([dof, cols[~on]])
 
     def dofs(vertices):
         return np.array([vertex_dof[v.id] for v in vertices], dtype=int)
@@ -540,8 +523,9 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
     while E differs from `energy` of the centered state by round-off.  The
     series also records the steps taken, dt and the least relative headroom
     1 - E_shadow / limit of the shadow-energy blow-up guard.  Bad parameters
-    raise SimulationError, as do a dt whose step coefficients overflow and
-    a sampled energy budget that is not finite.
+    raise SimulationError, as do a dt whose step coefficients overflow, a
+    sampled energy budget that is not finite and a run of more than
+    MAX_STEPS steps.
     """
     try:
         given = {"T": config["T"], "cfl": config.get("cfl", DEFAULT_CFL),
@@ -567,6 +551,12 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
     state = init_state(graph, y0, v0, osc, cells)
     layout = state.layout
     dt = cfl * layout.hmin
+    # the loop takes one step past T; compared without a division, since
+    # cfl * hmin may underflow to 0
+    if not T <= (MAX_STEPS - 1) * dt:
+        raise SimulationError(
+            f"T={T} at dt={dt} needs more than {MAX_STEPS} leapfrog steps; "
+            f"lower T or the cells per unit length")
     nsteps = max(1, int(math.ceil(T / dt)))
     dt = T / nsteps
     damped = layout.leapfrog(dt).damped

@@ -385,6 +385,13 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
     (["simulate"], {"graph": TREE_SPEC, "T": 1e-160}, "too small"),
     (["simulate"], {"graph": TREE_SPEC, "initial": {"amplitude": 1e200}},
      "double range"),
+    # the CLI asks for two convergents past --probes, so 9999 is already
+    # past the cap of 10000; a horizon past MAX_STEPS leapfrog steps, and a
+    # cfl whose dt underflows to 0
+    (["counterexample", "--variant", "circuit", "--length", "sqrt(2)",
+      "--probes", "9999"], None, "cap"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1e12}, "leapfrog steps"),
+    (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "cfl": 5e-324}, "leapfrog steps"),
     # on edges of length 5, true would read as a mesh of 5 cells per edge
     (["sweep"], {"graph": {**TREE_SPEC, "edges": [
         {**e, "length": "5"} for e in TREE_SPEC["edges"]]}, "beta": [0.5],
@@ -411,7 +418,8 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
         "initial-oscillator-not-a-mass", "initial-unknown-kind", "T-true",
         "amplitude-true", "velocity-string", "box-entry-true", "tol-true",
         "beta-entry-true", "chain-length-true", "T-1e-300", "T-1e-160",
-        "amplitude-1e200", "mesh-ladder-entry-true"])
+        "amplitude-1e200", "probes-9999", "T-1e12", "cfl-5e-324",
+        "mesh-ladder-entry-true"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:
         argv = argv + ["--config", write(tmp_path, "cfg.json", config)]
@@ -530,8 +538,9 @@ def test_repeated_main_calls_match_separate_calls(tmp_path, capsys):
 
 
 def test_import_leaves_the_solver_unloaded(tmp_path):
-    # scipy's sparse solver (which loads scipy.linalg) is imported by the
-    # first factorization, not by importing the package or the CLI
+    # scipy's sparse solver (which loads scipy.linalg) is imported with the
+    # resolvent module by the first sweep, not by importing the package or
+    # the CLI
     cfg = write(tmp_path, "sweep.json", {"graph": TREE_SPEC, "beta": [0.5, 2.0],
                                          "mesh-ladder": [16, 24]})
     script = textwrap.dedent("""\
@@ -560,8 +569,8 @@ def test_import_leaves_the_solver_unloaded(tmp_path):
 
 def test_only_sweep_loads_the_sparse_stack(tmp_path):
     # numpy is imported with the first numerical subcommand and scipy.sparse
-    # with the first resolvent generator: the package, the CLI and the
-    # subcommands before them run without either.  Pytest's own
+    # with the resolvent module by the first sweep: the package, the CLI and
+    # the subcommands before them run without either.  Pytest's own
     # filterwarnings setting imports both here, hence a fresh interpreter
     chain = {"lengths": [1.0, 0.9], "masses": [1.0]}
     configs = {

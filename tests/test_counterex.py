@@ -88,6 +88,17 @@ def test_terminating_expansion_reports_cap():
         dirichlet_convergents(0.5, 5)
 
 
+def test_a_count_past_the_cap_is_refused_before_any_precision(monkeypatch):
+    # CONVERGENT_CAP iterations find at most CONVERGENT_CAP convergents; a
+    # larger count must not first ask mpmath for 60 + 4 count digits
+    def refuse(dps):
+        raise AssertionError(f"asked for {dps} digits")
+
+    monkeypatch.setattr(mp, "workdps", refuse)
+    with pytest.raises(CounterexampleError, match="cap"):
+        dirichlet_convergents("sqrt(2)", counterexample.CONVERGENT_CAP + 1)
+
+
 def test_beta_formula_at_q16():
     # q = 16 has q^{1/4} = 2, so beta = 32 pi + pi = 33 pi exactly
     probe = circuit_solve(None, "sqrt(2)", pair=ConvergentPair(23, 16))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import netwave.simulate
 from netwave.cli import main
@@ -22,6 +23,7 @@ from netwave.simulate import (
     BLOWUP_FACTOR,
     SimulationError,
     _bootstrap,
+    _gll,
     energy,
     init_state,
     make_layout,
@@ -66,6 +68,12 @@ def random_initial(graph, rng):
     return y0, v0, osc
 
 
+def stiffness(layout):
+    """K as scipy's CSR matrix over the layout's entries."""
+    values, rows, cols = layout.k_triplets
+    return sp.csr_matrix((values, (rows, cols)), shape=(layout.ndof, layout.ndof))
+
+
 GRAPHS = [
     make_tree_chain(["1", "0.9"], [1.0]),
     make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]),
@@ -80,7 +88,7 @@ def test_layout_gives_the_pinned_vertices_no_dof(graph):
     # the unknowns are the free vertices and the interior nodes; a pinned
     # vertex is numbered past them, and without its row K is definite
     layout = make_layout(graph, 16)
-    np.linalg.cholesky(layout.stiffness.toarray())
+    np.linalg.cholesky(stiffness(layout).toarray())
     free = len(graph.vertices) - len(graph.dirichlet_vertices)
     interior = sum(len(idx) - 2 for idx in layout.edge_nodes.values())
     assert layout.ndof == free + interior
@@ -105,8 +113,33 @@ def test_elements_integrate_constants(graph, order, monkeypatch):
     total = graph.total_length()
     assert np.all(layout.lumped_mass > 0)
     assert abs(layout.lumped_mass.sum() - total) <= 1e-13 * total
-    K = layout.stiffness
+    K = stiffness(layout)
     assert np.max(np.abs(K @ np.ones(layout.ndof))) <= 1e-12 * np.max(np.abs(K.data))
+
+
+@pytest.mark.parametrize("order", [1, 4, 8])
+@pytest.mark.parametrize("graph", ELEMENT_GRAPHS, ids=["chain", "tree", "circuit"])
+def test_the_layout_sums_every_entry_of_the_stiffness(graph, order):
+    # K lists each (row, col) once, and each entry is the sum of its element
+    # entries in element order: the diagonal pairs (i, i), then i < j, then
+    # i > j, each pair over every element, edge by edge
+    layout = make_layout(graph, 6, order)
+    values, rows, cols = layout.k_triplets
+    nd = layout.ndof
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(values)
+    _, kref = _gll(order)
+    upper = [(i, j) for i in range(order + 1) for j in range(i + 1, order + 1)]
+    pairs = [(i, i) for i in range(order + 1)] + upper + [(j, i) for i, j in upper]
+    total = nd + len(graph.dirichlet_vertices)
+    summed = np.zeros((total, total))
+    for i, j in pairs:
+        for e in graph.edges:
+            idx, h = layout.edge_nodes[e.id], layout.edge_h[e.id]
+            for first in range(0, len(idx) - 1, order):
+                np.add.at(summed, (idx[first + i], idx[first + j]), kref[i, j] * (2.0 / h))
+    dense = np.zeros((nd, nd))
+    dense[rows, cols] = values
+    np.testing.assert_array_equal(dense, summed[:nd, :nd])
 
 
 def drawn_tree(rng, n_edges, hub=None):
@@ -152,7 +185,7 @@ def test_the_stepper_product_is_the_stiffness(graph):
     # the stepper's numpy K holds each entry of the CSR matrix exactly once,
     # with the same value, and its product agrees with the CSR product
     layout = make_layout(graph, 16)
-    K, bands = layout.stiffness, layout.bands
+    K, bands = stiffness(layout), layout.bands
     dense = K.toarray()
     interior = np.ones(layout.ndof, bool)
     interior[[d for d in layout.vertex_dof.values() if d < layout.ndof]] = False
