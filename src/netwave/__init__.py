@@ -2,9 +2,9 @@
 resolvent sweeps, chain stability determinants and instability probes.
 
 The names below are imported from their submodules on first access
-(PEP 562), so `import netwave` loads none of them: `graph`, `chaincrit`,
-`counterexample` and `cli` compute without numpy, and only `simulate`,
-`spectral` and `resolvent` import it.
+(PEP 562), so `import netwave` loads none of them: `graph`, `chaincrit`
+and `cli` need only the standard library, `simulate`, `spectral` and
+`resolvent` import numpy, and `counterexample` alone imports mpmath.
 """
 
 import importlib

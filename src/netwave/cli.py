@@ -10,11 +10,11 @@ floats are rounded to 12 significant digits before serialization, so
 identical inputs yield byte-identical files and emitted JSON re-parses to
 exactly the reported values.
 
-The front end itself loads no numpy: check, chain-check and counterexample
-compute without it, and simulate, spectrum and sweep import their numerical
-module, and numpy with it, at their first call (see `run`).  Every error the
-package raises on bad input derives from `NetwaveError`, which `main` maps
-to exit code 2.
+The front end itself loads neither numpy nor mpmath: each subcommand
+imports its computing module at its first call (see `_lazy`), so check and
+chain-check run on the standard library, simulate, spectrum and sweep load
+numpy and counterexample alone loads mpmath.  Every error the package raises
+on bad input derives from `NetwaveError`, which `main` maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import functools
+import importlib
 import json
 import math
 import sys
@@ -30,13 +31,6 @@ from pathlib import Path
 
 from . import __version__
 from .chaincrit import ChainSpec, chain_stable
-from .counterexample import (
-    asymptotic_defects,
-    circuit_solve,
-    dirichlet_convergents,
-    growth_law,
-    star_probe,
-)
 from .graph import (
     DEFAULT_CELLS,
     DEFAULT_CFL,
@@ -58,26 +52,27 @@ class ConfigError(NetwaveError, RuntimeError):
     pass
 
 
-# The numerical entry points, each importing its module (and numpy) on the
-# first call.  The handlers look them up here at call time, so a caller that
-# replaces `netwave.cli.run`, `.find_eigenvalues` or `.sweep` sees every call.
+def _lazy(module: str, name: str):
+    """`netwave.<module>.<name>`, its module imported at the first call."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__),
+                       name)(*args, **kwargs)
 
-def run(*args, **kwargs):
-    """`netwave.simulate.run`."""
-    from . import simulate
-    return simulate.run(*args, **kwargs)
-
-
-def find_eigenvalues(*args, **kwargs):
-    """`netwave.spectral.find_eigenvalues`."""
-    from . import spectral
-    return spectral.find_eigenvalues(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
-def sweep(*args, **kwargs):
-    """`netwave.resolvent.sweep`."""
-    from . import resolvent
-    return resolvent.sweep(*args, **kwargs)
+# The computing entry points.  The handlers look them up here at call time,
+# so a caller that replaces one of these names of `netwave.cli` sees every
+# call, and no module (with numpy or mpmath) loads before its subcommand runs.
+run = _lazy("simulate", "run")
+find_eigenvalues = _lazy("spectral", "find_eigenvalues")
+sweep = _lazy("resolvent", "sweep")
+dirichlet_convergents = _lazy("counterexample", "dirichlet_convergents")
+circuit_solve = _lazy("counterexample", "circuit_solve")
+star_probe = _lazy("counterexample", "star_probe")
+growth_law = _lazy("counterexample", "growth_law")
+asymptotic_defects = _lazy("counterexample", "asymptotic_defects")
 
 
 def _fmt(x) -> str:

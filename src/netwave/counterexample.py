@@ -110,20 +110,38 @@ def dirichlet_convergents(ell, count: int) -> list:
     Rational lengths are refused: their approximation never improves and the
     probe construction does not apply.  So is a count above CONVERGENT_CAP,
     which the iteration cannot reach, before any precision is set for it.
+    The expansion loses about 2 log10 q digits by the denominator q, so it
+    starts at 60 + count digits and is redone at twice the precision until
+    its last denominator leaves 40 of them to spare.
     """
     length = _irrational_length(ell)
     if count > CONVERGENT_CAP:
         raise CounterexampleError(
             f"{count} convergents asked for, more than the iteration cap {CONVERGENT_CAP}")
+    dps = 60 + count
+    out, q = _convergents(length, count, dps)
+    while 2 * len(str(q)) + 40 > dps:
+        dps *= 2
+        out, q = _convergents(length, count, dps)
+    if len(out) < count:
+        raise CounterexampleError(
+            f"only {len(out)} convergents reachable within the iteration cap"
+        )
+    return out
+
+
+def _convergents(length: Length, count: int, dps: int) -> tuple:
+    """(at most `count` Dirichlet convergents of length, the last denominator
+    the expansion formed), computed at dps digits."""
     out = []
-    with mp.workdps(60 + 4 * count):
+    with mp.workdps(dps):
         target = length.mpf()
         p0, q0 = 1, 0  # convergent recurrence seeds
         p1, q1 = int(mp.floor(target)), 1
         frac = target - mp.floor(target)
         for _ in range(CONVERGENT_CAP):
             if len(out) >= count:
-                return out
+                break
             if q1 > 0 and p1 > 0 and abs(q1 * target - p1) < mp.mpf(1) / q1:
                 out.append(ConvergentPair(p1, q1))
             if frac == 0:
@@ -133,11 +151,7 @@ def dirichlet_convergents(ell, count: int) -> list:
             frac = x - a
             p0, p1 = p1, a * p1 + p0
             q0, q1 = q1, a * q1 + q0
-    if len(out) < count:
-        raise CounterexampleError(
-            f"only {len(out)} convergents reachable within the iteration cap"
-        )
-    return out
+    return out, q1
 
 
 # -- circuit probes ---------------------------------------------------------

@@ -20,8 +20,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 VERTEX_KINDS = ("root", "mass", "controlled", "fixed")
 VARIANTS = ("tree", "circuit", "star", "chain")
 
@@ -103,8 +101,11 @@ class Length:
             return m if m >= 1 else None
         return None
 
-    def mpf(self) -> mpmath.mpf:
-        """High-precision value at the current mpmath working precision."""
+    def mpf(self):
+        """The value as an mpmath.mpf at the current working precision;
+        mpmath is imported here, so the rest of the data model needs none."""
+        import mpmath
+
         if self.kind == "pi":
             return mpmath.pi * mpmath.mpf(self.frac.numerator) / self.frac.denominator
         if self.kind == "sqrt":

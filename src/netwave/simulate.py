@@ -561,7 +561,9 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
     dt = T / nsteps
     damped = layout.leapfrog(dt).damped
 
-    ts, es, ds, shadows = [], [], [], []
+    # the samples, filled in place: every stride-th step and the last
+    t, E, D, shadows = np.empty((4, (nsteps + stride - 1) // stride + 1))
+    k = 0
     d_acc = 0.0
     prev_rate = None
     prev_sample_e = None
@@ -621,19 +623,14 @@ def run(graph: MetricGraph, config: dict, y0=None, v0=None, osc=None) -> EnergyS
                         )
                     margin = min(margin, 1.0 - sh / limit)
                 prev_sample_e = sh
-                ts.append(state.t)
-                es.append(e)
-                ds.append(d_acc)
-                shadows.append(sh)
+                t[k], E[k], D[k], shadows[k] = state.t, e, d_acc, sh
+                k += 1
             state = new
 
-    e0 = es[0]
-    t = np.array(ts)
-    E = np.array(es)
-    D = np.array(ds)
+    e0 = float(E[0])
     R = e0 - E - D
     omega, fit_res, fit_ok = _fit_decay(t, E, T)
-    return EnergySeries(t, E, D, R, omega, fit_res, fit_ok, np.array(shadows), e0,
+    return EnergySeries(t, E, D, R, omega, fit_res, fit_ok, shadows, e0,
                         nsteps + 1, dt, margin)
 
 

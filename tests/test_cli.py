@@ -540,7 +540,7 @@ def test_repeated_main_calls_match_separate_calls(tmp_path, capsys):
 def test_import_leaves_the_solver_unloaded(tmp_path):
     # scipy's sparse solver (which loads scipy.linalg) is imported with the
     # resolvent module by the first sweep, not by importing the package or
-    # the CLI
+    # the CLI; mpmath, which only counterexample computes with, never is
     cfg = write(tmp_path, "sweep.json", {"graph": TREE_SPEC, "beta": [0.5, 2.0],
                                          "mesh-ladder": [16, 24]})
     script = textwrap.dedent("""\
@@ -553,7 +553,7 @@ def test_import_leaves_the_solver_unloaded(tmp_path):
         import netwave.cli
         after_cli = loaded()
         rc = netwave.cli.main(["sweep", "--config", sys.argv[1], "--out", sys.argv[2]])
-        print(json.dumps([after_package, after_cli, rc, loaded()]))
+        print(json.dumps([after_package, after_cli, rc, loaded(), "mpmath" in sys.modules]))
         """)
     # a fresh interpreter, with the package under test on its path
     src = str(Path(netwave.__file__).resolve().parents[1])
@@ -561,17 +561,20 @@ def test_import_leaves_the_solver_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    after_package, after_cli, rc, after_sweep = json.loads(done.stdout.splitlines()[-1])
+    after_package, after_cli, rc, after_sweep, mpmath = json.loads(
+        done.stdout.splitlines()[-1])
     assert after_package == [] and after_cli == []
     assert rc == 0
     assert after_sweep == ["scipy.sparse.linalg", "scipy.linalg"]
+    assert not mpmath
 
 
 def test_only_sweep_loads_the_sparse_stack(tmp_path):
-    # numpy is imported with the first numerical subcommand and scipy.sparse
-    # with the resolvent module by the first sweep: the package, the CLI and
-    # the subcommands before them run without either.  Pytest's own
-    # filterwarnings setting imports both here, hence a fresh interpreter
+    # numpy is imported with the first numerical subcommand, mpmath with the
+    # first counterexample and scipy.sparse with the resolvent module by the
+    # first sweep: the package, the CLI and the subcommands before them run
+    # without them.  Pytest's own filterwarnings setting imports numpy and
+    # scipy here, hence a fresh interpreter
     chain = {"lengths": [1.0, 0.9], "masses": [1.0]}
     configs = {
         "check": {"graph": TREE_SPEC},
@@ -587,7 +590,8 @@ def test_only_sweep_loads_the_sparse_stack(tmp_path):
     script = textwrap.dedent("""\
         import json, sys
         def loaded():
-            return [name for name in ("numpy", "scipy.sparse") if name in sys.modules]
+            return [name for name in ("numpy", "scipy.sparse", "mpmath")
+                    if name in sys.modules]
         import netwave
         seen = [["import netwave", loaded()]]
         import netwave.cli
@@ -605,9 +609,11 @@ def test_only_sweep_loads_the_sparse_stack(tmp_path):
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen == [["import netwave", []], ["import netwave.cli", []],
-                    ["check", 0, []], ["chain-check", 0, []], ["counterexample", 0, []],
-                    ["spectrum", 0, ["numpy"]], ["simulate", 0, ["numpy"]],
-                    ["sweep", 0, ["numpy", "scipy.sparse"]]]
+                    ["check", 0, []], ["chain-check", 0, []],
+                    ["counterexample", 0, ["mpmath"]],
+                    ["spectrum", 0, ["numpy", "mpmath"]],
+                    ["simulate", 0, ["numpy", "mpmath"]],
+                    ["sweep", 0, ["numpy", "scipy.sparse", "mpmath"]]]
 
 
 def test_numerical_entry_points_are_looked_up_at_call_time(tmp_path, capsys,
@@ -616,7 +622,9 @@ def test_numerical_entry_points_are_looked_up_at_call_time(tmp_path, capsys,
     # subcommand must call through them; the package's own names stay the
     # submodules' objects
     calls = []
-    for name in ("run", "find_eigenvalues", "sweep"):
+    names = ("run", "find_eigenvalues", "sweep", "dirichlet_convergents",
+             "circuit_solve", "star_probe", "growth_law", "asymptotic_defects")
+    for name in names:
         def spy(*args, _name=name, _through=getattr(cli, name), **kwargs):
             calls.append(_name)
             return _through(*args, **kwargs)
@@ -629,14 +637,19 @@ def test_numerical_entry_points_are_looked_up_at_call_time(tmp_path, capsys,
     for sub, cfg in configs.items():
         argv = [sub, "--config", write(tmp_path, f"{sub}.json", cfg)]
         assert main(argv + ["--out", str(tmp_path / sub)]) == 0
-    assert calls == ["run", "find_eigenvalues", "sweep"]
+    for variant in ("circuit", "star"):
+        assert main(["counterexample", "--variant", variant, "--length", "sqrt(2)",
+                     "--probes", "3", "--out", str(tmp_path / variant)]) == 0
+    assert calls == ["run", "find_eigenvalues", "sweep",
+                     "dirichlet_convergents", *["circuit_solve"] * 3, "growth_law",
+                     "asymptotic_defects",
+                     "dirichlet_convergents", *["star_probe"] * 3]
 
-    from netwave import find_eigenvalues, make_tree_chain, run, sweep
-    from netwave import graph, resolvent, simulate, spectral
-    assert run is simulate.run
-    assert find_eigenvalues is spectral.find_eigenvalues
-    assert sweep is resolvent.sweep
-    assert make_tree_chain is graph.make_tree_chain
+    from netwave import counterexample, graph, resolvent, simulate, spectral
+    owners = [simulate, spectral, resolvent] + [counterexample] * 5
+    for name, module in zip(names, owners):
+        assert getattr(netwave, name) is getattr(module, name)
+    assert netwave.make_tree_chain is graph.make_tree_chain
 
 
 def _package_errors():

@@ -90,13 +90,38 @@ def test_terminating_expansion_reports_cap():
 
 def test_a_count_past_the_cap_is_refused_before_any_precision(monkeypatch):
     # CONVERGENT_CAP iterations find at most CONVERGENT_CAP convergents; a
-    # larger count must not first ask mpmath for 60 + 4 count digits
+    # larger count must not first ask mpmath for 60 + count digits
     def refuse(dps):
         raise AssertionError(f"asked for {dps} digits")
 
     monkeypatch.setattr(mp, "workdps", refuse)
     with pytest.raises(CounterexampleError, match="cap"):
         dirichlet_convergents("sqrt(2)", counterexample.CONVERGENT_CAP + 1)
+
+
+def test_convergent_precision_follows_the_denominators(monkeypatch):
+    # sqrt(2)'s denominators gain 0.38 digits a convergent, so 1000 of them
+    # need some 810 digits: no pass may ask for twice the count or more
+    asked = []
+    workdps = mp.workdps
+
+    def spy(dps):
+        asked.append(dps)
+        return workdps(dps)
+
+    monkeypatch.setattr(mp, "workdps", spy)
+    assert len(dirichlet_convergents("sqrt(2)", 1000)) == 1000
+    assert asked and max(asked) <= 60 + 2 * 1000
+
+
+@pytest.mark.parametrize("ell", ["sqrt(99)", "pi*3/2"])
+def test_a_too_short_precision_is_doubled(ell):
+    # both outgrow the first 60 + count digits by the 1000th convergent
+    length = Length.parse(ell)
+    _, q = counterexample._convergents(length, 1000, 60 + 1000)
+    assert 2 * len(str(q)) + 40 > 60 + 1000
+    reference, _ = counterexample._convergents(length, 1000, 2000)
+    assert dirichlet_convergents(ell, 1000) == reference
 
 
 def test_beta_formula_at_q16():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -173,8 +174,8 @@ def drawn_chain(rng, n_edges):
     return build_graph({"variant": "chain", "vertices": vertices, "edges": edges})
 
 
-# the hub's 12 edges fill a CSR row past the 16 entries up to which the
-# conversion sums a vertex's duplicates in element order
+# the hub's 12 edges give its vertex a row of K with 13 entries, the
+# longest of any graph here
 PRODUCT_GRAPHS = GRAPHS + [drawn_tree(random.Random(1), 48), drawn_chain(random.Random(1), 48),
                            drawn_tree(random.Random(2), 12, hub=1)]
 
@@ -323,6 +324,21 @@ def test_run_samples_the_energies_of_single_steps(stride):
         np.testing.assert_allclose(series.t, [n * dt for n in samples], rtol=1e-12)
         np.testing.assert_allclose(series.E, E, rtol=1e-12, atol=0)
         np.testing.assert_allclose(series.shadow, shadow, rtol=1e-12, atol=0)
+
+
+def test_run_keeps_its_samples_in_arrays_of_their_final_size():
+    # 2 001 samples of t, E, D and the shadow energy take 64 KB as float
+    # arrays; a list of Python floats per series would add some 250 KB
+    graph = GRAPHS[0]
+    run(graph, {"T": 1.0})  # the one-time allocations of a first run
+    tracemalloc.start()
+    try:
+        series = run(graph, {"T": 112.5})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.steps == 2001 and len(series.t) == len(series.shadow) == 2001
+    assert peak < 280_000
 
 
 @pytest.mark.parametrize("stride", [1, 3])
