@@ -450,12 +450,23 @@ def _cmd_chain_check(graph, p, em, svg):
     return "verdict.json", payload, not verdict.stable
 
 
+# the largest convergent denominator q_n whose probe frequency beta_n is a
+# finite double, as probes.csv prints it and growth_law fits q_n^(-1/4)
+MAX_PROBE_Q = int(sys.float_info.max / (2 * math.pi))
+
+
 def _cmd_counterexample(graph, p, em, svg):
     if p["probes"] < 1:
         raise ConfigError("--probes must be at least 1")
     # q = 1 probes are degenerate (theta_1 = 2 pi); at most two convergents have q = 1
     pairs = [c for c in dirichlet_convergents(p["length"], p["probes"] + 2)
              if c.q > 1][:p["probes"]]
+    fit = sum(c.q <= MAX_PROBE_Q for c in pairs)
+    if fit < len(pairs):
+        from .counterexample import CounterexampleError
+        raise CounterexampleError(
+            f"only {fit} of the {len(pairs)} probes of length {p['length']} have "
+            f"beta_n = 2 pi q_n + 2 pi q_n^(-1/4) within the double range")
     if p["variant"] == "circuit":
         probes = [circuit_solve(None, p["length"], pair=c) for c in pairs]
         rows = [(pr.q, float(pr.beta), float(pr.b1.real), float(pr.b1.imag),

@@ -17,10 +17,15 @@ edges plus elementary integrals on the forced one.
 Everything runs in mpmath extended precision with exact integer angle
 reduction (2 pi p_n subtracted symbolically), since sin(beta_n l4) lives on
 fine Diophantine margins that double precision destroys beyond q ~ 1e6.
+The boundary systems are solved on Python integers (`_lu_solve`): every
+entry is an exact complex integer with its own binary exponent, so rows
+scaled by beta ~ q sit beside right-hand sides 1/(2 beta) at full relative
+precision, and mpmath numbers are built again only for the solution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -28,6 +33,8 @@ import mpmath as mp
 from .graph import Length, NetwaveError
 
 CONVERGENT_CAP = 10_000
+# bits that _lu_solve carries beyond the working precision
+GUARD_BITS = 32
 
 
 class CounterexampleError(NetwaveError, RuntimeError):
@@ -67,40 +74,141 @@ def _irrational_length(ell) -> Length:
     return length
 
 
+def _digits(q: int) -> int:
+    """len(str(q)) for an int q > 0, sized from its bit length, so that no
+    denominator meets Python's limit on int-to-str conversion."""
+    d = int((q.bit_length() - 1) * math.log10(2))
+    while 10**d <= q:
+        d += 1
+    return d
+
+
 def _precision_for(q: int) -> int:
-    return max(50, 30 + mp.mp.dps // 10 + len(str(q)) * 3)
+    return max(50, 30 + mp.mp.dps // 10 + _digits(q) * 3)
 
 
 def _lu_solve(rows, rhs) -> list:
     """x with A x = b for the rows of A and b, by Gaussian elimination with
-    partial pivoting at the working precision.
+    partial pivoting on Python integers.
 
-    Products with an exact zero factor are skipped.  A pivot of at most
-    eps * ||A||_1 raises ZeroDivisionError.
+    Each entry is read exactly as a complex integer re + i im with its own
+    binary exponent, and each product and difference is cut back to
+    GUARD_BITS bits beyond the working precision, so no mpmath number is
+    built until the solution is rounded to that precision as mpc numbers.
+    Pivots are chosen by exact squared modulus; a pivot of at most
+    eps * ||A||_1 raises ZeroDivisionError.  Products with an exact zero
+    factor are skipped.
     """
-    n = len(rows)
-    A = [[mp.mpmathify(a) for a in [*row, b]] for row, b in zip(rows, rhs)]
-    tol = max(mp.fsum(abs(row[j]) for row in A) for j in range(n)) * mp.eps
+    n, prec = len(rows), mp.mp.prec
+    width = prec + GUARD_BITS
+    A = [[_exact(a, width) for a in [*row, b]] for row, b in zip(rows, rhs)]
+    tol, tol_exp = _tolerance(A, n, prec)
+    inverses = []
     for j in range(n):
-        p = max(range(j, n), key=lambda k: abs(A[k][j]))
+        p, p_sq, p_exp = j, 0, 0
+        for k in range(j, n):
+            if A[k][j] is not None:
+                r, i, e = A[k][j]
+                sq = r * r + i * i
+                if _exceeds(sq, 2 * e, p_sq, p_exp):
+                    p, p_sq, p_exp = k, sq, 2 * e
         A[j], A[p] = A[p], A[j]
         pivot = A[j]
-        if abs(pivot[j]) <= tol:
+        if not _exceeds(p_sq, p_exp, tol * tol, 2 * tol_exp):
             raise ZeroDivisionError("matrix is numerically singular")
+        inverses.append(_inverse(pivot[j], width))
         for row in A[j + 1:]:
-            if row[j]:
-                f = row[j] / pivot[j]
+            if row[j] is not None:
+                f = _trim(*_product(row[j], inverses[j]), width)
                 for k in range(j + 1, n + 1):
-                    if pivot[k]:
-                        row[k] -= f * pivot[k]
-    x = [0] * n
+                    if pivot[k] is not None:
+                        row[k] = _subtract(row[k], _product(f, pivot[k]), width)
+    x = [None] * n
     for i in reversed(range(n)):
         row, s = A[i], A[i][n]
         for k in range(i + 1, n):
-            if row[k] and x[k]:
-                s -= row[k] * x[k]
-        x[i] = s / row[i]
-    return x
+            if row[k] is not None and x[k] is not None:
+                s = _subtract(s, _product(row[k], x[k]), width)
+        x[i] = s and _trim(*_product(s, inverses[i]), width)
+    return [_to_mp(v, prec) for v in x]
+
+
+def _exact(a, width):
+    """(re, im, exp) with a = (re + i im) 2^exp, cut back to `width` bits, or
+    None for an exact zero."""
+    if isinstance(a, int):
+        return _trim(a, 0, 0, width) if a else None
+    a = mp.mpmathify(a)
+    parts = a._mpc_ if isinstance(a, mp.mpc) else (a._mpf_, mp.libmp.fzero)
+    (sr, mr, er, _), (si, mi, ei, _) = parts
+    if not mr and er or not mi and ei:
+        raise ValueError(f"entry {a} is not finite")
+    e = min(er if mr else ei, ei if mi else er)
+    return _trim((-mr if sr else mr) << (er - e) if mr else 0,
+                 (-mi if si else mi) << (ei - e) if mi else 0, e, width)
+
+
+def _trim(r, i, e, width):
+    """(r, i, e) truncated to at most `width` bits, or None when it is zero."""
+    shift = max(r.bit_length(), i.bit_length()) - width
+    if shift > 0:
+        return r >> shift, i >> shift, e + shift
+    return (r, i, e) if r or i else None
+
+
+def _product(a, b):
+    """a b, exactly."""
+    (ar, ai, ae), (br, bi, be) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br, ae + be
+
+
+def _subtract(a, m, width):
+    """a - m trimmed to `width` bits, for an entry a (None for zero) and an
+    exact product m."""
+    mr, mi, me = m
+    if a is None:
+        return _trim(-mr, -mi, me, width)
+    ar, ai, ae = a
+    if me >= ae:
+        return _trim(ar - (mr << (me - ae)), ai - (mi << (me - ae)), ae, width)
+    return _trim((ar << (ae - me)) - mr, (ai << (ae - me)) - mi, me, width)
+
+
+def _inverse(a, width):
+    """1 / a to `width` bits, as the conjugate over the squared modulus."""
+    r, i, e = a
+    d = r * r + i * i
+    shift = width + (d.bit_length() + 1) // 2
+    return (r << shift) // d, (-i << shift) // d, -e - shift
+
+
+def _exceeds(a, ea, b, eb) -> bool:
+    """a 2^ea > b 2^eb, exactly, for non-negative ints a and b."""
+    if ea >= eb:
+        return a << (ea - eb) > b
+    return a > b << (eb - ea)
+
+
+def _tolerance(A, n, prec):
+    """(t, e) with t 2^e = eps ||A||_1 over the first n columns of A, each
+    modulus the integer square root of the squared one."""
+    tol, tol_exp = 0, 0
+    for j in range(n):
+        column = [(math.isqrt(r * r + i * i), e)
+                  for r, i, e in (row[j] for row in A if row[j] is not None)]
+        if column:
+            low = min(e for _, e in column)
+            total = sum(m << (e - low) for m, e in column)
+            if _exceeds(total, low, tol, tol_exp):
+                tol, tol_exp = total, low
+    return tol, tol_exp + 1 - prec
+
+
+def _to_mp(a, prec):
+    """The entry a (None for zero) as an mpc rounded to prec bits."""
+    r, i, e = a or (0, 0, 0)
+    re, im = (mp.libmp.from_man_exp(m, e, prec, mp.libmp.round_nearest) for m in (r, i))
+    return mp.make_mpc((re, im))
 
 
 def dirichlet_convergents(ell, count: int) -> list:
@@ -120,7 +228,7 @@ def dirichlet_convergents(ell, count: int) -> list:
             f"{count} convergents asked for, more than the iteration cap {CONVERGENT_CAP}")
     dps = 60 + count
     out, q = _convergents(length, count, dps)
-    while 2 * len(str(q)) + 40 > dps:
+    while 2 * _digits(q) + 40 > dps:
         dps *= 2
         out, q = _convergents(length, count, dps)
     if len(out) < count:
@@ -188,16 +296,18 @@ def _probe_angles(beta, length, pair):
         beta = mp.mpf(beta)
         return beta, beta, beta * length
     q = mp.mpf(pair.q)
-    th1 = 2 * mp.pi / q ** mp.mpf("0.25")
+    th1 = 2 * mp.pi / mp.sqrt(mp.sqrt(q))
     return 2 * mp.pi * q + th1, th1, 2 * mp.pi * (q * length - pair.p) + th1 * length
 
 
-def _refuse_zero(beta):
+def _refuse_degenerate(beta):
     if not beta:
         raise CounterexampleError(
             "beta = 0: the forcing -sin(beta x) vanishes and its particular "
             "response -x cos(beta x)/(2 beta) is undefined"
         )
+    if not mp.isfinite(beta):
+        raise CounterexampleError(f"beta = {beta} is not finite")
 
 
 def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
@@ -218,11 +328,11 @@ def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
     with mp.workdps(dps):
         l4v = length.mpf()
         beta, th1, th4 = _probe_angles(beta, l4v, pair)
-        _refuse_zero(beta)
+        _refuse_degenerate(beta)
         i = mp.mpc(0, 1)
-        s, c = mp.sin(th1), mp.cos(th1)
-        s4, c4 = mp.sin(th4), mp.cos(th4)
-        E = mp.exp(-i * th1)
+        c, s = mp.cos_sin(th1)
+        c4, s4 = mp.cos_sin(th4)
+        E = mp.mpc(c, -s)  # exp(-i th1)
 
         # boundary and transmission conditions; unknowns (a1,b1,a2,a3,a4,b4)
         rows = [
@@ -279,7 +389,7 @@ def asymptotic_defects(probe: CircuitProbe) -> dict:
     with mp.workdps(_precision_for(probe.q)):
         q = mp.mpf(probe.q)
         l4 = probe.l4.mpf()
-        qq = q ** mp.mpf("0.25")
+        qq = mp.sqrt(mp.sqrt(q))
         i = mp.mpc(0, 1)
         leading = {
             "A": 2 * mp.pi * (2 + l4) / qq,
@@ -380,13 +490,13 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
         l3v = length.mpf()
         i = mp.mpc(0, 1)
         beta, th, th3 = _probe_angles(beta, l3v, pair)
-        _refuse_zero(beta)
+        _refuse_degenerate(beta)
         detune = 1 - beta**2
         if not detune:
             raise CounterexampleError(
                 f"beta^2 = 1 at beta={beta}: the unit center oscillator resonates")
-        s, c = mp.sin(th), mp.cos(th)
-        s3, c3 = mp.sin(th3), mp.cos(th3)
+        c, s = mp.cos_sin(th)
+        c3, s3 = mp.cos_sin(th3)
 
         # unknowns (a1, a2, a3, Y): y^j = a_j sin(beta x) + Y cos(beta x),
         # edge 2 adds the particular response -x cos(beta x)/(2 beta)

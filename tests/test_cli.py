@@ -390,6 +390,11 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
     # cfl whose dt underflows to 0
     (["counterexample", "--variant", "circuit", "--length", "sqrt(2)",
       "--probes", "9999"], None, "cap"),
+    # q_n ~ 3e307 puts beta_n = 2 pi q_n + ... past the largest double
+    (["counterexample", "--variant", "circuit", "--length", "pi*1e-308",
+      "--probes", "3"], None, "double range"),
+    (["counterexample", "--variant", "star", "--length", "pi*1e-308",
+      "--probes", "3"], None, "double range"),
     (["simulate"], {"graph": TREE_SPEC, "T": 1e12}, "leapfrog steps"),
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "cfl": 5e-324}, "leapfrog steps"),
     # on edges of length 5, true would read as a mesh of 5 cells per edge
@@ -418,7 +423,8 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
         "initial-oscillator-not-a-mass", "initial-unknown-kind", "T-true",
         "amplitude-true", "velocity-string", "box-entry-true", "tol-true",
         "beta-entry-true", "chain-length-true", "T-1e-300", "T-1e-160",
-        "amplitude-1e200", "probes-9999", "T-1e12", "cfl-5e-324",
+        "amplitude-1e200", "probes-9999", "circuit-beta-past-double",
+        "star-beta-past-double", "T-1e12", "cfl-5e-324",
         "mesh-ladder-entry-true"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:

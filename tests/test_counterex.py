@@ -124,6 +124,18 @@ def test_a_too_short_precision_is_doubled(ell):
     assert dirichlet_convergents(ell, 1000) == reference
 
 
+def test_convergents_past_the_int_to_str_limit_satisfy_dirichlet():
+    # the expansion of pi*1e-200 at too short a precision forms a denominator
+    # past Python's 4300-digit limit on int-to-str conversion before the
+    # precision is doubled
+    pairs = dirichlet_convergents("pi*1e-200", 42)
+    assert len(pairs) == 42
+    assert all(a.q < b.q for a, b in zip(pairs, pairs[1:]))
+    with mp.workdps(1000):
+        ell = Length.parse("pi*1e-200").mpf()
+        assert all(abs(c.q * ell - c.p) * c.q < 1 for c in pairs)
+
+
 def test_beta_formula_at_q16():
     # q = 16 has q^{1/4} = 2, so beta = 32 pi + pi = 33 pi exactly
     probe = circuit_solve(None, "sqrt(2)", pair=ConvergentPair(23, 16))
@@ -297,7 +309,9 @@ def test_h_norm_matches_quadrature(beta, ell):
     (star_probe, -1.0, "resonates"),
     (star_probe, 0.0, "beta = 0"),
     (circuit_solve, 0.0, "beta = 0"),
-], ids=["star-1", "star-minus-1", "star-0", "circuit-0"])
+    (star_probe, math.inf, "not finite"),
+    (circuit_solve, math.nan, "not finite"),
+], ids=["star-1", "star-minus-1", "star-0", "circuit-0", "star-inf", "circuit-nan"])
 def test_degenerate_frequency_refused(solve, beta, message):
     with pytest.raises(CounterexampleError, match=message):
         solve(beta, "sqrt(2)")
@@ -306,9 +320,14 @@ def test_degenerate_frequency_refused(solve, beta, message):
 # -- the boundary-system solver -----------------------------------------------
 
 
-@pytest.mark.parametrize("ell", ["sqrt(2)", "sqrt(3)"])
-def test_lu_solve_matches_mpmath_on_probe_systems(monkeypatch, ell):
-    # every circuit (q > 1) and star system of the first 30 convergents
+@pytest.mark.parametrize("ell, count", [
+    ("sqrt(2)", 30), ("sqrt(3)", 30),
+    # the largest ladders of the benchmark's radicands, and a length whose
+    # systems hold beta ~ 1e30 rows beside 1/(2 beta) right-hand sides
+    ("sqrt(7/3)", 42), ("sqrt(11/2)", 42), ("pi*1e-30", 5),
+], ids=["sqrt(2)", "sqrt(3)", "sqrt(7/3)", "sqrt(11/2)", "pi*1e-30"])
+def test_lu_solve_matches_mpmath_on_probe_systems(monkeypatch, ell, count):
+    # every circuit (q > 1) and star system of the first `count` convergents
     solved = []
 
     def checked(rows, rhs):
@@ -320,13 +339,13 @@ def test_lu_solve_matches_mpmath_on_probe_systems(monkeypatch, ell):
         return x
 
     monkeypatch.setattr(counterexample, "_lu_solve", checked)
-    pairs = dirichlet_convergents(ell, 30)
+    pairs = dirichlet_convergents(ell, count)
     circuit_pairs = q_above_one(pairs)
     for pair in circuit_pairs:
         circuit_solve(None, ell, pair=pair)
     for pair in pairs:
         star_probe(None, ell, pair=pair)
-    assert solved == [6] * len(circuit_pairs) + [4] * 30
+    assert solved == [6] * len(circuit_pairs) + [4] * count
 
 
 SINGULAR = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0], [1, 0, 0, 1]]
@@ -337,6 +356,20 @@ def test_lu_solve_refuses_a_singular_matrix():
         mp.lu_solve(mp.matrix(SINGULAR), mp.matrix([1, 2, 3, 4]))
     with pytest.raises(ZeroDivisionError):
         _lu_solve(SINGULAR, [1, 2, 3, 4])
+
+
+def test_lu_solve_refuses_a_pivot_at_the_tolerance():
+    # the second pivot is d eps against eps ||A||_1 = (2 + d eps) eps
+    with mp.workdps(30):
+        with pytest.raises(ZeroDivisionError):
+            _lu_solve([[1, 1], [1, 1 + 2 * mp.eps]], [1, 2])
+        x = _lu_solve([[1, 1], [1, 1 + 4 * mp.eps]], [1, 2])
+        assert x == [1 - 1 / (4 * mp.eps), 1 / (4 * mp.eps)]
+
+
+def test_lu_solve_refuses_a_non_finite_entry():
+    with pytest.raises(ValueError, match="not finite"):
+        _lu_solve([[1, 0], [0, mp.inf]], [1, 2])
 
 
 def test_lu_solve_keeps_the_working_precision():
@@ -352,11 +385,11 @@ def test_lu_solve_keeps_the_working_precision():
         assert mp.mp.prec == prec
 
 
-# probes.csv of `counterexample --length sqrt(2) --probes 12`.  Both ladders
-# start at q = 2: at q = 1 the circuit's b_1 vanishes and the star's centre
-# value is 1/(8 pi) up to a round-off imaginary part
+# probes.csv of `counterexample` by (--variant, --length, --probes).  Both
+# ladders start at q = 2: at q = 1 the circuit's b_1 vanishes and the star's
+# centre value is 1/(8 pi) up to a round-off imaginary part
 GOLDEN_PROBES = {
-    "circuit": """\
+    ("circuit", "sqrt(2)", 12): """\
 q_n,beta_n,b1_re,b1_im,ratio
 2,1.784987861554e+01,9.057613528350e-03,1.699103328047e-03,3.154545886834e-03
 5,3.561774579444e+01,4.516057456717e-03,-8.686431702657e-04,2.498086516047e-03
@@ -371,7 +404,7 @@ q_n,beta_n,b1_re,b1_im,ratio
 13860,8.708552743817e+04,1.912664571529e-06,-7.881487333652e-07,3.786476460575e-04
 33461,2.102421281271e+05,6.804809069485e-07,-4.286614480684e-07,2.851064551137e-04
 """,
-    "star": """\
+    ("star", "sqrt(2)", 12): """\
 q_n,beta_n,b1_re,b1_im,ratio
 2,1.784987861554e+01,-2.296427296249e-03,2.733183568843e-04,9.227406155024e-01
 5,3.561774579444e+01,7.379361627793e-04,-7.363770854422e-05,6.789965829997e-01
@@ -386,13 +419,29 @@ q_n,beta_n,b1_re,b1_im,ratio
 13860,8.708552743817e+04,3.059032460291e-06,-1.241104998477e-06,1.069762049975e+00
 33461,2.102421281271e+05,1.319832188526e-06,-4.009486272095e-07,1.217508125771e+00
 """,
+    # `--length pi*1e-100 --probes 3`: q ~ 1e100, so the boundary systems hold
+    # rows scaled by beta ~ 1e100 beside right-hand sides 1/(2 beta) ~ 1e-100
+    ("circuit", "pi*1e-100", 3): """\
+q_n,beta_n,b1_re,b1_im,ratio
+3183098861837906715377675267450287240689192914809128974953346881177935952684530701802276055325061719,2.000000000000e+100,5.248025498287e-149,-2.091256699190e-125,1.269872718685e-51
+25464790894703253723021402139602297925513543318473031799626775049423487621476245614418208442600493753,1.600000000000e+101,2.319321511049e-150,-1.554335841234e-126,4.489678053129e-52
+105042262440650921607463283825859478942743366188701256173460447078871886438589513159475109825727036731,6.600000000000e+101,2.768375688296e-151,-2.644021122782e-127,2.210564662307e-52
+""",
+    ("star", "pi*1e-100", 3): """\
+q_n,beta_n,b1_re,b1_im,ratio
+3183098861837906715377675267450287240689192914809128974953346881177935952684530701802276055325061719,2.000000000000e+100,-7.165136078985e-177,-1.717814299410e-276,8.453132289552e+23
+25464790894703253723021402139602297925513543318473031799626775049423487621476245614418208442600493753,1.600000000000e+101,3.515312129808e-178,-1.966856174787e-278,1.421641727990e+24
+105042262440650921607463283825859478942743366188701256173460447078871886438589513159475109825727036731,6.600000000000e+101,-3.460381689856e-179,-5.516464064732e-280,2.026031300691e+24
+""",
 }
 
 
-@pytest.mark.parametrize("variant", ["circuit", "star"])
-def test_probe_ladder_matches_golden_rows(tmp_path, capsys, variant):
+@pytest.mark.parametrize("key", list(GOLDEN_PROBES),
+                         ids=["circuit", "star", "circuit-pi*1e-100", "star-pi*1e-100"])
+def test_probe_ladder_matches_golden_rows(tmp_path, capsys, key):
+    variant, length, probes = key
     out = tmp_path / "out"
-    assert main(["counterexample", "--variant", variant, "--length", "sqrt(2)",
-          "--probes", "12", "--out", str(out)]) == 0
+    assert main(["counterexample", "--variant", variant, "--length", length,
+          "--probes", str(probes), "--out", str(out)]) == 0
     capsys.readouterr()
-    assert (out / "probes.csv").read_text() == GOLDEN_PROBES[variant]
+    assert (out / "probes.csv").read_text() == GOLDEN_PROBES[key]
