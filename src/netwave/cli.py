@@ -273,13 +273,30 @@ def _cmd_check(graph: MetricGraph, p, em, svg):
         verdict["pi_length_edges"] = witnesses
         stable = ok
     elif graph.variant == "chain":
-        cv = chain_stable(ChainSpec(tuple(e.ell for e in graph.edges),
-                                    tuple(v.mass for v in graph.mass_vertices)))
+        cv = chain_stable(_chain_spec(graph))
         verdict["chain_stable"] = cv.stable
         verdict["witnesses"] = [list(w) for w in cv.witnesses]
         stable = cv.stable
     verdict["stable"] = stable
     return "verdict.json", verdict, stable is False
+
+
+def _chain_spec(graph: MetricGraph) -> ChainSpec:
+    """The chain's lengths and masses in path order from its controlled
+    leaf, as chain_stable reads them, whatever order or orientation its
+    edges are listed in."""
+    controlled = graph.controlled_vertices
+    if len(controlled) != 1:
+        raise ConfigError("check reads a chain as a path from one controlled "
+                          f"leaf, not {len(controlled)}")
+    vertex, edge, lengths, masses = controlled[0], None, [], []
+    while True:
+        (edge,) = [e for e, _ in graph.incident(vertex.id) if e is not edge]
+        lengths.append(edge.ell)
+        vertex = graph.vertex(edge.tail if edge.head == vertex.id else edge.head)
+        if vertex.kind != "mass":
+            return ChainSpec(tuple(lengths), tuple(masses))
+        masses.append(vertex.mass)
 
 
 # keys of the "initial" object of simulate

@@ -7,9 +7,9 @@ edgewise response is obtained two independent ways: a direct solve of the 6x6
 boundary system and a scalar reduction (FB + AG) beta b1 = A H - F C whose
 coefficients A..H were re-derived from that system by elimination; the two
 must agree to near machine precision on every probe.  The star probe
-solves the three-edge star's 4x4 boundary system at the same frequencies and
-reports the H-norm amplification ||z|| / ||f||, a lower bound for the
-resolvent norm.  Both probes share one frequency construction
+solves the three-edge star's boundary system in closed form at the same
+frequencies and reports the H-norm amplification ||z|| / ||f||, a lower bound
+for the resolvent norm.  Both probes share one frequency construction
 (`_probe_angles`) and one guard against lengths that put an eigenvalue on
 the axis; the star's H-norm is the energy identity on its two unforced
 edges plus elementary integrals on the forced one.
@@ -17,15 +17,16 @@ edges plus elementary integrals on the forced one.
 Everything runs in mpmath extended precision with exact integer angle
 reduction (2 pi p_n subtracted symbolically), since sin(beta_n l4) lives on
 fine Diophantine margins that double precision destroys beyond q ~ 1e6.
-The boundary systems are solved on Python integers (`_lu_solve`): every
-entry is an exact complex integer with its own binary exponent, so rows
-scaled by beta ~ q sit beside right-hand sides 1/(2 beta) at full relative
-precision, and mpmath numbers are built again only for the solution.
+The circuit's 6x6 is solved on Python integers (`_lu_solve`): each entry is
+an exact complex integer with its own binary exponent, so rows scaled by
+beta ~ q sit beside right-hand sides 1/(2 beta) at full precision.  The
+star's four unknowns have a closed form by Cramer's rule (`_star_unknowns`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -456,7 +457,7 @@ def _edge_energy(beta, a, Y, ell=1, trig=None):
     x, x^2, cos^2(beta x), sin(beta x) cos(beta x) and x sin(beta x) cos(beta x).
     """
     b2 = beta**2
-    total = b2 * (abs(a) ** 2 + abs(Y) ** 2) * ell
+    total = b2 * (a.real**2 + a.imag**2 + Y.real**2 + Y.imag**2) * ell
     if trig is None:
         return total
     s, c = trig
@@ -464,6 +465,25 @@ def _edge_energy(beta, a, Y, ell=1, trig=None):
     return (total - beta * ry / 2 + mp.mpf(1) / 12
             + (1 / (4 * b2) - mp.re(a)) * (mp.mpf(1) / 2 + s2 / (4 * beta))
             + ry * s * s / (2 * beta) - s2 / (16 * beta**3) + c2 / (8 * b2))
+
+
+def _star_unknowns(beta, detune, c, s, c3, s3):
+    """(a1, a2, a3, Y) of the star boundary system, by Cramer's rule."""
+    # y^j = a_j sin(beta x) + Y cos(beta x), and edge 2 adds the particular
+    # response -x cos(beta x)/(2 beta); (c, s) and (c3, s3) are the cosine and
+    # sine of beta and beta l3.  The absorbing end y'(1) = -i beta y(1) of
+    # edge 1 reads beta (c + i s)(a1 + i Y) = 0, so a1 = -i Y.  That leaves
+    # the clamped ends s a2 + c Y = c/(2 beta) and s3 a3 + c3 Y = 0, and the
+    # centre flux with the oscillator eliminated, beta (a2 + a3) + kappa Y =
+    # 1/(2 beta).  No step divides by s or s3, and the determinant vanishes
+    # only where both do.
+    kappa = beta**2 / detune - mp.mpc(0, beta)
+    det = s * s3 * kappa - beta * (s * c3 + c * s3)
+    if not det:
+        raise CounterexampleError(f"star system singular at beta={beta}: resonance")
+    Y = s3 * (s / (2 * beta) - c / 2) / det
+    a2 = c / (2 * beta) * (s3 * (kappa - 1) - beta * c3) / det
+    return mp.mpc(Y.imag, -Y.real), a2, c3 / 2 * (c - s / beta) / det, Y
 
 
 @dataclass
@@ -488,7 +508,6 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
     dps = _precision_for(pair.q if pair is not None else 1)
     with mp.workdps(dps):
         l3v = length.mpf()
-        i = mp.mpc(0, 1)
         beta, th, th3 = _probe_angles(beta, l3v, pair)
         _refuse_degenerate(beta)
         detune = 1 - beta**2
@@ -497,35 +516,18 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
                 f"beta^2 = 1 at beta={beta}: the unit center oscillator resonates")
         c, s = mp.cos_sin(th)
         c3, s3 = mp.cos_sin(th3)
-
-        # unknowns (a1, a2, a3, Y): y^j = a_j sin(beta x) + Y cos(beta x),
-        # edge 2 adds the particular response -x cos(beta x)/(2 beta)
-        rows = [
-            # absorbing end of edge 1: y'(1) = -i beta y(1)
-            [beta * c + i * beta * s, 0, 0, -beta * s + i * beta * c],
-            # clamped ends
-            [0, s, 0, c],
-            [0, 0, s3, c3],
-            # center flux with the oscillator eliminated: sum d y' = q with
-            # q = beta^2 Y / (1 - beta^2) and d = -1 at the center, so
-            # sum_j y_j'(0) = -beta^2 Y / (1 - beta^2)
-            [beta, beta, beta, beta**2 / detune],
-        ]
-        rhs = [0, c / (2 * beta), 0, 1 / (2 * beta)]
-        try:
-            a1, a2, a3, Y = _lu_solve(rows, rhs)
-        except ZeroDivisionError:
+        a1, a2, a3, Y = _star_unknowns(beta, detune, c, s, c3, s3)
+        if 0 < abs(Y) < sys.float_info.min:  # complex(Y) would print a false zero
             raise CounterexampleError(
-                f"star system singular at beta={beta}: resonance"
-            ) from None
+                f"centre value |Y| = {mp.nstr(abs(Y), 3)} at beta = {float(beta):.6e} "
+                "lies below the double range")
 
         # H-norm of z = (y, v = i beta y, p, q): the edge energies plus
-        # |p|^2 + |q|^2; edge 2 carries the particular part
-        p_osc = -i * beta * Y / detune
-        q_osc = i * beta * p_osc
+        # |p|^2 + |q|^2 = (1 + beta^2) |p|^2 with p = -i beta Y / (1 - beta^2);
+        # edge 2 carries the particular part
         total = (_edge_energy(beta, a1, Y) + _edge_energy(beta, a2, Y, trig=(s, c))
                  + _edge_energy(beta, a3, Y, l3v)
-                 + abs(p_osc) ** 2 + abs(q_osc) ** 2)
+                 + (1 + beta**2) * beta**2 * (Y.real**2 + Y.imag**2) / detune**2)
         # ||f||^2 = int_0^1 sin^2(beta x) dx, with sin 2 beta = 2 s c
         fnorm = mp.sqrt(mp.mpf(1) / 2 - s * c / (2 * beta))
         ratio = float(mp.sqrt(total) / fnorm)

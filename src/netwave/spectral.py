@@ -344,6 +344,8 @@ def _pencil_eigenvalues(graph, strip):
     a = ELLIPSE_SCALE * math.sqrt(0.5) * max(w, h / 2.0)
     b = ELLIPSE_SCALE * math.sqrt(0.5) * max(h, w / 2.0)
     rho = max(a, b)
+    if rho < np.finfo(float).tiny:  # the nodes' offsets over rho would overflow
+        raise SpectralError(f"the strip {strip} is too small for its contour")
     theta = 2.0 * math.pi * np.arange(QUAD_NODES) / QUAD_NODES
     nodes = c + a * np.cos(theta) + 1j * b * np.sin(theta)
     weights = (-a * np.sin(theta) + 1j * b * np.cos(theta)) / (1j * QUAD_NODES)
@@ -360,7 +362,11 @@ def _pencil_eigenvalues(graph, strip):
     rank = int(np.sum(s > max(RANK_REL * s[0], floor)))
     if rank >= MOMENTS * n - 1:
         return None
-    reduced = u[:, :rank].conj().T @ h1 @ vh[:rank].conj().T / s[:rank]
+    # singular values that underflow in a tiny box overflow the division
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = u[:, :rank].conj().T @ h1 @ vh[:rank].conj().T / s[:rank]
+    if not np.isfinite(reduced).all():
+        raise SpectralError(f"the reduced pencil of {strip} is not finite")
     return c + rho * np.linalg.eigvals(reduced)
 
 

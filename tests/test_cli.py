@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import netwave
 from netwave import cli
 from netwave.cli import BETA_GRID, COMMANDS, INITIAL, main
-from netwave.graph import GraphError, NetwaveError, build_graph
+from netwave.graph import GraphError, Length, NetwaveError, build_graph
 from netwave.resolvent import HUGE, assemble_generator
 
 TREE_SPEC = {
@@ -82,6 +82,55 @@ def test_check_non_pi_tree_expect_stable_exit_one(tmp_path, capsys):
                "--expect-stable"])
     assert rc == 1
     assert json.loads(capsys.readouterr().out)["pi_tree"] is False
+
+
+# controlled a1 -- mass a2 -- ... -- fixed end, listed from the controlled end
+def chain_spec(lengths, masses):
+    n = len(lengths)
+    kinds = ["controlled", *["mass"] * (n - 1), "fixed"]
+    return {
+        "variant": "chain",
+        "vertices": [{"id": f"a{k + 1}", "kind": kind,
+                      **({"mass": masses[k - 1]} if kind == "mass" else {})}
+                     for k, kind in enumerate(kinds)],
+        "edges": [{"id": f"e{j + 1}", "tail": f"a{j + 1}", "head": f"a{j + 2}",
+                   "length": length} for j, length in enumerate(lengths)],
+    }
+
+
+def reoriented(edges):
+    return [{**e, "tail": e["head"], "head": e["tail"]} for e in edges]
+
+
+@pytest.mark.parametrize("lengths, masses, stable", [
+    # lambda = i is an eigenvalue: the unit mass sits a length pi from the
+    # fixed end, and the witness delta is sin(pi) in double
+    (["1", "pi*1"], [1.0], False),
+    (["1", "pi*1", "1/2"], [1.0, 4.0], True),
+], ids=["unit-mass-pi", "two-masses"])
+@pytest.mark.parametrize("relist", [
+    lambda spec: {**spec, "edges": spec["edges"][::-1]},
+    lambda spec: {**spec, "edges": reoriented(spec["edges"])},
+    lambda spec: {**spec, "edges": reoriented(spec["edges"][::-1])},
+    lambda spec: {**spec, "vertices": spec["vertices"][::-1]},
+], ids=["edges-reversed", "edges-reoriented", "edges-reversed-reoriented",
+        "vertices-reversed"])
+def test_check_reads_a_chain_from_its_controlled_end(tmp_path, capsys, lengths,
+                                                      masses, stable, relist):
+    def verdict(spec):
+        assert main(["check", "--config", write(tmp_path, "chain.json", spec),
+                     "--out", str(tmp_path / "out")]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    forward = verdict(chain_spec(lengths, masses))
+    assert forward["stable"] is stable
+    chain = {"lengths": [Length.parse(l).value for l in lengths], "masses": masses}
+    assert main(["chain-check", "--config", write(tmp_path, "cc.json", chain),
+                 "--out", str(tmp_path / "cc")]) == 0
+    by_lengths = json.loads(capsys.readouterr().out)
+    assert forward["witnesses"] == [[w["mass"], w["r"], w["delta"]]
+                                    for w in by_lengths["witnesses"]]
+    assert verdict(relist(chain_spec(lengths, masses))) == forward
 
 
 def test_malformed_config_exit_two(tmp_path, capsys):
@@ -395,6 +444,18 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
       "--probes", "3"], None, "double range"),
     (["counterexample", "--variant", "star", "--length", "pi*1e-308",
       "--probes", "3"], None, "double range"),
+    # |Y| ~ 1e-351 at q ~ 1e200 would print as a false zero
+    (["counterexample", "--variant", "star", "--length", "pi*1e-200",
+      "--probes", "3"], None, "below the double range"),
+    # the Hankel singular values of a 1e-300-wide box underflow
+    (["spectrum"], {"graph": TREE_SPEC, "box": [1e-300, 2e-300, 1e-300, 2e-300]},
+     "not finite"),
+    # two controlled leaves branch the chain
+    (["check"], {"variant": "chain", "vertices": [
+        {"id": "a1", "kind": "controlled"}, {"id": "a2", "kind": "mass", "mass": 1.0},
+        {"id": "a3", "kind": "controlled"}, {"id": "a4", "kind": "fixed"}],
+      "edges": [{"id": f"e{k}", "tail": "a2", "head": f"a{k}", "length": "1"}
+                for k in (1, 3, 4)]}, "controlled leaf"),
     (["simulate"], {"graph": TREE_SPEC, "T": 1e12}, "leapfrog steps"),
     (["simulate"], {"graph": TREE_SPEC, "T": 1.0, "cfl": 5e-324}, "leapfrog steps"),
     # on edges of length 5, true would read as a mesh of 5 cells per edge
@@ -424,7 +485,8 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
         "amplitude-true", "velocity-string", "box-entry-true", "tol-true",
         "beta-entry-true", "chain-length-true", "T-1e-300", "T-1e-160",
         "amplitude-1e200", "probes-9999", "circuit-beta-past-double",
-        "star-beta-past-double", "T-1e12", "cfl-5e-324",
+        "star-beta-past-double", "star-centre-below-double", "box-1e-300",
+        "check-branched-chain", "T-1e12", "cfl-5e-324",
         "mesh-ladder-entry-true"])
 def test_bad_input_exit_two(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -317,17 +317,21 @@ def test_degenerate_frequency_refused(solve, beta, message):
         solve(beta, "sqrt(2)")
 
 
-# -- the boundary-system solver -----------------------------------------------
+# -- the boundary-system solvers ----------------------------------------------
 
 
-@pytest.mark.parametrize("ell, count", [
+PROBE_LADDERS = [
     ("sqrt(2)", 30), ("sqrt(3)", 30),
     # the largest ladders of the benchmark's radicands, and a length whose
     # systems hold beta ~ 1e30 rows beside 1/(2 beta) right-hand sides
     ("sqrt(7/3)", 42), ("sqrt(11/2)", 42), ("pi*1e-30", 5),
-], ids=["sqrt(2)", "sqrt(3)", "sqrt(7/3)", "sqrt(11/2)", "pi*1e-30"])
+]
+LADDER_IDS = ["sqrt(2)", "sqrt(3)", "sqrt(7/3)", "sqrt(11/2)", "pi*1e-30"]
+
+
+@pytest.mark.parametrize("ell, count", PROBE_LADDERS, ids=LADDER_IDS)
 def test_lu_solve_matches_mpmath_on_probe_systems(monkeypatch, ell, count):
-    # every circuit (q > 1) and star system of the first `count` convergents
+    # every circuit system of the first `count` convergents (q > 1)
     solved = []
 
     def checked(rows, rhs):
@@ -339,13 +343,46 @@ def test_lu_solve_matches_mpmath_on_probe_systems(monkeypatch, ell, count):
         return x
 
     monkeypatch.setattr(counterexample, "_lu_solve", checked)
-    pairs = dirichlet_convergents(ell, count)
-    circuit_pairs = q_above_one(pairs)
+    circuit_pairs = q_above_one(dirichlet_convergents(ell, count))
     for pair in circuit_pairs:
         circuit_solve(None, ell, pair=pair)
+    assert solved == [6] * len(circuit_pairs)
+
+
+# sqrt(9/8) has convergents 1/1 and 17/16: at q = 16, theta_1 = 2 pi / 16^(1/4)
+# = pi, so sin(theta_1) vanishes but for round-off
+@pytest.mark.parametrize("ell, count", [*PROBE_LADDERS, ("sqrt(9/8)", 2)],
+                         ids=[*LADDER_IDS, "sqrt(9/8)"])
+def test_star_closed_form_matches_mpmath_on_probe_systems(monkeypatch, ell, count):
+    # the closed-form (a1, a2, a3, Y) against mp.lu_solve of the star's four
+    # boundary rows, on every probe of the first `count` convergents
+    solved = []
+    unknowns = counterexample._star_unknowns
+
+    def checked(beta, detune, c, s, c3, s3):
+        x = unknowns(beta, detune, c, s, c3, s3)
+        i = mp.mpc(0, 1)
+        rows = [
+            # absorbing end of edge 1: y'(1) = -i beta y(1)
+            [beta * c + i * beta * s, 0, 0, -beta * s + i * beta * c],
+            # clamped ends of edges 2 and 3
+            [0, s, 0, c],
+            [0, 0, s3, c3],
+            # centre flux with the oscillator eliminated
+            [beta, beta, beta, beta**2 / detune],
+        ]
+        rhs = [0, c / (2 * beta), 0, 1 / (2 * beta)]
+        reference = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+        error = mp.norm(mp.matrix(x) - reference) / mp.norm(reference)
+        assert error <= 1e4 * mp.eps
+        solved.append(beta)
+        return x
+
+    monkeypatch.setattr(counterexample, "_star_unknowns", checked)
+    pairs = dirichlet_convergents(ell, count)
     for pair in pairs:
         star_probe(None, ell, pair=pair)
-    assert solved == [6] * len(circuit_pairs) + [4] * count
+    assert len(solved) == count
 
 
 SINGULAR = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0], [1, 0, 0, 1]]
