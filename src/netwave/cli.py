@@ -6,9 +6,9 @@ Exit codes: 0 success, 1 analysis verdict "unstable"/"unbounded" under
 
 Every run writes its artifacts plus a manifest.json listing them, with the
 run's own counts and margins under "stats", into the output directory.  All
-floats are rounded to 12 significant digits before serialization, so
-identical inputs yield byte-identical files and emitted JSON re-parses to
-exactly the reported values.
+floats are rounded to 12 significant digits before serialization, and one
+that is not finite is written as null, so identical inputs yield
+byte-identical files and emitted JSON re-parses to exactly the reported values.
 
 The front end itself loads neither numpy nor mpmath: each subcommand
 imports its computing module at its first call (see `_lazy`), so check and
@@ -36,6 +36,7 @@ from .graph import (
     DEFAULT_CFL,
     DEFAULT_STRIDE,
     DET_TOL,
+    Length,
     MetricGraph,
     NetwaveError,
     build_graph,
@@ -80,7 +81,9 @@ def _fmt(x) -> str:
 
 
 def _round12(obj):
-    """Round every float in a JSON-ready structure to 12 significant digits.
+    """Round every float in a JSON-ready structure to 12 significant digits,
+    and write one that is not finite as None (JSON null), since JSON has no
+    Infinity or NaN.
 
     numpy's float64 and complex128 are a float and a complex; its other
     scalars are converted only when numpy is loaded, as none exists before.
@@ -88,17 +91,17 @@ def _round12(obj):
     if obj is None or isinstance(obj, (str, int)):  # a bool is an int
         return obj
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
     if isinstance(obj, complex):
-        return {"re": float(_fmt(obj.real)), "im": float(_fmt(obj.imag))}
+        return {"re": _round12(obj.real), "im": _round12(obj.imag)}
     np = sys.modules.get("numpy")
     if np is not None:
         if isinstance(obj, np.floating):
-            return float(_fmt(float(obj)))
+            return _round12(float(obj))
         if isinstance(obj, np.integer):
             return int(obj)
     return obj
@@ -470,13 +473,22 @@ def _cmd_chain_check(graph, p, em, svg):
 # the largest convergent denominator q_n whose probe frequency beta_n is a
 # finite double, as probes.csv prints it and growth_law fits q_n^(-1/4)
 MAX_PROBE_Q = int(sys.float_info.max / (2 * math.pi))
+# convergent denominators grow at least as fast as the Fibonacci numbers,
+# q_k >= phi^(k-1), and probes take k >= 1: no length has more probes with
+# q_k <= MAX_PROBE_Q than this
+MAX_PROBES = int(1 + math.log(MAX_PROBE_Q, (1 + math.sqrt(5)) / 2))
 
 
 def _cmd_counterexample(graph, p, em, svg):
     if p["probes"] < 1:
         raise ConfigError("--probes must be at least 1")
+    if p["probes"] > MAX_PROBES:
+        raise ConfigError(
+            f"--probes {p['probes']} is past the cap of {MAX_PROBES}: no length has "
+            f"more probes with beta_n = 2 pi q_n + 2 pi q_n^(-1/4) in the double range")
+    length = Length.parse(p["length"])
     # q = 1 probes are degenerate (theta_1 = 2 pi); at most two convergents have q = 1
-    pairs = [c for c in dirichlet_convergents(p["length"], p["probes"] + 2)
+    pairs = [c for c in dirichlet_convergents(length, p["probes"] + 2)
              if c.q > 1][:p["probes"]]
     fit = sum(c.q <= MAX_PROBE_Q for c in pairs)
     if fit < len(pairs):
@@ -485,10 +497,10 @@ def _cmd_counterexample(graph, p, em, svg):
             f"only {fit} of the {len(pairs)} probes of length {p['length']} have "
             f"beta_n = 2 pi q_n + 2 pi q_n^(-1/4) within the double range")
     if p["variant"] == "circuit":
-        probes = [circuit_solve(None, p["length"], pair=c) for c in pairs]
+        probes = [circuit_solve(None, length, pair=c) for c in pairs]
         rows = [(pr.q, float(pr.beta), float(pr.b1.real), float(pr.b1.imag),
-                 float(abs(pr.growth_ratio()))) for pr in probes]
-        report = growth_law(probes, p["length"])
+                 float(abs(pr.ratio))) for pr in probes]
+        report = growth_law(probes, length)
         summary = {
             "variant": "circuit",
             "length": p["length"],
@@ -499,7 +511,7 @@ def _cmd_counterexample(graph, p, em, svg):
             "asymptotic_defects": asymptotic_defects(probes[-1]),
         }
     else:
-        sps = [star_probe(None, p["length"], pair=c) for c in pairs]
+        sps = [star_probe(None, length, pair=c) for c in pairs]
         rows = [(c.q, float(pr.beta), pr.center_value.real,
                  pr.center_value.imag, float(pr.norm_ratio))
                 for c, pr in zip(pairs, sps)]

@@ -1,4 +1,4 @@
-"""High-precision instability probes for the circuit and star networks.
+"""Diophantine instability probes for the circuit and star networks.
 
 The circuit probe drives the network at frequencies beta_n = 2 pi q_n +
 2 pi / q_n^{1/4} built from Dirichlet convergents p_n/q_n (q_n > 1) of the
@@ -14,13 +14,18 @@ for the resolvent norm.  Both probes share one frequency construction
 the axis; the star's H-norm is the energy identity on its two unforced
 edges plus elementary integrals on the forced one.
 
-Everything runs in mpmath extended precision with exact integer angle
-reduction (2 pi p_n subtracted symbolically), since sin(beta_n l4) lives on
-fine Diophantine margins that double precision destroys beyond q ~ 1e6.
-The circuit's 6x6 is solved on Python integers (`_lu_solve`): each entry is
-an exact complex integer with its own binary exponent, so rows scaled by
-beta ~ q sit beside right-hand sides 1/(2 beta) at full precision.  The
-star's four unknowns have a closed form by Cramer's rule (`_star_unknowns`).
+Extended precision is needed only where the probes cancel, in the phase
+beta_n l - 2 pi p_n.  For l = sqrt(n/d) the convergents come from the integer
+recurrence of the periodic continued fraction, and 2 pi (q l - p) =
+2 pi (q^2 n - p^2 d) / (d (q l + p)) has an exact integer numerator; pi and
+float lengths reduce the phase in mpmath at a precision sized from q.  The
+angles are formed at ENTRY_PREC bits, plus half the bits of q for the
+circuit, whose smallest unknowns fall like q^(-1/4).  Its 6x6 is solved in
+double precision and refined against residuals formed exactly in Python
+integers (`_solve`); the star's closed form and the scalar reduction run in
+double precision on beta-scaled quantities, so that beta^2 never forms, and
+a star value that lies within a few ulps of a change in its printed digits
+is redone in mpmath.
 """
 
 from __future__ import annotations
@@ -34,8 +39,20 @@ import mpmath as mp
 from .graph import Length, NetwaveError
 
 CONVERGENT_CAP = 10_000
-# bits that _lu_solve carries beyond the working precision
-GUARD_BITS = 32
+# bits (about 30 digits) of the probe angles and of the row entries that the
+# circuit's refinement reads, which adds half the bits of q
+ENTRY_PREC = 100
+# the refinement stops once the error it leaves is below 2^-REFINE_BITS of
+# the smallest nonzero part of the solution, and refuses a system after
+# MAX_ROUNDS rounds (a pi*1e-300 probe takes 20, a benchmark one 2 or 3)
+REFINE_BITS = 60
+MAX_ROUNDS = 32
+# the star's double-precision values are redone in mpmath within this many
+# ulps of a change in their printed digits
+PRINT_GUARD = 16
+# (-1+i) pi^3 of the growth ratio, at the 53 bits it is formed in
+with mp.workprec(53):
+    _RATIO_SCALE = (-1 + 1j) * mp.pi**3
 
 
 class CounterexampleError(NetwaveError, RuntimeError):
@@ -84,132 +101,147 @@ def _digits(q: int) -> int:
     return d
 
 
-def _precision_for(q: int) -> int:
-    return max(50, 30 + mp.mp.dps // 10 + _digits(q) * 3)
+# -- the refined double-precision solve -------------------------------------
 
 
-def _lu_solve(rows, rhs) -> list:
-    """x with A x = b for the rows of A and b, by Gaussian elimination with
-    partial pivoting on Python integers.
+def _solve(rows, rhs) -> tuple:
+    """(x, e) with A x 2^e = b for the rows of A and b, exactly to every
+    digit the entries carry: x holds the (re, im) integer parts of each
+    unknown over the binary exponent e.
 
-    Each entry is read exactly as a complex integer re + i im with its own
-    binary exponent, and each product and difference is cut back to
-    GUARD_BITS bits beyond the working precision, so no mpmath number is
-    built until the solution is rounded to that precision as mpc numbers.
-    Pivots are chosen by exact squared modulus; a pivot of at most
-    eps * ||A||_1 raises ZeroDivisionError.  Products with an exact zero
-    factor are skipped.
+    One Gaussian elimination with partial pivoting on Python complex, then
+    iterative refinement (Wilkinson; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 12): each round forms the residual b - A x
+    exactly in integers, solves for a correction d with the double factors
+    and adds it exactly.  The error shrinks by about |d| / |d_last| a round,
+    so the rounds stop once |d|^2 / |d_last| is below 2^-REFINE_BITS of the
+    smallest nonzero part of x.  A zero pivot, an entry that is not finite
+    and a refinement that does not settle raise CounterexampleError.
     """
-    n, prec = len(rows), mp.mp.prec
-    width = prec + GUARD_BITS
-    A = [[_exact(a, width) for a in [*row, b]] for row, b in zip(rows, rhs)]
-    tol, tol_exp = _tolerance(A, n, prec)
-    inverses = []
-    for j in range(n):
-        p, p_sq, p_exp = j, 0, 0
-        for k in range(j, n):
-            if A[k][j] is not None:
-                r, i, e = A[k][j]
-                sq = r * r + i * i
-                if _exceeds(sq, 2 * e, p_sq, p_exp):
-                    p, p_sq, p_exp = k, sq, 2 * e
-        A[j], A[p] = A[p], A[j]
-        pivot = A[j]
-        if not _exceeds(p_sq, p_exp, tol * tol, 2 * tol_exp):
-            raise ZeroDivisionError("matrix is numerically singular")
-        inverses.append(_inverse(pivot[j], width))
-        for row in A[j + 1:]:
-            if row[j] is not None:
-                f = _trim(*_product(row[j], inverses[j]), width)
-                for k in range(j + 1, n + 1):
-                    if pivot[k] is not None:
-                        row[k] = _subtract(row[k], _product(f, pivot[k]), width)
-    x = [None] * n
-    for i in reversed(range(n)):
-        row, s = A[i], A[i][n]
-        for k in range(i + 1, n):
-            if row[k] is not None and x[k] is not None:
-                s = _subtract(s, _product(row[k], x[k]), width)
-        x[i] = s and _trim(*_product(s, inverses[i]), width)
-    return [_to_mp(v, prec) for v in x]
+    n = len(rhs)
+    read, entries = {}, []  # the rows repeat a few values: each is read once
+    for i, row in enumerate(rows):
+        for j, a in enumerate([*row, rhs[i]]):
+            if a.__class__ is int and not a:
+                continue
+            if id(a) not in read:
+                t = _exact(a)
+                read[id(a)] = t and (t, _complex(*t))
+            if read[id(a)]:
+                entries.append((i, j, *read[id(a)]))
+    # b, x, the residual r and each correction d as flat lists of integer
+    # parts (re_0, im_0, re_1, ...) over one binary exponent each, and the
+    # rows as their nonzero (2 j, re, im) over the exponent of b
+    eb = min((t[2] for _, _, t, _ in entries), default=0)
+    dense, terms, b = [[0j] * n for _ in range(n)], [[] for _ in range(n)], [0] * (2 * n)
+    for i, j, (re, im, e), z in entries:
+        if j == n:
+            b[2 * i: 2 * i + 2] = re << (e - eb), im << (e - eb)
+        else:
+            dense[i][j] = z
+            terms[i].append((2 * j, re << (e - eb), im << (e - eb)))
+    factors = _factor(dense)
+    x, ex, r, er, last = [0] * (2 * n), eb, b, eb, None
+    for _ in range(MAX_ROUNDS):
+        # the largest residual part scaled to near 1 leaves the double
+        # factors a correction in the double range
+        top = max(map(abs, r)).bit_length()
+        d = []
+        for z in _substitute(factors, [_complex(r[k], r[k + 1], -top)
+                                       for k in range(0, 2 * n, 2)]):
+            d += math.frexp(z.real), math.frexp(z.imag)
+        ed = min([de for m, de in d if m] or [53]) - 53
+        d = [int(m * 2**53) << (de - 53 - ed) if m else 0 for m, de in d]
+        ed += er + top
+        e = min(ex, ed)
+        x, ex = [(xp << (ex - e)) + (dp << (ed - e)) for xp, dp in zip(x, d)], e
+        # log2 |d|, against log2 of the smallest nonzero part of x
+        size = max(map(abs, d)).bit_length() + ed
+        if not any(d) or last is not None and 2 * size - last <= min(
+                abs(m).bit_length() for m in x if m) + ex - REFINE_BITS:
+            return [(x[k], x[k + 1]) for k in range(0, 2 * n, 2)], ex
+        last = size
+        er = min(eb, eb + ex)
+        sb, sx, r = eb - er, eb + ex - er, []
+        for k, row in enumerate(terms):
+            sr = si = 0
+            for j, ar, ai in row:
+                xr, xi = x[j], x[j + 1]
+                sr += ar * xr - ai * xi
+                si += ar * xi + ai * xr
+            r += (b[2 * k] << sb) - (sr << sx), (b[2 * k + 1] << sb) - (si << sx)
+    raise CounterexampleError(f"refinement does not settle in {MAX_ROUNDS} rounds")
 
 
-def _exact(a, width):
-    """(re, im, exp) with a = (re + i im) 2^exp, cut back to `width` bits, or
-    None for an exact zero."""
+def _exact(a):
+    """(re, im, exp) with a = (re + i im) 2^exp exactly, or None for a zero."""
     if isinstance(a, int):
-        return _trim(a, 0, 0, width) if a else None
+        return (a, 0, 0) if a else None
     a = mp.mpmathify(a)
     parts = a._mpc_ if isinstance(a, mp.mpc) else (a._mpf_, mp.libmp.fzero)
     (sr, mr, er, _), (si, mi, ei, _) = parts
     if not mr and er or not mi and ei:
-        raise ValueError(f"entry {a} is not finite")
+        raise CounterexampleError(f"entry {a} is not finite")
+    if not mr and not mi:
+        return None
     e = min(er if mr else ei, ei if mi else er)
-    return _trim((-mr if sr else mr) << (er - e) if mr else 0,
-                 (-mi if si else mi) << (ei - e) if mi else 0, e, width)
+    return ((-mr if sr else mr) << (er - e) if mr else 0,
+            (-mi if si else mi) << (ei - e) if mi else 0, e)
 
 
-def _trim(r, i, e, width):
-    """(r, i, e) truncated to at most `width` bits, or None when it is zero."""
-    shift = max(r.bit_length(), i.bit_length()) - width
-    if shift > 0:
-        return r >> shift, i >> shift, e + shift
-    return (r, i, e) if r or i else None
+def _float(m: int, e: int) -> float:
+    """m 2^e as a double, m cut to its leading 64 bits first."""
+    shift = m.bit_length() - 64
+    return math.ldexp(m >> shift, e + shift) if shift > 0 else math.ldexp(m, e)
 
 
-def _product(a, b):
-    """a b, exactly."""
-    (ar, ai, ae), (br, bi, be) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br, ae + be
+def _complex(re: int, im: int, e: int) -> complex:
+    return complex(_float(re, e), _float(im, e) if im else 0.0)
 
 
-def _subtract(a, m, width):
-    """a - m trimmed to `width` bits, for an entry a (None for zero) and an
-    exact product m."""
-    mr, mi, me = m
-    if a is None:
-        return _trim(-mr, -mi, me, width)
-    ar, ai, ae = a
-    if me >= ae:
-        return _trim(ar - (mr << (me - ae)), ai - (mi << (me - ae)), ae, width)
-    return _trim((ar << (ae - me)) - mr, (ai << (ae - me)) - mi, me, width)
+def _to_mpc(v, e, prec=ENTRY_PREC):
+    """(re + i im) 2^e rounded to an mpc of prec bits."""
+    return mp.make_mpc(tuple(
+        mp.libmp.from_man_exp(m, e, prec, mp.libmp.round_nearest) for m in v))
 
 
-def _inverse(a, width):
-    """1 / a to `width` bits, as the conjugate over the squared modulus."""
-    r, i, e = a
-    d = r * r + i * i
-    shift = width + (d.bit_length() + 1) // 2
-    return (r << shift) // d, (-i << shift) // d, -e - shift
-
-
-def _exceeds(a, ea, b, eb) -> bool:
-    """a 2^ea > b 2^eb, exactly, for non-negative ints a and b."""
-    if ea >= eb:
-        return a << (ea - eb) > b
-    return a > b << (eb - ea)
-
-
-def _tolerance(A, n, prec):
-    """(t, e) with t 2^e = eps ||A||_1 over the first n columns of A, each
-    modulus the integer square root of the squared one."""
-    tol, tol_exp = 0, 0
+def _factor(A) -> tuple:
+    """(LU, perm) with P A = L U for the complex matrix A, by partial
+    pivoting, in place."""
+    n, perm = len(A), list(range(len(A)))
     for j in range(n):
-        column = [(math.isqrt(r * r + i * i), e)
-                  for r, i, e in (row[j] for row in A if row[j] is not None)]
-        if column:
-            low = min(e for _, e in column)
-            total = sum(m << (e - low) for m, e in column)
-            if _exceeds(total, low, tol, tol_exp):
-                tol, tol_exp = total, low
-    return tol, tol_exp + 1 - prec
+        column = [abs(row[j]) for row in A[j:]]
+        p = j + column.index(max(column))
+        if not A[p][j]:
+            raise CounterexampleError("singular: resonance")
+        A[j], A[p], perm[j], perm[p] = A[p], A[j], perm[p], perm[j]
+        pivot = A[j]
+        for row in A[j + 1:]:
+            if row[j]:
+                f = row[j] = row[j] / pivot[j]
+                for k in range(j + 1, n):
+                    row[k] -= f * pivot[k]
+    return A, perm
 
 
-def _to_mp(a, prec):
-    """The entry a (None for zero) as an mpc rounded to prec bits."""
-    r, i, e = a or (0, 0, 0)
-    re, im = (mp.libmp.from_man_exp(m, e, prec, mp.libmp.round_nearest) for m in (r, i))
-    return mp.make_mpc((re, im))
+def _substitute(factors, b) -> list:
+    """x with L U x = P b."""
+    lu, perm = factors
+    n, y = len(lu), [b[k] for k in perm]
+    for i in range(n):
+        row, acc = lu[i], y[i]
+        for k in range(i):
+            acc -= row[k] * y[k]
+        y[i] = acc
+    for i in reversed(range(n)):
+        row, acc = lu[i], y[i]
+        for k in range(i + 1, n):
+            acc -= row[k] * y[k]
+        y[i] = acc / row[i]
+    return y
+
+
+# -- convergents ------------------------------------------------------------
 
 
 def dirichlet_convergents(ell, count: int) -> list:
@@ -218,24 +250,52 @@ def dirichlet_convergents(ell, count: int) -> list:
 
     Rational lengths are refused: their approximation never improves and the
     probe construction does not apply.  So is a count above CONVERGENT_CAP,
-    which the iteration cannot reach, before any precision is set for it.
-    The expansion loses about 2 log10 q digits by the denominator q, so it
-    starts at 60 + count digits and is redone at twice the precision until
-    its last denominator leaves 40 of them to spare.
+    which the iteration cannot reach, before any expansion.  A sqrt length
+    runs in integers (`_surd_convergents`); others expand in mpmath, which
+    loses about 2 log10 q digits by the denominator q, at 60 + count digits
+    and then at twice the precision until the last denominator leaves 40
+    digits to spare.
     """
     length = _irrational_length(ell)
     if count > CONVERGENT_CAP:
         raise CounterexampleError(
             f"{count} convergents asked for, more than the iteration cap {CONVERGENT_CAP}")
-    dps = 60 + count
-    out, q = _convergents(length, count, dps)
-    while 2 * _digits(q) + 40 > dps:
-        dps *= 2
+    if length.kind == "sqrt":
+        out = _surd_convergents(length.frac.numerator, length.frac.denominator, count)
+    else:
+        dps = 60 + count
         out, q = _convergents(length, count, dps)
+        while 2 * _digits(q) + 40 > dps:
+            dps *= 2
+            out, q = _convergents(length, count, dps)
     if len(out) < count:
         raise CounterexampleError(
             f"only {len(out)} convergents reachable within the iteration cap"
         )
+    return out
+
+
+def _surd_convergents(n: int, d: int, count: int) -> list:
+    """At most `count` Dirichlet convergents of sqrt(n/d), n d not a square,
+    among its first CONVERGENT_CAP convergents: sqrt(n/d) = (P + sqrt(n d)) / Q
+    steps by a = floor((P + sqrt(n d)) / Q), P' = a Q - P, Q' = (n d - P'^2) / Q
+    (Hardy and Wright, ch. 10), and |q sqrt(n/d) - p| < 1/q reads
+    d (p q - 1)^2 < q^4 n < d (p q + 1)^2."""
+    D = n * d
+    root = math.isqrt(D)
+    P, Q = 0, d
+    p0, q0, p1, q1 = 0, 1, 1, 0  # convergent recurrence seeds
+    out = []
+    for _ in range(CONVERGENT_CAP):
+        if len(out) >= count:
+            break
+        a = (P + root) // Q  # Q > 0 throughout for a positive surd
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        if p1 > 0 and d * (p1 * q1 - 1) ** 2 < q1**4 * n < d * (p1 * q1 + 1) ** 2:
+            out.append(ConvergentPair(p1, q1))
+        P = a * Q - P
+        Q = (D - P * P) // Q
     return out
 
 
@@ -263,42 +323,37 @@ def _convergents(length: Length, count: int, dps: int) -> tuple:
     return out, q1
 
 
-# -- circuit probes ---------------------------------------------------------
+# -- probe angles -----------------------------------------------------------
 
 
-@dataclass
-class CircuitProbe:
-    """One solve of the circuit boundary system at a probe frequency."""
-
-    beta: complex  # mp.mpf really; kept generic for serialization
-    l4: Length
-    q: int | None
-    b1: complex
-    coeffs: dict  # A..H of the scalar reduction
-    eqcir_rel_diff: float
-
-    def growth_ratio(self):
-        """beta * b1 normalized by (-1+i) pi^3 q^{1/4}."""
-        if self.q is None:
-            raise CounterexampleError("growth ratio needs a convergent probe")
-        qq = mp.mpf(self.q) ** mp.mpf("0.25")
-        return self.beta * self.b1 / ((-1 + 1j) * mp.pi**3 * qq)
-
-
-def _probe_angles(beta, length, pair):
-    """(beta, theta_1, theta_l): the frequency and the angles beta, beta*l
-    of a unit edge and the probe edge of length l, reduced modulo 2 pi.
+def _probe_angles(beta, length: Length, pair, prec=ENTRY_PREC):
+    """(beta, theta_1, theta_l) as mpf numbers of at least prec bits:
+    the frequency and the angles beta, beta*l of a unit edge and the probe
+    edge of length l, the latter reduced modulo 2 pi.
 
     With a convergent pair, beta = 2 pi q + theta_1 with theta_1 =
-    2 pi / q^{1/4}, and the 2 pi p part of beta*l is subtracted as an exact
-    integer before any trigonometry.
+    2 pi / q^{1/4}, and theta_l = 2 pi (q l - p) + theta_1 l, where q l - p
+    is formed from an exact integer for a sqrt length and at a precision
+    that covers q and p otherwise.  A beta that is 0 or not finite is refused.
     """
-    if pair is None:
-        beta = mp.mpf(beta)
-        return beta, beta, beta * length
-    q = mp.mpf(pair.q)
-    th1 = 2 * mp.pi / mp.sqrt(mp.sqrt(q))
-    return 2 * mp.pi * q + th1, th1, 2 * mp.pi * (q * length - pair.p) + th1 * length
+    with mp.workprec(prec):
+        if pair is None:
+            beta = mp.mpf(beta)
+            _refuse_degenerate(beta)
+            with mp.workprec(prec + max(0, mp.mag(beta))):
+                return beta, beta, beta * length.mpf()
+        p, q, tau = pair.p, pair.q, 2 * mp.pi
+        th1 = tau / mp.sqrt(mp.sqrt(q))
+        if length.kind == "sqrt":
+            n, d = length.frac.numerator, length.frac.denominator
+            root = mp.sqrt(n * d)  # d l
+            gap, ell = (q * q * n - p * p * d) / (q * root + p * d), root / d
+        else:
+            with mp.workprec(prec + q.bit_length() + p.bit_length() + 64):
+                ell = length.mpf()
+                gap = q * ell - p
+            gap, ell = +gap, +ell
+        return tau * q + th1, th1, tau * gap + th1 * ell
 
 
 def _refuse_degenerate(beta):
@@ -309,6 +364,50 @@ def _refuse_degenerate(beta):
         )
     if not mp.isfinite(beta):
         raise CounterexampleError(f"beta = {beta} is not finite")
+
+
+# -- circuit probes ---------------------------------------------------------
+
+
+@dataclass
+class CircuitProbe:
+    """One solve of the circuit boundary system at a probe frequency."""
+
+    beta: mp.mpf
+    l4: Length
+    pair: ConvergentPair | None
+    b1: mp.mpc
+    coeffs: dict  # A..H of the scalar reduction, in double precision
+    eqcir_rel_diff: float
+    ratio: mp.mpc | None  # beta b1 / ((-1+i) pi^3 q^{1/4}), for a convergent
+
+    @property
+    def q(self) -> int | None:
+        return self.pair.q if self.pair is not None else None
+
+
+def _circuit_trig(th1, th4) -> tuple:
+    """(c, s, c4, s4, h4): the cosines and sines of theta_1 and theta_4 and
+    h4 = sin(theta_4 / 2), with c4 = 1 - 2 h4^2 and s4 = 2 h4 cos(theta_4 / 2)."""
+    c, s = mp.cos_sin(th1)
+    ch, h4 = mp.cos_sin(mp.ldexp(th4, -1))  # exact: a given beta leaves th4 unreduced
+    return c, s, 1 - 2 * h4 * h4, 2 * h4 * ch, h4
+
+
+def _coefficients(u, c, s, c4, s4, h4) -> dict:
+    """A..H of the scalar reduction, from u = 1/beta, the cosines and sines
+    of theta_1 and theta_4, and h4 = sin(theta_4 / 2): F's c4 - 1 is written
+    as -2 h4^2, which does not cancel.  Python complex or mpmath numbers."""
+    E = c - 1j * s  # exp(-i theta_1)
+    return {
+        "A": (1 + c4) * s + E * s4,
+        "B": (2 - c4) * c + 1j * (E * s4 - s),
+        "C": s * u / 2 - (s / 2 + 1j * c / 2 - c * u / 2) * s4 + c * c4 / 2,
+        "F": -2 * E * h4 * h4 - s * s4,
+        "G": E * (c / s - 2j) - c * s4 - 1j * E * c4,
+        "H": (-E * u / 2 - c * s4 / 2 - s * c4 / 2 + c * c4 * u / 2
+              - 1j * c * c4 / 2),
+    }
 
 
 def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
@@ -325,61 +424,57 @@ def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
         raise CounterexampleError(
             f"convergent {pair.p}/{pair.q}: circuit probes need q > 1")
     length = Length.parse(l4) if pair is not None else _irrational_length(l4)
-    dps = _precision_for(pair.q if pair is not None else 1)
-    with mp.workdps(dps):
-        l4v = length.mpf()
-        beta, th1, th4 = _probe_angles(beta, l4v, pair)
-        _refuse_degenerate(beta)
-        i = mp.mpc(0, 1)
-        c, s = mp.cos_sin(th1)
-        c4, s4 = mp.cos_sin(th4)
-        E = mp.mpc(c, -s)  # exp(-i th1)
-
-        # boundary and transmission conditions; unknowns (a1,b1,a2,a3,a4,b4)
+    # the smallest parts of the solution fall like q^(-1/4) against the
+    # largest, as the rows' condition grows like q^(1/4)
+    prec = ENTRY_PREC + (pair.q.bit_length() // 2 if pair is not None else 0)
+    beta, th1, th4 = _probe_angles(beta, length, pair, prec)
+    with mp.workprec(prec):
+        c, s, c4, s4, h4 = trig = _circuit_trig(th1, th4)
+        u = 1 / beta
+        # boundary and transmission conditions for the unknowns
+        # 2 beta (a1, b1, a2, a3, a4, b4), with the flux rows divided by beta
+        ms, mc, ms4 = -s, -c, -s4
         rows = [
             [s, c, 0, 0, 0, 0],
-            [beta, i * beta, beta, beta, 0, 0],
+            [1, mp.j, 1, 1, 0, 0],
             [0, c, s, 0, 0, -1],
-            [0, beta * s, -beta * c, 0, beta, i * beta],
-            [0, c, 0, s, -s4, -c4],
-            [0, -i * beta * E, 0, beta * E, beta * c4, -beta * s4],
+            [0, s, mc, 0, 1, mp.j],
+            [0, c, 0, s, ms4, -c4],
+            [0, mp.mpc(ms, mc), 0, mp.mpc(c, ms), c4, ms4],
         ]
-        rhs = [0, 1 / (2 * beta), c / (2 * beta), s / 2 - c / (2 * beta), 0, 0]
+        rhs = [0, u, c, s - c * u, 0, 0]
         try:
-            b1 = _lu_solve(rows, rhs)[1]
-        except ZeroDivisionError:
-            raise CounterexampleError(
-                f"boundary system singular at beta={beta}: resonance"
-            ) from None
-
-        # scalar reduction coefficients, re-derived by eliminating
-        # (a1, b4, a4, a3) so that (F B + A G) beta b1 = A H - F C
-        A = (1 + c4) * s + E * s4
-        B = (2 - c4) * c + i * (E * s4 - s)
-        C = s / (2 * beta) - (s / 2 + i * c / 2 - c / (2 * beta)) * s4 + c * c4 / 2
-        F = E * (c4 - 1) - s * s4
-        G = E * (c / s - 2 * i) - c * s4 - i * E * c4
-        H = (
-            -E / (2 * beta)
-            - c * s4 / 2
-            - s * c4 / 2
-            + c * c4 / (2 * beta)
-            - i * c * c4 / 2
-        )
-        b1_ec = (A * H - F * C) / ((F * B + A * G) * beta)
-        rel = float(abs(b1_ec - b1) / abs(b1)) if b1 != 0 else mp.inf
-        return CircuitProbe(
-            beta=beta,
-            l4=length,
-            q=pair.q if pair is not None else None,
-            b1=b1,
-            coeffs={"A": A, "B": B, "C": C, "F": F, "G": G, "H": H},
-            eqcir_rel_diff=rel,
-        )
+            x, e = _solve(rows, rhs)
+        except CounterexampleError as exc:
+            raise CounterexampleError(f"boundary system at beta={beta}: {exc}") from None
+        b1 = _to_mpc(x[1], e - 1, prec) * u
+    # the scalar reduction, in double precision: (F B + A G) beta b1 = A H - F C,
+    # against the solve's beta b1, which stays in the double range where b1 leaves it
+    coeffs = _coefficients(float(u), *map(float, trig))
+    A, B, C, F, G, H = (coeffs[k] for k in "ABCFGH")
+    beta_b1 = _complex(*x[1], e - 1)
+    rel = (abs((A * H - F * C) / (F * B + A * G) - beta_b1) / abs(beta_b1)
+           if beta_b1 else math.inf)
+    ratio = None
+    if pair is not None:  # once per probe, in 53-bit arithmetic
+        with mp.workprec(53):
+            qq = mp.mpf(pair.q) ** mp.mpf(0.25)
+            ratio = beta * b1 / (_RATIO_SCALE * qq)
+    return CircuitProbe(
+        beta=beta,
+        l4=length,
+        pair=pair,
+        b1=b1,
+        coeffs=coeffs,
+        eqcir_rel_diff=rel,
+        ratio=ratio,
+    )
 
 
 def asymptotic_defects(probe: CircuitProbe) -> dict:
-    """Relative distance of A..H from their leading-order forms.
+    """Relative distance of A..H from their leading-order forms, with A..H
+    evaluated in mpmath at a precision that grows with q, as the distances
+    fall with it.
 
     The leading forms follow from the probe angles th1, th4 -> 0:
     A ~ 2 pi (2+l4) q^{-1/4}, B ~ 1, C ~ 1/2, F ~ -2 pi^2 l4 (l4+2) q^{-1/2},
@@ -387,7 +482,10 @@ def asymptotic_defects(probe: CircuitProbe) -> dict:
     """
     if probe.q is None:
         raise CounterexampleError("asymptotics need a convergent probe")
-    with mp.workdps(_precision_for(probe.q)):
+    prec = ENTRY_PREC + 3 * probe.q.bit_length()
+    beta, th1, th4 = _probe_angles(None, probe.l4, probe.pair, prec)
+    with mp.workprec(prec):
+        coeffs = _coefficients(1 / beta, *_circuit_trig(th1, th4))
         q = mp.mpf(probe.q)
         l4 = probe.l4.mpf()
         qq = mp.sqrt(mp.sqrt(q))
@@ -401,7 +499,7 @@ def asymptotic_defects(probe: CircuitProbe) -> dict:
             "H": -i / mp.mpf(2),
         }
         return {
-            k: float(abs(probe.coeffs[k] - leading[k]) / abs(leading[k]))
+            k: float(abs(coeffs[k] - leading[k]) / abs(leading[k]))
             for k in leading
         }
 
@@ -430,7 +528,7 @@ def growth_law(probes: list, l4) -> GrowthReport:
     )
     if len(probes) < 3:
         raise CounterexampleError("need at least 3 convergent probes")
-    ratios = [complex(pr.growth_ratio()) for pr in probes]
+    ratios = [complex(pr.ratio) for pr in probes]
     qs = [pr.q for pr in probes]
     x = [q ** -0.25 for q in qs]
     # one Richardson step on the last pair, assuming error ~ q^{-1/4}
@@ -448,42 +546,45 @@ def growth_law(probes: list, l4) -> GrowthReport:
 # -- star probe -------------------------------------------------------------
 
 
-def _edge_energy(beta, a, Y, ell=1, trig=None):
-    """int_0^ell (|y'|^2 + beta^2 |y|^2) dx for y = a sin(beta x) + Q cos(beta x).
+def _edge_energy(u, ba, bY, ell=1, trig=None):
+    """int_0^ell (|y'|^2 + beta^2 |y|^2) dx for y = a sin(beta x) + Q cos(beta x),
+    from u = 1/beta, ba = beta a and bY = beta Y.
 
     With constant Q = Y the integrand is the constant beta^2 (|a|^2 + |Y|^2).
     trig = (sin th, cos th), with th = beta modulo 2 pi, marks the unit
     forced edge, where Q = Y - x/(2 beta) adds the integrals over [0, 1] of
     x, x^2, cos^2(beta x), sin(beta x) cos(beta x) and x sin(beta x) cos(beta x).
     """
-    b2 = beta**2
-    total = b2 * (a.real**2 + a.imag**2 + Y.real**2 + Y.imag**2) * ell
+    total = (ba.real**2 + ba.imag**2 + bY.real**2 + bY.imag**2) * ell
     if trig is None:
         return total
     s, c = trig
-    s2, c2, ry = 2 * s * c, c * c - s * s, mp.re(Y)
-    return (total - beta * ry / 2 + mp.mpf(1) / 12
-            + (1 / (4 * b2) - mp.re(a)) * (mp.mpf(1) / 2 + s2 / (4 * beta))
-            + ry * s * s / (2 * beta) - s2 / (16 * beta**3) + c2 / (8 * b2))
+    s2, c2, yr = 2 * s * c, c * c - s * s, bY.real
+    return (total + (1 - 6 * yr) / 12
+            + (u * u / 4 - u * ba.real) * (2 + s2 * u) / 4
+            + yr * s * s * u * u / 2 - s2 * u**3 / 16 + c2 * u * u / 8)
 
 
-def _star_unknowns(beta, detune, c, s, c3, s3):
-    """(a1, a2, a3, Y) of the star boundary system, by Cramer's rule."""
+def _star_unknowns(u, k, c, s, c3, s3, s13):
+    """beta (a1, a2, a3, Y) of the star boundary system, by Cramer's rule,
+    from u = 1/beta, k = kappa / beta and s13 = s c3 + c s3."""
     # y^j = a_j sin(beta x) + Y cos(beta x), and edge 2 adds the particular
     # response -x cos(beta x)/(2 beta); (c, s) and (c3, s3) are the cosine and
     # sine of beta and beta l3.  The absorbing end y'(1) = -i beta y(1) of
     # edge 1 reads beta (c + i s)(a1 + i Y) = 0, so a1 = -i Y.  That leaves
     # the clamped ends s a2 + c Y = c/(2 beta) and s3 a3 + c3 Y = 0, and the
     # centre flux with the oscillator eliminated, beta (a2 + a3) + kappa Y =
-    # 1/(2 beta).  No step divides by s or s3, and the determinant vanishes
-    # only where both do.
-    kappa = beta**2 / detune - mp.mpc(0, beta)
-    det = s * s3 * kappa - beta * (s * c3 + c * s3)
+    # 1/(2 beta), with kappa = beta^2 / (1 - beta^2) - i beta.  Divided by
+    # beta it holds no beta^2; no step divides by s or s3, and the
+    # determinant vanishes only where both do.  Its s c3 + c s3 =
+    # sin(beta (1 + l3)) cancels near a multiple of pi, so it comes formed
+    # from the extended-precision cosines and sines.
+    det = 2 * (s * s3 * k - s13)
     if not det:
-        raise CounterexampleError(f"star system singular at beta={beta}: resonance")
-    Y = s3 * (s / (2 * beta) - c / 2) / det
-    a2 = c / (2 * beta) * (s3 * (kappa - 1) - beta * c3) / det
-    return mp.mpc(Y.imag, -Y.real), a2, c3 / 2 * (c - s / beta) / det, Y
+        raise CounterexampleError(f"star system singular at beta={1 / u}: resonance")
+    g = c - s * u
+    bY = -s3 * g / det
+    return (-1j * bY, c * (s3 * (k - u) - c3) / det, c3 * g / det, bY)
 
 
 @dataclass
@@ -493,6 +594,21 @@ class StarProbe:
     center_value: complex
 
 
+def _star_values(u, w, c, s, c3, s3, s13, ell) -> tuple:
+    """((||z|| / ||f||)^2, beta Y) from u = 1/beta, w = beta / (beta^2 - 1),
+    the cosines and sines of beta and beta l3, s13 = s c3 + c s3 and the
+    length l3, in Python floats or mpmath numbers."""
+    a1, a2, a3, bY = _star_unknowns(u, -w - 1j, c, s, c3, s3, s13)
+    # H-norm of z = (y, v = i beta y, p, q): the edge energies plus
+    # |p|^2 + |q|^2 = (1 + beta^2) |p|^2 with p = -i beta Y / (1 - beta^2);
+    # edge 2 carries the particular part
+    total = (_edge_energy(u, a1, bY) + _edge_energy(u, a2, bY, trig=(s, c))
+             + _edge_energy(u, a3, bY, ell)
+             + (1 + u * u) * w * w * (bY.real**2 + bY.imag**2))
+    # ||f||^2 = int_0^1 sin^2(beta x) dx, with sin 2 beta = 2 s c
+    return 2 * total / (1 - s * c * u), bY
+
+
 def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
     """Exact response of the three-edge star to forcing -sin(beta x) on a
     clamped edge; returns the norm amplification ||z|| / ||f||.
@@ -500,36 +616,39 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
     Geometry: edges 1, 2 of unit length and edge 3 of length l3 joined at a
     center mass; edge 1 carries the absorbing end, edges 2 and 3 are clamped.
     A length l3 in pi * N is refused: i is then an eigenvalue on the axis.
+    The angles are formed at ENTRY_PREC bits and the rest runs in double
+    precision, or again in mpmath for a value that lies within PRINT_GUARD
+    ulps of a change in its printed digits.
     """
     length = Length.parse(l3)
     if length.pi_multiple() is not None:
         raise AxisEigenvalue(
             f"edge length {length.frac}*pi puts an eigenvalue at i on the axis", 1.0)
-    dps = _precision_for(pair.q if pair is not None else 1)
-    with mp.workdps(dps):
-        l3v = length.mpf()
-        beta, th, th3 = _probe_angles(beta, l3v, pair)
-        _refuse_degenerate(beta)
-        detune = 1 - beta**2
-        if not detune:
-            raise CounterexampleError(
-                f"beta^2 = 1 at beta={beta}: the unit center oscillator resonates")
-        c, s = mp.cos_sin(th)
-        c3, s3 = mp.cos_sin(th3)
-        a1, a2, a3, Y = _star_unknowns(beta, detune, c, s, c3, s3)
-        if 0 < abs(Y) < sys.float_info.min:  # complex(Y) would print a false zero
-            raise CounterexampleError(
-                f"centre value |Y| = {mp.nstr(abs(Y), 3)} at beta = {float(beta):.6e} "
-                "lies below the double range")
+    beta, th, th3 = _probe_angles(beta, length, pair)
+    if abs(beta) == 1:
+        raise CounterexampleError(
+            f"beta^2 = 1 at beta={beta}: the unit center oscillator resonates")
+    with mp.workprec(ENTRY_PREC):
+        u = 1 / beta
+        (c, s), (c3, s3) = mp.cos_sin(th), mp.cos_sin(th3)
+        entries = (u, u / (1 - u * u), c, s, c3, s3, s * c3 + c * s3)
+    square, bY = _star_values(*map(float, entries), length.value)
+    u = float(u)
+    Y = complex(u * bY.real, u * bY.imag)  # u * bY would turn -0.0 parts to +0.0
+    if bY and abs(Y) < sys.float_info.min:  # complex(Y) would print a false zero
+        raise CounterexampleError(
+            f"centre value |Y| = {mp.nstr(abs(mp.mpc(bY)) / beta, 3)} at "
+            f"beta = {float(beta):.6e} lies below the double range")
+    ratio = math.sqrt(square)
+    if any(map(_near_print_boundary, (ratio, Y.real, Y.imag))):
+        with mp.workprec(ENTRY_PREC):
+            square, bY = _star_values(*entries, length.mpf())
+            ratio, Y = float(mp.sqrt(square)), complex(entries[0] * bY)
+    return StarProbe(beta=float(beta), norm_ratio=ratio, center_value=Y)
 
-        # H-norm of z = (y, v = i beta y, p, q): the edge energies plus
-        # |p|^2 + |q|^2 = (1 + beta^2) |p|^2 with p = -i beta Y / (1 - beta^2);
-        # edge 2 carries the particular part
-        total = (_edge_energy(beta, a1, Y) + _edge_energy(beta, a2, Y, trig=(s, c))
-                 + _edge_energy(beta, a3, Y, l3v)
-                 + (1 + beta**2) * beta**2 * (Y.real**2 + Y.imag**2) / detune**2)
-        # ||f||^2 = int_0^1 sin^2(beta x) dx, with sin 2 beta = 2 s c
-        fnorm = mp.sqrt(mp.mpf(1) / 2 - s * c / (2 * beta))
-        ratio = float(mp.sqrt(total) / fnorm)
-        return StarProbe(
-            beta=float(beta), norm_ratio=ratio, center_value=complex(Y))
+
+def _near_print_boundary(v: float) -> bool:
+    """True when v lies within PRINT_GUARD ulps of a change in the 13
+    significant digits that probes.csv prints."""
+    d = PRINT_GUARD * math.ulp(v)
+    return f"{v - d:.12e}" != f"{v + d:.12e}"

@@ -255,6 +255,39 @@ def test_svg_is_self_contained(tmp_path, capsys):
     assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
 
+@pytest.mark.parametrize("probes", [cli.MAX_PROBES + 1, 9998])
+def test_too_many_probes_are_refused_before_any_expansion(tmp_path, capsys,
+                                                          monkeypatch, probes):
+    # convergent denominators grow at least as fast as the Fibonacci numbers,
+    # so a longer ladder would be refused only after expanding it
+    def expand(*args):
+        raise AssertionError("dirichlet_convergents called")
+
+    monkeypatch.setattr(cli, "dirichlet_convergents", expand)
+    assert main(["counterexample", "--variant", "circuit", "--length", "sqrt(2)",
+                 "--probes", str(probes), "--out", str(tmp_path / "out")]) == 2
+    assert "cap" in capsys.readouterr().err
+    golden = (1 + math.sqrt(5)) / 2
+    assert golden ** (cli.MAX_PROBES - 1) <= cli.MAX_PROBE_Q < golden ** cli.MAX_PROBES
+
+
+def test_non_finite_numbers_are_written_as_null(tmp_path, capsys):
+    # a horizon too short for the decay fit leaves its residual infinite,
+    # which JSON cannot spell; every output must parse as strict JSON
+    def refuse(name):
+        raise AssertionError(f"{name} in the output")
+
+    cfg = write(tmp_path, "tree.json", {"graph": TREE_SPEC, "T": 1e-9})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    written = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert printed == written and written["fit_residual"] is None
+    json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+    assert cli._round12([math.nan, complex(math.inf, 1.0), -math.inf]) == [
+        None, {"re": None, "im": 1.0}, None]
+
+
 def test_counterexample_circuit_csv(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["counterexample", "--variant", "circuit", "--length",
@@ -434,11 +467,13 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
     (["simulate"], {"graph": TREE_SPEC, "T": 1e-160}, "too small"),
     (["simulate"], {"graph": TREE_SPEC, "initial": {"amplitude": 1e200}},
      "double range"),
-    # the CLI asks for two convergents past --probes, so 9999 is already
-    # past the cap of 10000; a horizon past MAX_STEPS leapfrog steps, and a
-    # cfl whose dt underflows to 0
+    # no length has more than MAX_PROBES = 1472 probes whose beta_n is a
+    # finite double; a horizon past MAX_STEPS leapfrog steps, and a cfl whose
+    # dt underflows to 0
     (["counterexample", "--variant", "circuit", "--length", "sqrt(2)",
       "--probes", "9999"], None, "cap"),
+    (["counterexample", "--variant", "star", "--length", "pi*3/2",
+      "--probes", "1500"], None, "cap"),
     # q_n ~ 3e307 puts beta_n = 2 pi q_n + ... past the largest double
     (["counterexample", "--variant", "circuit", "--length", "pi*1e-308",
       "--probes", "3"], None, "double range"),
@@ -484,7 +519,7 @@ def test_simulate_manifest_reports_its_stats(tmp_path, capsys):
         "initial-oscillator-not-a-mass", "initial-unknown-kind", "T-true",
         "amplitude-true", "velocity-string", "box-entry-true", "tol-true",
         "beta-entry-true", "chain-length-true", "T-1e-300", "T-1e-160",
-        "amplitude-1e200", "probes-9999", "circuit-beta-past-double",
+        "amplitude-1e200", "probes-9999", "probes-1500", "circuit-beta-past-double",
         "star-beta-past-double", "star-centre-below-double", "box-1e-300",
         "check-branched-chain", "T-1e12", "cfl-5e-324",
         "mesh-ladder-entry-true"])

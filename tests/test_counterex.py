@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -10,9 +12,9 @@ from netwave.counterexample import (
     ConvergentPair,
     CounterexampleError,
     _edge_energy,
-    _lu_solve,
-    _precision_for,
     _probe_angles,
+    _solve,
+    _to_mpc,
     asymptotic_defects,
     circuit_solve,
     dirichlet_convergents,
@@ -100,8 +102,8 @@ def test_a_count_past_the_cap_is_refused_before_any_precision(monkeypatch):
 
 
 def test_convergent_precision_follows_the_denominators(monkeypatch):
-    # sqrt(2)'s denominators gain 0.38 digits a convergent, so 1000 of them
-    # need some 810 digits: no pass may ask for twice the count or more
+    # pi's denominators gain about 0.52 digits a convergent, so 300 of them
+    # need some 350 digits: no pass may ask for twice the count or more
     asked = []
     workdps = mp.workdps
 
@@ -110,8 +112,41 @@ def test_convergent_precision_follows_the_denominators(monkeypatch):
         return workdps(dps)
 
     monkeypatch.setattr(mp, "workdps", spy)
-    assert len(dirichlet_convergents("sqrt(2)", 1000)) == 1000
-    assert asked and max(asked) <= 60 + 2 * 1000
+    assert len(dirichlet_convergents("pi", 300)) == 300
+    assert asked and max(asked) <= 60 + 2 * 300
+
+
+def test_surd_convergents_need_no_precision(monkeypatch):
+    # a sqrt length runs the integer recurrence and the exact inequality
+    def refuse(*args):
+        raise AssertionError("mpmath precision asked for")
+
+    monkeypatch.setattr(mp, "workdps", refuse)
+    monkeypatch.setattr(mp, "workprec", refuse)
+    pairs = dirichlet_convergents("sqrt(2)", 1000)
+    assert len(pairs) == 1000 and pairs[4] == ConvergentPair(41, 29)
+
+
+# sqrt(n/d) for the benchmark's radicands: n/d with 1 <= d <= 5 and
+# 2 <= n <= 12, not the square of a rational
+WORKLOAD_RADICANDS = sorted({
+    f"{Fraction(n, d)}" for d in range(1, 6) for n in range(2, 13)
+    if not Length.parse(f"sqrt({Fraction(n, d)})").is_rational})
+
+
+def test_workload_radicands_are_35_irrational_roots():
+    assert len(WORKLOAD_RADICANDS) == 35
+    assert {Length.parse(f"sqrt({r})").kind for r in WORKLOAD_RADICANDS} == {"sqrt"}
+
+
+@pytest.mark.parametrize("radicand", WORKLOAD_RADICANDS)
+def test_surd_convergents_match_the_expansion(radicand):
+    # the integer recurrence against the mpmath expansion of the same length
+    # at a precision that covers the 300th denominator with room to spare
+    length = Length.parse(f"sqrt({radicand})")
+    reference, q = counterexample._convergents(length, 300, 700)
+    assert 2 * len(str(q)) + 40 < 700
+    assert dirichlet_convergents(length, 300) == reference
 
 
 @pytest.mark.parametrize("ell", ["sqrt(99)", "pi*3/2"])
@@ -162,6 +197,18 @@ def test_circuit_solve_at_generic_beta():
     assert probe.eqcir_rel_diff <= 1e-10
 
 
+@pytest.mark.parametrize("beta, b1", [
+    (1e20, complex(1.7140594717856694e-21, 5.0553052139870653e-22)),
+    (1e300, complex(9.179906652869e-302, -2.550864753230e-302)),
+], ids=["1e20", "1e300"])
+def test_circuit_solve_at_a_large_given_beta(beta, b1):
+    # the angles keep every bit of a large given beta; the reference values
+    # come from an mpmath elimination at 4000 digits
+    probe = circuit_solve(beta, "sqrt(2)")
+    assert abs(complex(probe.b1) - b1) <= 1e-12 * abs(b1)
+    assert probe.eqcir_rel_diff <= 1e-10
+
+
 def test_circuit_rational_length_refused():
     with pytest.raises(AxisEigenvalue):
         circuit_solve(7.3, "1/2")
@@ -184,9 +231,9 @@ def bracketing_angles(pair: ConvergentPair, l4) -> tuple:
     0 < lambda_n < theta_n < mu_n < pi/2 where
     lambda_n, mu_n = -+ 2 pi / q + 2 pi l4 / q^{1/4}.
     """
-    with mp.workdps(_precision_for(pair.q)):
+    _, th1, theta = _probe_angles(None, Length.parse(l4), pair)
+    with mp.workprec(counterexample.ENTRY_PREC):
         l4v = Length.parse(l4).mpf()
-        _, th1, theta = _probe_angles(None, l4v, pair)
         gap = 2 * mp.pi / pair.q
         return th1 * l4v - gap, theta, th1 * l4v + gap
 
@@ -298,9 +345,9 @@ def test_h_norm_matches_quadrature(beta, ell):
             return mp.quad(density, mp.linspace(0, end, 9), method="gauss-legendre")
 
         want = energy(0, L)
-        assert abs(_edge_energy(b, a, Y, L) - want) <= 1e-30 * want
+        assert abs(_edge_energy(1 / b, b * a, b * Y, L) - want) <= 1e-30 * want
         want = energy(1 / (2 * b), 1)
-        got = _edge_energy(b, a, Y, trig=(mp.sin(b), mp.cos(b)))
+        got = _edge_energy(1 / b, b * a, b * Y, trig=(mp.sin(b), mp.cos(b)))
         assert abs(got - want) <= 1e-30 * want
 
 
@@ -321,31 +368,40 @@ def test_degenerate_frequency_refused(solve, beta, message):
 
 
 PROBE_LADDERS = [
-    ("sqrt(2)", 30), ("sqrt(3)", 30),
-    # the largest ladders of the benchmark's radicands, and a length whose
-    # systems hold beta ~ 1e30 rows beside 1/(2 beta) right-hand sides
-    ("sqrt(7/3)", 42), ("sqrt(11/2)", 42), ("pi*1e-30", 5),
+    # every ladder of the benchmark's radicands, and lengths whose systems
+    # hold beta ~ 1e30 and 1e100 rows beside 1/(2 beta) right-hand sides
+    *((f"sqrt({r})", 42) for r in WORKLOAD_RADICANDS), ("pi*1e-30", 5), ("pi*1e-100", 3),
 ]
-LADDER_IDS = ["sqrt(2)", "sqrt(3)", "sqrt(7/3)", "sqrt(11/2)", "pi*1e-30"]
+LADDER_IDS = [ell for ell, _ in PROBE_LADDERS]
+
+
+def within_one_ulp(x, reference) -> bool:
+    """Every real and imaginary part of x within one unit in the last place
+    of the double nearest the same part of the reference."""
+    return all(abs(a - b) <= math.ulp(float(b))
+               for v, r in zip(x, reference)
+               for a, b in ((v.real, r.real), (v.imag, r.imag)))
 
 
 @pytest.mark.parametrize("ell, count", PROBE_LADDERS, ids=LADDER_IDS)
 def test_lu_solve_matches_mpmath_on_probe_systems(monkeypatch, ell, count):
-    # every circuit system of the first `count` convergents (q > 1)
+    # every circuit system of the first `count` convergents (q > 1), refined
+    # from double factors, against mp.lu_solve of the same rows at 320 bits;
+    # and the double-precision scalar reduction against the refined b1
     solved = []
 
     def checked(rows, rhs):
-        x = _lu_solve(rows, rhs)
-        reference = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-        error = mp.norm(mp.matrix(x) - reference) / mp.norm(reference)
-        assert error <= 1e4 * mp.eps
+        x, e = _solve(rows, rhs)
+        with mp.workprec(320):
+            reference = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+        assert within_one_ulp([_to_mpc(v, e) for v in x], reference)
         solved.append(len(rows))
-        return x
+        return x, e
 
-    monkeypatch.setattr(counterexample, "_lu_solve", checked)
+    monkeypatch.setattr(counterexample, "_solve", checked)
     circuit_pairs = q_above_one(dirichlet_convergents(ell, count))
     for pair in circuit_pairs:
-        circuit_solve(None, ell, pair=pair)
+        assert circuit_solve(None, ell, pair=pair).eqcir_rel_diff <= 1e-13
     assert solved == [6] * len(circuit_pairs)
 
 
@@ -354,28 +410,31 @@ def test_lu_solve_matches_mpmath_on_probe_systems(monkeypatch, ell, count):
 @pytest.mark.parametrize("ell, count", [*PROBE_LADDERS, ("sqrt(9/8)", 2)],
                          ids=[*LADDER_IDS, "sqrt(9/8)"])
 def test_star_closed_form_matches_mpmath_on_probe_systems(monkeypatch, ell, count):
-    # the closed-form (a1, a2, a3, Y) against mp.lu_solve of the star's four
-    # boundary rows, on every probe of the first `count` convergents
+    # the closed-form beta (a1, a2, a3, Y), in double precision, against
+    # mp.lu_solve of the star's four boundary rows with the same double
+    # entries, on every probe of the first `count` convergents
     solved = []
     unknowns = counterexample._star_unknowns
 
-    def checked(beta, detune, c, s, c3, s3):
-        x = unknowns(beta, detune, c, s, c3, s3)
-        i = mp.mpc(0, 1)
-        rows = [
-            # absorbing end of edge 1: y'(1) = -i beta y(1)
-            [beta * c + i * beta * s, 0, 0, -beta * s + i * beta * c],
-            # clamped ends of edges 2 and 3
-            [0, s, 0, c],
-            [0, 0, s3, c3],
-            # centre flux with the oscillator eliminated
-            [beta, beta, beta, beta**2 / detune],
-        ]
-        rhs = [0, c / (2 * beta), 0, 1 / (2 * beta)]
-        reference = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-        error = mp.norm(mp.matrix(x) - reference) / mp.norm(reference)
-        assert error <= 1e4 * mp.eps
-        solved.append(beta)
+    def checked(u, k, c, s, c3, s3, s13):
+        x = unknowns(u, k, c, s, c3, s3, s13)
+        with mp.workprec(200):
+            rows = [
+                # absorbing end of edge 1: y'(1) = -i beta y(1)
+                [mp.mpc(c, s), 0, 0, mp.mpc(-s, c)],
+                # clamped ends of edges 2 and 3
+                [0, s, 0, c],
+                [0, 0, s3, c3],
+                # centre flux with the oscillator eliminated:
+                # beta / (1 - beta^2) = kappa / beta + i
+                [1, 1, 1, mp.mpc(k) + 1j],
+            ]
+            rhs = [0, mp.mpf(c) / 2, 0, mp.mpf(u) / 2]
+            reference = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+            error = mp.norm(mp.matrix(x) - reference) / mp.norm(reference)
+        assert error <= 4 * sys.float_info.epsilon
+        if isinstance(u, float):  # not the mpmath pass near a print boundary
+            solved.append(u)
         return x
 
     monkeypatch.setattr(counterexample, "_star_unknowns", checked)
@@ -385,40 +444,77 @@ def test_star_closed_form_matches_mpmath_on_probe_systems(monkeypatch, ell, coun
     assert len(solved) == count
 
 
+def test_a_star_value_at_a_print_boundary_is_redone_in_mpmath(monkeypatch):
+    # the norm ratio at sqrt(11/3), q = 53653308, lies 1e-16 relative below
+    # a change in its 13th digit, within the double closed form's error
+    passes = []
+    values = counterexample._star_values
+    monkeypatch.setattr(counterexample, "_star_values",
+                        lambda *args: passes.append(args[0]) or values(*args))
+    length = Length.parse("sqrt(11/3)")
+    pair = ConvergentPair(102738263, 53653308)
+    ratio = star_probe(None, length, pair=pair).norm_ratio
+    assert [type(u) for u in passes] == [float, mp.mpf]
+    assert counterexample._near_print_boundary(ratio)
+    # the ratio from angles and a closed form at 200 bits prints alike
+    beta, th, th3 = _probe_angles(None, length, pair, 200)
+    with mp.workprec(200):
+        u = 1 / beta
+        (c, s), (c3, s3) = mp.cos_sin(th), mp.cos_sin(th3)
+        square, _ = values(u, u / (1 - u * u), c, s, c3, s3, s * c3 + c * s3, length.mpf())
+        assert f"{ratio:.12e}" == f"{float(mp.sqrt(square)):.12e}" == "5.705648176338e+00"
+
+
+def test_a_deep_circuit_probe_keeps_its_smallest_part():
+    # at the 399th probe of sqrt(2), q ~ 1.5e153, Re b1 is 1e-37 of |b1|:
+    # 100-bit entries would print it as 6.457823274364e-229; the row as the
+    # mpmath elimination at 3 digits(q) + 30 digits printed it
+    pair = q_above_one(dirichlet_convergents("sqrt(2)", 401))[398]
+    probe = circuit_solve(None, "sqrt(2)", pair=pair)
+    row = (probe.beta, probe.b1.real, probe.b1.imag, abs(probe.ratio))
+    assert ",".join(f"{float(v):.12e}" for v in row) == (
+        "2.863577952535e+153,7.403549597043e-229,-7.508593225642e-192,3.355990215473e-78")
+
+
 SINGULAR = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0], [1, 0, 0, 1]]
 
 
 def test_lu_solve_refuses_a_singular_matrix():
     with pytest.raises(ZeroDivisionError):
         mp.lu_solve(mp.matrix(SINGULAR), mp.matrix([1, 2, 3, 4]))
-    with pytest.raises(ZeroDivisionError):
-        _lu_solve(SINGULAR, [1, 2, 3, 4])
+    with pytest.raises(CounterexampleError, match="singular"):
+        _solve(SINGULAR, [1, 2, 3, 4])
 
 
 def test_lu_solve_refuses_a_pivot_at_the_tolerance():
-    # the second pivot is d eps against eps ||A||_1 = (2 + d eps) eps
-    with mp.workdps(30):
-        with pytest.raises(ZeroDivisionError):
-            _lu_solve([[1, 1], [1, 1 + 2 * mp.eps]], [1, 2])
-        x = _lu_solve([[1, 1], [1, 1 + 4 * mp.eps]], [1, 2])
-        assert x == [1 - 1 / (4 * mp.eps), 1 / (4 * mp.eps)]
+    # [[1, 1], [1, 1 + 2^-60]] is regular, but its rows round to one double,
+    # which leaves the double factors no second pivot to refine with
+    with mp.workprec(100):
+        with pytest.raises(CounterexampleError, match="singular"):
+            _solve([[1, 1], [1, 1 + mp.ldexp(1, -60)]], [1, 2])
+        # a 2^-40 survives the rounding, and the solution is exact
+        x, e = _solve([[1, 1], [1, 1 + mp.ldexp(1, -40)]], [1, 2])
+        assert [_to_mpc(v, e) for v in x] == [1 - 2**40, 2**40]
 
 
 def test_lu_solve_refuses_a_non_finite_entry():
-    with pytest.raises(ValueError, match="not finite"):
-        _lu_solve([[1, 0], [0, mp.inf]], [1, 2])
+    with pytest.raises(CounterexampleError, match="not finite"):
+        _solve([[1, 0], [0, mp.inf]], [1, 2])
+    with pytest.raises(CounterexampleError, match="not finite"):
+        _solve([[1, 0], [0, 1]], [mp.nan, 2])
 
 
 def test_lu_solve_keeps_the_working_precision():
     with mp.workdps(40):
         prec = mp.mp.prec
         rows = [[2, mp.mpc(1, 1)], [mp.mpf(1) / 3, 5]]
-        x = _lu_solve(rows, [1, 0])
+        x, e = _solve(rows, [1, 0])
         assert mp.mp.prec == prec
-        reference = mp.lu_solve(mp.matrix(rows), mp.matrix([1, 0]))
-        assert mp.norm(mp.matrix(x) - reference) <= 10 * mp.eps
-        with pytest.raises(ZeroDivisionError):
-            _lu_solve(SINGULAR, [1, 2, 3, 4])
+        with mp.workprec(320):
+            reference = mp.lu_solve(mp.matrix(rows), mp.matrix([1, 0]))
+        assert within_one_ulp([_to_mpc(v, e) for v in x], reference)
+        with pytest.raises(CounterexampleError):
+            _solve(SINGULAR, [1, 2, 3, 4])
         assert mp.mp.prec == prec
 
 

@@ -121,7 +121,7 @@ def test_edge_energy_on_the_axis_is_the_star_probes():
     for _ in range(20):
         beta, ell = rng.uniform(0.1, 50.0), rng.uniform(0.5, 2.0)
         a, Y = (complex(*rng.normal(size=2)) for _ in range(2))
-        want = counterexample._edge_energy(beta, a, Y, ell)
+        want = counterexample._edge_energy(1 / beta, beta * a, beta * Y, ell)
         got = spectral._edge_energy(1j * beta, Y, beta * a, ell)
         assert abs(got - want) <= 1e-12 * want
 
