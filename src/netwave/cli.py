@@ -487,12 +487,14 @@ def _cmd_counterexample(graph, p, em, svg):
             f"--probes {p['probes']} is past the cap of {MAX_PROBES}: no length has "
             f"more probes with beta_n = 2 pi q_n + 2 pi q_n^(-1/4) in the double range")
     length = Length.parse(p["length"])
-    # q = 1 probes are degenerate (theta_1 = 2 pi); at most two convergents have q = 1
-    pairs = [c for c in dirichlet_convergents(length, p["probes"] + 2)
-             if c.q > 1][:p["probes"]]
+    # q = 1 and q = 16 probes are degenerate (sin theta_1 = 0); at most two
+    # convergents have q = 1 and one has q = 16
+    convergents = dirichlet_convergents(length, p["probes"] + 3)
+    from .counterexample import DEGENERATE_Q, CounterexampleError
+
+    pairs = [c for c in convergents if c.q not in DEGENERATE_Q][:p["probes"]]
     fit = sum(c.q <= MAX_PROBE_Q for c in pairs)
     if fit < len(pairs):
-        from .counterexample import CounterexampleError
         raise CounterexampleError(
             f"only {fit} of the {len(pairs)} probes of length {p['length']} have "
             f"beta_n = 2 pi q_n + 2 pi q_n^(-1/4) within the double range")

@@ -14,11 +14,11 @@ for the resolvent norm.  Both probes share one frequency construction
 the axis; the star's H-norm is the energy identity on its two unforced
 edges plus elementary integrals on the forced one.
 
-Extended precision is needed only where the probes cancel, in the phase
-beta_n l - 2 pi p_n.  For l = sqrt(n/d) the convergents come from the integer
-recurrence of the periodic continued fraction, and 2 pi (q l - p) =
-2 pi (q^2 n - p^2 d) / (d (q l + p)) has an exact integer numerator; pi and
-float lengths reduce the phase in mpmath at a precision sized from q.  The
+Every digit of a length comes from one exact integer bracket n1/d1 <= l <=
+n2/d2 (`Length.bracket`).  The convergents come from the partial quotients
+on which both ends agree, and extended precision is needed only where the
+probes cancel, in the phase beta_n l - 2 pi p_n = 2 pi (q l - p) + theta_1 l,
+with q l - p = (q n1 - p d1) / d1 read from one bracket that covers q.  The
 angles are formed at ENTRY_PREC bits, plus half the bits of q for the
 circuit, whose smallest unknowns fall like q^(-1/4).  Its 6x6 is solved in
 double precision and refined against residuals formed exactly in Python
@@ -39,6 +39,9 @@ import mpmath as mp
 from .graph import Length, NetwaveError
 
 CONVERGENT_CAP = 10_000
+# q = 1 and q = 16 make theta_1 = 2 pi / q^(1/4) a multiple of pi, so that
+# sin(theta_1) = 0: the circuit's b_1 vanishes and its reduction divides by 0
+DEGENERATE_Q = (1, 16)
 # bits (about 30 digits) of the probe angles and of the row entries that the
 # circuit's refinement reads, which adds half the bits of q
 ENTRY_PREC = 100
@@ -90,15 +93,6 @@ def _irrational_length(ell) -> Length:
             float(frac.denominator) * mp.pi,
         )
     return length
-
-
-def _digits(q: int) -> int:
-    """len(str(q)) for an int q > 0, sized from its bit length, so that no
-    denominator meets Python's limit on int-to-str conversion."""
-    d = int((q.bit_length() - 1) * math.log10(2))
-    while 10**d <= q:
-        d += 1
-    return d
 
 
 # -- the refined double-precision solve -------------------------------------
@@ -245,85 +239,54 @@ def _substitute(factors, b) -> list:
 
 
 def dirichlet_convergents(ell, count: int) -> list:
-    """First `count` continued-fraction convergents of ell satisfying the
-    Dirichlet inequality |q ell - p| < 1/q, in ascending q.
+    """First `count` continued-fraction convergents p/q of ell with p > 0,
+    in ascending q; each satisfies the Dirichlet inequality |q ell - p| <
+    1/q_next <= 1/q (Hardy and Wright, *An Introduction to the Theory of
+    Numbers*, Thm 171).
 
     Rational lengths are refused: their approximation never improves and the
     probe construction does not apply.  So is a count above CONVERGENT_CAP,
-    which the iteration cannot reach, before any expansion.  A sqrt length
-    runs in integers (`_surd_convergents`); others expand in mpmath, which
-    loses about 2 log10 q digits by the denominator q, at 60 + count digits
-    and then at twice the precision until the last denominator leaves 40
-    digits to spare.
+    before any expansion.  The partial quotients are those on which both ends
+    of the bracket of ell agree, which every number between them shares: at
+    64 + 4 count bits, and then at twice the bits until `count` convergents
+    are found.  An exact bracket whose expansion ends first, as a float's
+    does, is refused.
     """
     length = _irrational_length(ell)
     if count > CONVERGENT_CAP:
         raise CounterexampleError(
             f"{count} convergents asked for, more than the iteration cap {CONVERGENT_CAP}")
-    if length.kind == "sqrt":
-        out = _surd_convergents(length.frac.numerator, length.frac.denominator, count)
-    else:
-        dps = 60 + count
-        out, q = _convergents(length, count, dps)
-        while 2 * _digits(q) + 40 > dps:
-            dps *= 2
-            out, q = _convergents(length, count, dps)
-    if len(out) < count:
-        raise CounterexampleError(
-            f"only {len(out)} convergents reachable within the iteration cap"
-        )
-    return out
-
-
-def _surd_convergents(n: int, d: int, count: int) -> list:
-    """At most `count` Dirichlet convergents of sqrt(n/d), n d not a square,
-    among its first CONVERGENT_CAP convergents: sqrt(n/d) = (P + sqrt(n d)) / Q
-    steps by a = floor((P + sqrt(n d)) / Q), P' = a Q - P, Q' = (n d - P'^2) / Q
-    (Hardy and Wright, ch. 10), and |q sqrt(n/d) - p| < 1/q reads
-    d (p q - 1)^2 < q^4 n < d (p q + 1)^2."""
-    D = n * d
-    root = math.isqrt(D)
-    P, Q = 0, d
-    p0, q0, p1, q1 = 0, 1, 1, 0  # convergent recurrence seeds
-    out = []
-    for _ in range(CONVERGENT_CAP):
-        if len(out) >= count:
-            break
-        a = (P + root) // Q  # Q > 0 throughout for a positive surd
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        if p1 > 0 and d * (p1 * q1 - 1) ** 2 < q1**4 * n < d * (p1 * q1 + 1) ** 2:
-            out.append(ConvergentPair(p1, q1))
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    return out
-
-
-def _convergents(length: Length, count: int, dps: int) -> tuple:
-    """(at most `count` Dirichlet convergents of length, the last denominator
-    the expansion formed), computed at dps digits."""
-    out = []
-    with mp.workdps(dps):
-        target = length.mpf()
-        p0, q0 = 1, 0  # convergent recurrence seeds
-        p1, q1 = int(mp.floor(target)), 1
-        frac = target - mp.floor(target)
-        for _ in range(CONVERGENT_CAP):
-            if len(out) >= count:
-                break
-            if q1 > 0 and p1 > 0 and abs(q1 * target - p1) < mp.mpf(1) / q1:
+    bits = 64 + 4 * count
+    while True:
+        n1, d1, n2, d2 = length.bracket(bits)
+        out, p0, q0, p1, q1 = [], 0, 1, 1, 0  # convergent recurrence seeds
+        while len(out) < count and d1 and d2 and n1 // d1 == n2 // d2:
+            a = n1 // d1
+            p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+            if p1 > 0:
                 out.append(ConvergentPair(p1, q1))
-            if frac == 0:
-                break
-            x = 1 / frac
-            a = int(mp.floor(x))
-            frac = x - a
-            p0, p1 = p1, a * p1 + p0
-            q0, q1 = q1, a * q1 + q0
-    return out, q1
+            n1, d1, n2, d2 = d1, n1 - a * d1, d2, n2 - a * d2
+        if len(out) == count:
+            return out
+        if (n1, d1) == (n2, d2):
+            raise CounterexampleError(
+                f"only {len(out)} convergents: the continued fraction of "
+                f"{length.value!r} ends")
+        bits *= 2
 
 
 # -- probe angles -----------------------------------------------------------
+
+
+def _ratio(n: int, d: int):
+    """n/d rounded to an mpf at the working precision."""
+    return mp.make_mpf(mp.libmp.from_rational(n, d, mp.mp.prec, mp.libmp.round_nearest))
+
+
+def _value(length: Length):
+    """length at the working precision, from its bracket at 8 more bits."""
+    n, d, _, _ = length.bracket(mp.mp.prec + 8)
+    return _ratio(n, d)
 
 
 def _probe_angles(beta, length: Length, pair, prec=ENTRY_PREC):
@@ -332,28 +295,21 @@ def _probe_angles(beta, length: Length, pair, prec=ENTRY_PREC):
     edge of length l, the latter reduced modulo 2 pi.
 
     With a convergent pair, beta = 2 pi q + theta_1 with theta_1 =
-    2 pi / q^{1/4}, and theta_l = 2 pi (q l - p) + theta_1 l, where q l - p
-    is formed from an exact integer for a sqrt length and at a precision
-    that covers q and p otherwise.  A beta that is 0 or not finite is refused.
+    2 pi / q^{1/4}, and theta_l = 2 pi (q l - p) + theta_1 l, with
+    q l - p = (q n1 - p d1) / d1 and l = n1 / d1 from one bracket of l at
+    prec + 2 bits(q) + 64 bits: q l - p is about 1/q, and the 64 bits cover
+    a large next partial quotient.  A beta that is 0 or not finite is refused.
     """
     with mp.workprec(prec):
         if pair is None:
             beta = mp.mpf(beta)
             _refuse_degenerate(beta)
             with mp.workprec(prec + max(0, mp.mag(beta))):
-                return beta, beta, beta * length.mpf()
+                return beta, beta, beta * _value(length)
         p, q, tau = pair.p, pair.q, 2 * mp.pi
         th1 = tau / mp.sqrt(mp.sqrt(q))
-        if length.kind == "sqrt":
-            n, d = length.frac.numerator, length.frac.denominator
-            root = mp.sqrt(n * d)  # d l
-            gap, ell = (q * q * n - p * p * d) / (q * root + p * d), root / d
-        else:
-            with mp.workprec(prec + q.bit_length() + p.bit_length() + 64):
-                ell = length.mpf()
-                gap = q * ell - p
-            gap, ell = +gap, +ell
-        return tau * q + th1, th1, tau * gap + th1 * ell
+        n, d, _, _ = length.bracket(prec + 2 * q.bit_length() + 64)
+        return tau * q + th1, th1, tau * _ratio(q * n - p * d, d) + th1 * _ratio(n, d)
 
 
 def _refuse_degenerate(beta):
@@ -377,7 +333,6 @@ class CircuitProbe:
     l4: Length
     pair: ConvergentPair | None
     b1: mp.mpc
-    coeffs: dict  # A..H of the scalar reduction, in double precision
     eqcir_rel_diff: float
     ratio: mp.mpc | None  # beta b1 / ((-1+i) pi^3 q^{1/4}), for a convergent
 
@@ -415,14 +370,15 @@ def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
 
     The system couples a_1..a_4, b_1..b_4 (with b_1 = b_2 = b_3) under
     forcing -sin(beta x) on edge 2; beta may instead be derived from a
-    Dirichlet convergent pair as beta = 2 pi q + 2 pi q^{-1/4}, where q > 1:
-    at q = 1, theta_1 = 2 pi makes b1 vanish and the scalar reduction divide
-    by sin(theta_1) = 0.  Returns b1 together with the scalar-reduction
-    coefficients and the consistency defect between the two solution paths.
+    Dirichlet convergent pair as beta = 2 pi q + 2 pi q^{-1/4}, where q is
+    not in DEGENERATE_Q: at q = 1 and q = 16, theta_1 is a multiple of pi,
+    which makes b1 vanish and the scalar reduction divide by sin(theta_1) = 0.
+    Returns b1 together with the consistency defect between the two solution
+    paths.
     """
-    if pair is not None and pair.q < 2:
+    if pair is not None and pair.q in DEGENERATE_Q:
         raise CounterexampleError(
-            f"convergent {pair.p}/{pair.q}: circuit probes need q > 1")
+            f"convergent {pair.p}/{pair.q}: circuit probes need q > 1 and q != 16")
     length = Length.parse(l4) if pair is not None else _irrational_length(l4)
     # the smallest parts of the solution fall like q^(-1/4) against the
     # largest, as the rows' condition grows like q^(1/4)
@@ -465,7 +421,6 @@ def circuit_solve(beta, l4, pair: ConvergentPair | None = None) -> CircuitProbe:
         l4=length,
         pair=pair,
         b1=b1,
-        coeffs=coeffs,
         eqcir_rel_diff=rel,
         ratio=ratio,
     )
@@ -487,7 +442,7 @@ def asymptotic_defects(probe: CircuitProbe) -> dict:
     with mp.workprec(prec):
         coeffs = _coefficients(1 / beta, *_circuit_trig(th1, th4))
         q = mp.mpf(probe.q)
-        l4 = probe.l4.mpf()
+        l4 = _value(probe.l4)
         qq = mp.sqrt(mp.sqrt(q))
         i = mp.mpc(0, 1)
         leading = {
@@ -642,7 +597,7 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
     ratio = math.sqrt(square)
     if any(map(_near_print_boundary, (ratio, Y.real, Y.imag))):
         with mp.workprec(ENTRY_PREC):
-            square, bY = _star_values(*entries, length.mpf())
+            square, bY = _star_values(*entries, _value(length))
             ratio, Y = float(mp.sqrt(square)), complex(entries[0] * bY)
     return StarProbe(beta=float(beta), norm_ratio=ratio, center_value=Y)
 

@@ -101,20 +101,27 @@ class Length:
             return m if m >= 1 else None
         return None
 
-    def mpf(self):
-        """The value as an mpmath.mpf at the current working precision;
-        mpmath is imported here, so the rest of the data model needs none."""
-        import mpmath
-
-        if self.kind == "pi":
-            return mpmath.pi * mpmath.mpf(self.frac.numerator) / self.frac.denominator
+    def bracket(self, bits: int) -> tuple:
+        """Integers (n1, d1, n2, d2) with n1/d1 <= value <= n2/d2, the ends
+        at most 2^-bits |value| apart and equal for a rational or float
+        length.  A pi length reads pi from mpmath, imported here, so that the
+        rest of the data model needs none."""
         if self.kind == "sqrt":
-            return mpmath.sqrt(
-                mpmath.mpf(self.frac.numerator) / self.frac.denominator
-            )
-        if self.kind == "rational":
-            return mpmath.mpf(self.frac.numerator) / self.frac.denominator
-        return mpmath.mpf(self.value)
+            n, d = self.frac.numerator, self.frac.denominator
+            root, den = math.isqrt(n * d << 2 * bits), d << bits
+            return root, den, root + 1, den
+        if self.kind == "pi":
+            from mpmath.libmp import mpf_pi
+
+            # pi rounded to bits + 8 bits, within one unit of the last; mpmath
+            # strips trailing zero bits, so m is padded back to that length
+            _, m, e, bc = mpf_pi(bits + 8)
+            m, e = m << (bits + 8 - bc), e - (bits + 8 - bc)
+            a, den = self.frac.numerator, self.frac.denominator << -e
+            lo, hi = sorted((a * (m - 1), a * (m + 1)))
+            return lo, den, hi, den
+        n, d = (self.frac if self.kind == "rational" else self.value).as_integer_ratio()
+        return n, d, n, d
 
 
 @dataclass(frozen=True)
@@ -144,12 +151,19 @@ class MetricGraph:
     edges: tuple[Edge, ...]
     variant: str
     _vindex: dict = field(default_factory=dict, repr=False, compare=False)
+    # per vertex id, its (edge, d_kj) in edge order, the head before the tail
+    _incidence: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _hash: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_vindex", {v.id: v for v in self.vertices}
         )
+        incidence = {v.id: [] for v in self.vertices}
+        for e in self.edges:
+            incidence[e.head].append((e, +1))
+            incidence[e.tail].append((e, -1))
+        object.__setattr__(self, "_incidence", incidence)
         # hashed once: cached per-graph tables look the graph up on every call
         object.__setattr__(
             self, "_hash", hash((self.vertices, self.edges, self.variant))
@@ -163,13 +177,7 @@ class MetricGraph:
 
     def incident(self, vid: str) -> list[tuple[Edge, int]]:
         """Edges meeting vertex vid with their incidence entry d_kj."""
-        out = []
-        for e in self.edges:
-            if e.head == vid:
-                out.append((e, +1))
-            if e.tail == vid:
-                out.append((e, -1))
-        return out
+        return list(self._incidence.get(vid, ()))
 
     def degree(self, vid: str) -> int:
         return len(self.incident(vid))
@@ -273,19 +281,16 @@ def _validate(graph: MetricGraph):
         raise GraphError("graph has no edges")
 
     # connectivity
-    adj: dict[str, set[str]] = {v.id: set() for v in graph.vertices}
-    for e in graph.edges:
-        adj[e.tail].add(e.head)
-        adj[e.head].add(e.tail)
     start = graph.vertices[0].id
     reached = {start}
     stack = [start]
     while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in reached:
-                reached.add(nxt)
-                stack.append(nxt)
-    if reached != set(adj):
+        for e, _ in graph._incidence[stack.pop()]:
+            for nxt in (e.tail, e.head):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+    if len(reached) != len(graph.vertices):
         raise GraphError("graph is disconnected")
 
     nv, ne = len(graph.vertices), len(graph.edges)

@@ -313,6 +313,17 @@ def test_counterexample_circuit_skips_q_one(tmp_path, capsys):
         assert rows[0].split(",")[0] == "3"
 
 
+def test_counterexample_skips_q_sixteen(tmp_path, capsys):
+    # sqrt(1/28) has the convergent 3/16, where theta_1 = 2 pi / 16^(1/4) = pi
+    # and sin(theta_1) = 0: both ladders skip it and still write 4 probes
+    for variant in ("circuit", "star"):
+        out = tmp_path / variant
+        assert main(["counterexample", "--variant", variant, "--length",
+                     "sqrt(1/28)", "--probes", "4", "--out", str(out)]) == 0
+        rows = (out / "probes.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["5", "37", "127", "1307"]
+
+
 def test_counterexample_star_runs(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["counterexample", "--variant", "star", "--length", "sqrt(2)",

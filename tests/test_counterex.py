@@ -85,35 +85,44 @@ def test_rational_length_refused():
 
 
 def test_terminating_expansion_reports_cap():
-    # a dyadic float runs out of continued-fraction terms
+    # a float runs out of continued-fraction terms: 0.5 = [0; 2], and the
+    # double nearest 1.2345 has 18 convergents
     with pytest.raises(CounterexampleError):
         dirichlet_convergents(0.5, 5)
+    with pytest.raises(CounterexampleError, match="only 18"):
+        dirichlet_convergents(1.2345, 19)
+
+
+def spy_on_brackets(monkeypatch) -> list:
+    """The bits of every Length.bracket call from here on."""
+    asked, bracket = [], Length.bracket
+
+    def spy(length, bits):
+        asked.append(bits)
+        return bracket(length, bits)
+
+    monkeypatch.setattr(Length, "bracket", spy)
+    return asked
 
 
 def test_a_count_past_the_cap_is_refused_before_any_precision(monkeypatch):
-    # CONVERGENT_CAP iterations find at most CONVERGENT_CAP convergents; a
-    # larger count must not first ask mpmath for 60 + count digits
-    def refuse(dps):
-        raise AssertionError(f"asked for {dps} digits")
+    # a count past CONVERGENT_CAP must not first ask for a bracket of
+    # 64 + 4 count bits
+    def refuse(length, bits):
+        raise AssertionError(f"asked for {bits} bits")
 
-    monkeypatch.setattr(mp, "workdps", refuse)
+    monkeypatch.setattr(Length, "bracket", refuse)
     with pytest.raises(CounterexampleError, match="cap"):
         dirichlet_convergents("sqrt(2)", counterexample.CONVERGENT_CAP + 1)
 
 
 def test_convergent_precision_follows_the_denominators(monkeypatch):
-    # pi's denominators gain about 0.52 digits a convergent, so 300 of them
-    # need some 350 digits: no pass may ask for twice the count or more
-    asked = []
-    workdps = mp.workdps
-
-    def spy(dps):
-        asked.append(dps)
-        return workdps(dps)
-
-    monkeypatch.setattr(mp, "workdps", spy)
-    assert len(dirichlet_convergents("pi", 300)) == 300
-    assert asked and max(asked) <= 60 + 2 * 300
+    # the quotients of a bracket of b bits hold about while q^2 < 2^b: no
+    # pass may ask for twice that or more
+    asked = spy_on_brackets(monkeypatch)
+    pairs = dirichlet_convergents("pi", 300)
+    assert len(pairs) == 300
+    assert asked and max(asked) <= 4 * pairs[-1].q.bit_length() + 128
 
 
 def test_surd_convergents_need_no_precision(monkeypatch):
@@ -139,42 +148,77 @@ def test_workload_radicands_are_35_irrational_roots():
     assert {Length.parse(f"sqrt({r})").kind for r in WORKLOAD_RADICANDS} == {"sqrt"}
 
 
+def expansion(value, count: int, dps: int) -> list:
+    """The first `count` convergents p/q, p > 0, of the continued fraction
+    of value(), evaluated and expanded in mpmath at dps digits, which must
+    cover the last denominator twice with 40 digits to spare."""
+    out, p0, q0, p1, q1 = [], 0, 1, 1, 0
+    with mp.workdps(dps):
+        x = value()
+        while len(out) < count:
+            a = int(mp.floor(x))
+            p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+            if p1 > 0:
+                out.append(ConvergentPair(p1, q1))
+            x = 1 / (x - a)
+    assert 2 * len(str(q1)) + 40 <= dps
+    return out
+
+
+def surd(radicand: str):
+    frac = Fraction(radicand)
+    return lambda: mp.sqrt(mp.mpf(frac.numerator) / frac.denominator)
+
+
 @pytest.mark.parametrize("radicand", WORKLOAD_RADICANDS)
 def test_surd_convergents_match_the_expansion(radicand):
-    # the integer recurrence against the mpmath expansion of the same length
-    # at a precision that covers the 300th denominator with room to spare
-    length = Length.parse(f"sqrt({radicand})")
-    reference, q = counterexample._convergents(length, 300, 700)
-    assert 2 * len(str(q)) + 40 < 700
-    assert dirichlet_convergents(length, 300) == reference
+    # the exact bracket against the mpmath expansion of the same length at a
+    # precision that covers the 300th denominator with room to spare
+    reference = expansion(surd(radicand), 300, 700)
+    assert dirichlet_convergents(f"sqrt({radicand})", 300) == reference
 
 
-@pytest.mark.parametrize("ell", ["sqrt(99)", "pi*3/2"])
-def test_a_too_short_precision_is_doubled(ell):
-    # both outgrow the first 60 + count digits by the 1000th convergent
-    length = Length.parse(ell)
-    _, q = counterexample._convergents(length, 1000, 60 + 1000)
-    assert 2 * len(str(q)) + 40 > 60 + 1000
-    reference, _ = counterexample._convergents(length, 1000, 2000)
-    assert dirichlet_convergents(ell, 1000) == reference
+@pytest.mark.parametrize("ell, value, count", [
+    ("pi", lambda: mp.pi, 300),
+    ("pi*3/2", lambda: mp.pi * 3 / 2, 1000),
+    ("pi*7/3", lambda: mp.pi * 7 / 3, 500),
+], ids=["pi", "pi*3/2", "pi*7/3"])
+def test_pi_convergents_match_the_expansion(ell, value, count):
+    assert dirichlet_convergents(ell, count) == expansion(value, count, 2000)
+
+
+@pytest.mark.parametrize("ell, value, count", [
+    ("sqrt(99)", surd("99"), 1000),
+    ("pi*1e-100", lambda: mp.pi / 10**100, 42),
+], ids=["sqrt(99)", "pi*1e-100"])
+def test_a_too_short_precision_is_doubled(monkeypatch, ell, value, count):
+    # both outgrow the first bracket of 64 + 4 count bits: sqrt(99)'s
+    # denominators gain 2.16 bits a convergent, and pi*1e-100 starts with a
+    # partial quotient near 3e99
+    asked = spy_on_brackets(monkeypatch)
+    pairs = dirichlet_convergents(ell, count)
+    assert len(asked) >= 2 and asked[0] == 64 + 4 * count
+    assert pairs == expansion(value, count, 2000)
 
 
 def test_convergents_past_the_int_to_str_limit_satisfy_dirichlet():
-    # the expansion of pi*1e-200 at too short a precision forms a denominator
-    # past Python's 4300-digit limit on int-to-str conversion before the
-    # precision is doubled
+    # pi*1e-200 starts with a partial quotient near 3e199, and every one of
+    # its first 42 convergents satisfies the inequality at 1000 digits
     pairs = dirichlet_convergents("pi*1e-200", 42)
     assert len(pairs) == 42
     assert all(a.q < b.q for a, b in zip(pairs, pairs[1:]))
     with mp.workdps(1000):
-        ell = Length.parse("pi*1e-200").mpf()
+        ell = mp.pi / 10**200
         assert all(abs(c.q * ell - c.p) * c.q < 1 for c in pairs)
 
 
 def test_beta_formula_at_q16():
-    # q = 16 has q^{1/4} = 2, so beta = 32 pi + pi = 33 pi exactly
-    probe = circuit_solve(None, "sqrt(2)", pair=ConvergentPair(23, 16))
-    assert float(probe.beta) == pytest.approx(33.0 * math.pi, rel=1e-12)
+    # q = 16 has q^{1/4} = 2, so beta = 32 pi + pi = 33 pi exactly; the
+    # circuit refuses this probe, and the star reads the same angles
+    beta, _, _ = _probe_angles(None, Length.parse("sqrt(2)"), ConvergentPair(23, 16))
+    assert float(beta) == pytest.approx(33.0 * math.pi, rel=1e-12)
+    probe = star_probe(None, "sqrt(2)", pair=ConvergentPair(23, 16))
+    assert probe.beta == pytest.approx(33.0 * math.pi, rel=1e-12)
 
 
 def test_eqcir_matches_full_system():
@@ -183,12 +227,15 @@ def test_eqcir_matches_full_system():
         assert probe.eqcir_rel_diff <= 1e-10
 
 
-@pytest.mark.parametrize("pair", [ConvergentPair(1, 1), ConvergentPair(2, 1)],
-                         ids=["1/1", "2/1"])
-def test_circuit_solve_refuses_q_one(pair):
-    # theta_1 = 2 pi at q = 1, so b_1 = 0 and sin(theta_1) = 0
+@pytest.mark.parametrize("ell, pair", [
+    ("sqrt(3)", ConvergentPair(1, 1)),
+    ("sqrt(3)", ConvergentPair(2, 1)),
+    ("sqrt(1/28)", ConvergentPair(3, 16)),
+], ids=["1/1", "2/1", "3/16"])
+def test_circuit_solve_refuses_q_one(ell, pair):
+    # theta_1 = 2 pi at q = 1 and pi at q = 16, so b_1 = 0 and sin(theta_1) = 0
     with pytest.raises(CounterexampleError, match="q > 1"):
-        circuit_solve(None, "sqrt(3)", pair=pair)
+        circuit_solve(None, ell, pair=pair)
 
 
 def test_circuit_solve_at_generic_beta():
@@ -232,8 +279,9 @@ def bracketing_angles(pair: ConvergentPair, l4) -> tuple:
     lambda_n, mu_n = -+ 2 pi / q + 2 pi l4 / q^{1/4}.
     """
     _, th1, theta = _probe_angles(None, Length.parse(l4), pair)
+    frac = Length.parse(l4).frac
     with mp.workprec(counterexample.ENTRY_PREC):
-        l4v = Length.parse(l4).mpf()
+        l4v = mp.sqrt(mp.mpf(frac.numerator) / frac.denominator)
         gap = 2 * mp.pi / pair.q
         return th1 * l4v - gap, theta, th1 * l4v + gap
 
@@ -332,7 +380,7 @@ def test_h_norm_matches_quadrature(beta, ell):
     # |y'|^2 + beta^2 |y|^2 for y = a sin(beta x) + Q cos(beta x): a constant
     # Q = Y on [0, ell], and the unit forced edge's Q = Y - x/(2 beta)
     with mp.workdps(50):
-        L, b = Length.parse(ell).mpf(), mp.mpf(beta)
+        L, b = mp.sqrt(2) if ell == "sqrt(2)" else mp.mpf(1), mp.mpf(beta)
         a, Y = mp.mpc("0.3", "-1.2"), mp.mpc("-0.5", "0.9")
 
         def energy(slope, end):
@@ -461,7 +509,8 @@ def test_a_star_value_at_a_print_boundary_is_redone_in_mpmath(monkeypatch):
     with mp.workprec(200):
         u = 1 / beta
         (c, s), (c3, s3) = mp.cos_sin(th), mp.cos_sin(th3)
-        square, _ = values(u, u / (1 - u * u), c, s, c3, s3, s * c3 + c * s3, length.mpf())
+        square, _ = values(u, u / (1 - u * u), c, s, c3, s3, s * c3 + c * s3,
+                           mp.sqrt(mp.mpf(11) / 3))
         assert f"{ratio:.12e}" == f"{float(mp.sqrt(square)):.12e}" == "5.705648176338e+00"
 
 

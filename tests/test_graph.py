@@ -40,6 +40,35 @@ def test_length_rejects_garbage():
                 raise GraphError("nonpositive")
 
 
+@pytest.mark.parametrize("spec", [
+    "sqrt(2)", "sqrt(1/7)", "sqrt(99)", "pi", "pi*3/2", "pi*1e-200", "pi*-7/3"])
+# pi rounded to 96 + 8 and to 905 + 8 bits ends in 7 and in 10 zero bits
+@pytest.mark.parametrize("bits", [1, 10, 53, 96, 200, 905, 1000])
+def test_length_bracket_holds_the_value(spec, bits):
+    import mpmath as mp
+
+    length = Length.parse(spec)
+    n1, d1, n2, d2 = length.bracket(bits)
+    assert d1 > 0 and d2 > 0
+    if length.kind == "sqrt":  # exactly, in integers: n1/d1 <= sqrt(n/d) <= n2/d2
+        n, d = length.frac.numerator, length.frac.denominator
+        assert n1 * n1 * d <= n * d1 * d1 and n * d2 * d2 <= n2 * n2 * d
+        assert d1 == d2 and (n2 - n1) ** 2 * 4**bits * d <= n * d1 * d1
+    else:
+        with mp.workprec(bits + 64):
+            value = mp.pi * length.frac.numerator / length.frac.denominator
+            lo, hi = mp.mpf(n1) / d1, mp.mpf(n2) / d2
+            assert lo <= value <= hi
+            assert hi - lo <= mp.ldexp(abs(value), -bits)
+
+
+def test_length_bracket_of_an_exact_length_is_a_point():
+    assert Length.parse("3/7").bracket(64) == (3, 7, 3, 7)
+    assert Length.parse("sqrt(9/4)").bracket(64) == (3, 2, 3, 2)
+    n, d = (1.2345).as_integer_ratio()
+    assert Length.parse(1.2345).bracket(64) == (n, d, n, d)
+
+
 def test_tree_chain_builder_shape():
     g = make_tree_chain(["1", "9/10"], [1.0])
     assert g.variant == "tree"
@@ -56,6 +85,19 @@ def test_incidence_signs():
     assert len(inc) == 2
     # one edge arrives (d=+1 at its head), one departs (d=-1 at its tail)
     assert sorted(d for _, d in inc) == [-1, 1]
+
+
+def test_incident_lists_edges_in_order_head_first():
+    g = make_circuit("sqrt(2)")
+    for v in g.vertices:
+        scan = [(e, d) for e in g.edges
+                for d, end in ((+1, e.head), (-1, e.tail)) if end == v.id]
+        inc = g.incident(v.id)
+        assert inc == scan and g.degree(v.id) == len(scan)
+        inc.clear()  # a fresh list: the graph keeps its incidence
+        assert g.incident(v.id) == scan
+    assert [d for _, d in g.incident("A")] == [-1, -1, -1]
+    assert g.incident("nowhere") == []
 
 
 def test_pi_tree_check_flags_interior_pi_edge():
