@@ -78,13 +78,18 @@ class ConvergentPair:
     q: int
 
 
+def _positive_length(ell) -> Length:
+    """ell as a Length, refused unless it is positive."""
+    if not (length := Length.parse(ell)).value > 0:
+        raise CounterexampleError(f"length {length.value} must be positive")
+    return length
+
+
 def _irrational_length(ell) -> Length:
     """ell as a Length, refused unless it is positive and not exactly
     rational: a rational p/q puts i*q*pi on the axis as an eigenvalue, and
     its approximation by convergents never improves."""
-    length = Length.parse(ell)
-    if not length.value > 0:
-        raise CounterexampleError(f"length {length.value} must be positive")
+    length = _positive_length(ell)
     if length.is_rational:
         frac = length.frac
         raise AxisEigenvalue(
@@ -433,7 +438,9 @@ def asymptotic_defects(probe: CircuitProbe) -> dict:
 
     The leading forms follow from the probe angles th1, th4 -> 0:
     A ~ 2 pi (2+l4) q^{-1/4}, B ~ 1, C ~ 1/2, F ~ -2 pi^2 l4 (l4+2) q^{-1/2},
-    G ~ q^{1/4}/(2 pi) - 4i, H ~ -i/2.
+    G ~ q^{1/4}/(2 pi) - 4i, H ~ -i/2.  So F B + A G -> 2 + l4, A H - F C ~
+    -i pi (2+l4) q^{-1/4} and beta b1 = (A H - F C)/(F B + A G) ~ -i pi q^{-1/4}:
+    the vertex amplitude decays, and the probe's `ratio` falls like q^{-1/2}.
     """
     if probe.q is None:
         raise CounterexampleError("asymptotics need a convergent probe")
@@ -570,12 +577,12 @@ def star_probe(beta, l3, pair: ConvergentPair | None = None) -> StarProbe:
 
     Geometry: edges 1, 2 of unit length and edge 3 of length l3 joined at a
     center mass; edge 1 carries the absorbing end, edges 2 and 3 are clamped.
-    A length l3 in pi * N is refused: i is then an eigenvalue on the axis.
+    A length l3 <= 0 is refused, and one in pi * N: i is then an axis eigenvalue.
     The angles are formed at ENTRY_PREC bits and the rest runs in double
     precision, or again in mpmath for a value that lies within PRINT_GUARD
     ulps of a change in its printed digits.
     """
-    length = Length.parse(l3)
+    length = _positive_length(l3)
     if length.pi_multiple() is not None:
         raise AxisEigenvalue(
             f"edge length {length.frac}*pi puts an eigenvalue at i on the axis", 1.0)

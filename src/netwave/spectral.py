@@ -4,9 +4,9 @@ On each edge an eigenfield solves y'' = lam^2 y in the entire basis
 {cosh(lam x), sinh(lam x)/lam}, so nothing degenerates at lam = 0.  The
 characteristic matrix factors as M(lam) = R(lam) T(lam): T takes the edge
 coefficients (alpha_j, gamma_j) to the traces y and d y' at both ends of every
-edge, and the law table R writes each vertex law once as a row over those
-traces, cubic in lam once the oscillator denominators (m_k lam^2 + 1) are
-cleared, so every entry stays entire.  The eigenvalues are the zeros of det M.
+edge, and R is `vertex_laws` with each oscillator (p, q) eliminated and its
+denominator m_k lam^2 + 1 cleared: cubic in lam, entire, and with det M equal to
++-det of the first-order system, so the zeros of det M are the eigenvalues.
 
 Roots are located by contour integrals of M(lam)^{-1} (Beyn's block-moment
 method, one ellipse per horizontal strip of the search box) and polished by
@@ -17,8 +17,8 @@ broadcast over the nodes and the edge lengths, one batched inverse.  M' is
 built only for Newton, whose char_matrix is the same pass on a single lam.
 
 eigenfunction lifts a null vector of M(lam) to a unit-norm state of the
-energy space: each oscillator from its vertex's flux law, q = sum d y' +
-c lam y(v) and p = q / lam, and each edge's energy from its exact integral.
+energy space: each oscillator from the rows of the law table that hold it,
+and each edge's energy from its exact integral.
 """
 
 from __future__ import annotations
@@ -62,26 +62,21 @@ def _basis(lam, x) -> tuple:
         return (ch, sh, dch, dsh, lam * s, ch, s + z * ch, dch)
 
 
-def _ends(graph: MetricGraph) -> list:
-    """Per vertex, the offsets of its edge ends in the trace vector: 4j for
-    the tail of edge j, 4j + 2 for its head.  The trace vector holds y at an
-    end's offset and the outward flux d y' right after it."""
-    offset = {e.id: 4 * j for j, e in enumerate(graph.edges)}
-    return [[offset[e.id] + (2 if d == 1 else 0) for e, d in graph.incident(v.id)]
-            for v in graph.vertices]
-
-
 @functools.lru_cache(maxsize=64)
-def _edge_laws(graph: MetricGraph) -> np.ndarray:
-    """The vertex laws, each written once as a row over the 4E edge-end
-    traces: R(lam) = sum_k lam^k L_k with every coefficient real, cut into
-    one block per edge.  Row r of block j holds L_0..L_3 of law r over the
-    four traces of edge j, shape (E, 2E, 16)."""
-    ne = len(graph.edges)
-    table = np.zeros((4, 2 * ne, 4 * ne))
+def vertex_laws(graph: MetricGraph) -> np.ndarray:
+    """R(lam) = R_0 + lam R_1, shape (2, 2E + 2K, 4E + 2K): each vertex law
+    once, as a row over the edge-end traces (y at 4j and 4j + 2, the tail and
+    head of edge j, each followed by the outward flux d y') and then p_k, q_k
+    of each mass in `graph.mass_vertices` order.  Per vertex, y = 0 if pinned,
+    else continuity and sum d y' + c v - q = 0; per mass p' = q, m q' = -p - v."""
+    ne, masses = len(graph.edges), graph.mass_vertices
+    table = np.zeros((2, 2 * ne + 2 * len(masses), 4 * ne + 2 * len(masses)))
+    offset = {e.id: 4 * j for j, e in enumerate(graph.edges)}
+    column = {v.id: 4 * ne + 2 * k for k, v in enumerate(masses)}  # p_k, then q_k
     pinned, damped = graph.dirichlet_vertices, graph.damped_vertices
     row = 0
-    for v, ends in zip(graph.vertices, _ends(graph)):
+    for v in graph.vertices:
+        ends = [offset[e.id] + (2 if d == 1 else 0) for e, d in graph.incident(v.id)]
         ref = ends[0]
         if v in pinned:  # y = 0
             table[0, row, ref] = 1.0
@@ -90,17 +85,41 @@ def _edge_laws(graph: MetricGraph) -> np.ndarray:
                 table[0, row, end] = 1.0
                 table[0, row, ref] = -1.0
                 row += 1
-            # the flux law with damping c and the oscillator of mass m (none
-            # when m = 0) eliminated, its denominator (m lam^2 + 1) cleared:
-            # (m lam^2 + 1)(sum d y' + c lam y) + lam^2 y [oscillator] = 0
-            m, c = v.mass or 0.0, float(v in damped)
-            fluxes = [end + 1 for end in ends]
-            table[0, row, fluxes] = 1.0
-            table[2, row, fluxes] = m
-            table[1, row, ref] = c
-            table[3, row, ref] = c * m
-            table[2, row, ref] = v.mass is not None
+            table[0, row, [end + 1 for end in ends]] = 1.0  # sum d y' + c v - q = 0
+            table[1, row, ref] = float(v in damped)
+            if v.id in column:  # rows p_k - 2E on: lam p - q, p + m lam q + lam y
+                p, k = column[v.id], column[v.id] - 2 * ne
+                table[0, row, p + 1] = -1.0
+                table[:, k:k + 2, p:p + 2] = ((0, -1), (1, 0)), ((1, 0), (0, v.mass))
+                table[1, k + 1, ref] = 1.0
         row += 1
+    table.flags.writeable = False
+    return table
+
+
+def _times(a, b):
+    """The product of polynomials in lam, coefficients lowest power first."""
+    out = np.zeros((len(a) + len(b) - 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    for i, ai in enumerate(a):
+        out[i:i + len(b)] += ai * b  # += into +0.0 leaves no -0.0
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _edge_laws(graph: MetricGraph) -> np.ndarray:
+    """The vertex rows of `vertex_laws` over the traces with each mass block
+    O_k over (p_k, q_k) eliminated: the flux row f that holds q_k becomes
+    det(O_k) f_T - f_q adj(O_k)_q O_T, cubic in lam.  Row r of block j holds
+    lam^0..lam^3 of law r over the four traces of edge j, shape (E, 2E, 16)."""
+    laws, ne = vertex_laws(graph), len(graph.edges)
+    table = np.concatenate((laws[:, :2 * ne, :4 * ne], np.zeros((2, 2 * ne, 4 * ne))))
+    for p in range(4 * ne, laws.shape[2], 2):
+        o = laws[:, p - 2 * ne:p - 2 * ne + 2]  # the rows of the mass
+        f = np.flatnonzero(laws[:, :2 * ne, p + 1].any(axis=0))[0]
+        # adj(O_k)_q O over every column: O_T, then 0 at p_k and det O_k at q_k
+        lift = _times(np.stack((-o[:, 1, p], o[:, 0, p]), 1)[:, :, None], o).sum(1)
+        table[:, f] = (_times(lift[:, p + 1], laws[:, f, :4 * ne])
+                       - _times(laws[:, f, p + 1], lift[:, :4 * ne]))
     table = table.reshape(4, 2 * ne, ne, 4).transpose(2, 1, 0, 3)
     laws = np.ascontiguousarray(table.reshape(ne, 2 * ne, 16))
     laws.flags.writeable = False
@@ -417,7 +436,6 @@ def find_eigenvalues(graph: MetricGraph, box, tol: float = DET_TOL) -> EigenRepo
         raise SpectralError(f"tol {tol} must be finite and positive")
     roots = [r for strip in _strips(box) for r in _strip_roots(graph, strip, tol)]
     roots = _dedupe(roots)
-    roots = [r for r in roots if not _spurious_resonance(graph, r)]
     roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
     return EigenReport(roots, box, tol)
 
@@ -428,16 +446,6 @@ def _dedupe(roots):
         if all(abs(r.lam - k.lam) > 1e-8 * (1 + abs(r.lam)) for k in kept):
             kept.append(r)
     return kept
-
-
-def _spurious_resonance(graph, record):
-    """Drop roots at +-i/sqrt(m_k) unless the system is genuinely singular."""
-    for v in graph.mass_vertices:
-        pole = 1.0 / math.sqrt(v.mass)
-        if min(abs(record.lam - 1j * pole), abs(record.lam + 1j * pole)) < 1e-6:
-            s = np.linalg.svd(char_matrix(graph, record.lam).matrix, compute_uv=False)
-            return not s[-1] <= 1e-6 * s[0]
-    return False
 
 
 # -- eigenfunctions ---------------------------------------------------------
@@ -478,15 +486,14 @@ def eigenfunction(graph: MetricGraph, lam: complex) -> EigenFunction:
     # y and d y' at every edge end, read through the map the laws are written on
     t = _trace_blocks(graph, np.array((lam,)))[:, :, 0, :, 0]
     traces = (t @ coeff.reshape(-1, 2, 1)).ravel()
-    # each oscillator from its vertex's flux law, which holds at a resonant
-    # mass too: q = sum d y' + c lam y(v), and p = q / lam (lam = 0 is no root)
-    p, q = {}, {}
-    damped = graph.damped_vertices
-    for v, ends in zip(graph.vertices, _ends(graph)):
-        if v.kind == "mass":
-            c = float(v in damped)
-            q[v.id] = traces[[end + 1 for end in ends]].sum() + c * lam * traces[ends[0]]
-            p[v.id] = q[v.id] / lam
+    # each oscillator from the law table: q_k from the flux row that holds it,
+    # which holds at a resonant mass too, then p_k from p' = q (lam = 0 is no root)
+    laws, nv, nt, p, q = vertex_laws(graph), len(coeff), len(traces), {}, {}
+    rows = laws[0] + lam * laws[1]
+    for v, col in zip(graph.mass_vertices, range(nt, laws.shape[2], 2)):
+        f = np.flatnonzero(laws[:, :nv, col + 1].any(axis=0))[0]
+        q[v.id] = -(rows[f, :nt] @ traces) / rows[f, col + 1]
+        p[v.id] = -rows[col - nv, col + 1] * q[v.id] / rows[col - nv, col]
 
     norm = _state_norm(graph, lam, coefficients, p, q)
     if norm > 0:

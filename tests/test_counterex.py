@@ -298,6 +298,7 @@ def test_bracketing_angles_hold_beyond_threshold():
 def test_nonpositive_length_refused_as_such(length):
     for probe in (lambda: dirichlet_convergents(length, 3),
                   lambda: circuit_solve(7.3, length),
+                  lambda: star_probe(3.0, length),
                   lambda: growth_law([], length)):
         with pytest.raises(CounterexampleError, match="positive"):
             probe()

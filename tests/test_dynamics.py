@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import graphs, undamped_star
+from hypothesis import given, settings
 
 import netwave.simulate
 from netwave.cli import main
@@ -32,30 +34,12 @@ from netwave.simulate import (
     shadow_energy,
     step,
 )
-from netwave.spectral import _edge_laws, _ends
+from netwave.spectral import vertex_laws
 
 
 def smooth_bump(ell, amp=1.0):
     """Interior profile vanishing to second order at both ends."""
     return lambda x: amp * (x * (ell - x) / (ell * ell / 4.0)) ** 2
-
-
-def undamped_star():
-    """Center mass with three clamped strings: no dissipation anywhere."""
-    return build_graph({
-        "variant": "star",
-        "vertices": [
-            {"id": "c", "kind": "mass", "mass": 1.5},
-            {"id": "s1", "kind": "fixed"},
-            {"id": "s2", "kind": "fixed"},
-            {"id": "s3", "kind": "fixed"},
-        ],
-        "edges": [
-            {"id": "e1", "tail": "c", "head": "s1", "length": "1"},
-            {"id": "e2", "tail": "c", "head": "s2", "length": "0.8"},
-            {"id": "e3", "tail": "c", "head": "s3", "length": "1.3"},
-        ],
-    })
 
 
 def random_initial(graph, rng):
@@ -220,19 +204,27 @@ def test_the_stepper_refuses_higher_order_elements():
         step(state, 0.5 * layout.hmin)
 
 
-@pytest.mark.parametrize("graph", [GRAPHS[1], make_circuit("sqrt(2)")])
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(graphs)
 def test_mesh_and_laws_damp_the_same_vertices(graph):
-    damped = graph.damped_vertices
-    layout = make_layout(graph, 16)
-    dofs = [layout.vertex_dof[v.id] for v in damped]
-    assert np.flatnonzero(layout.damping).tolist() == sorted(dofs)
+    """The layout damps the vertices whose flux row carries c lam y, and its
+    oscillators drive those whose flux row holds a q, in the same order."""
+    layout, laws, ne = make_layout(graph, 16), vertex_laws(graph), len(graph.edges)
+
+    def vertex(col):  # the vertex at the end that trace column col belongs to
+        edge = graph.edges[col // 4]
+        return edge.head if col % 4 >= 2 else edge.tail
+
+    # lam^1 on a y-trace: among the vertex rows, only a flux row's c lam y
+    damped = {vertex(2 * col) for col in np.nonzero(laws[1, :2 * ne, :4 * ne:2])[1]}
+    dofs = sorted(layout.vertex_dof[v] for v in damped)
+    assert np.flatnonzero(layout.damping).tolist() == dofs
     assert np.all(layout.damping[dofs] == 1.0)
-    # the lambda^1 layer of the laws, as rows over the 4E edge-end traces,
-    # holds the damping term c lam y
-    ne = len(graph.edges)
-    lam1 = _edge_laws(graph)[:, :, 4:8].transpose(1, 0, 2).reshape(2 * ne, 4 * ne)
-    for v, ends in zip(graph.vertices, _ends(graph)):
-        assert np.any(lam1[:, ends] != 0) == (v in damped)
+    flux_rows = [np.flatnonzero(laws[:, :2 * ne, q].any(axis=0))[0]
+                 for q in range(4 * ne + 1, laws.shape[2], 2)]
+    driven = tuple(vertex(np.flatnonzero(laws[0, f, :4 * ne])[0]) for f in flux_rows)
+    assert layout.mass_ids == driven
+    assert layout.mass_dofs.tolist() == [layout.vertex_dof[v] for v in driven]
 
 
 def test_shadow_energy_nonincreasing_on_random_data():

@@ -4,62 +4,15 @@ balance every eigenpair obeys, and the cost of a near-axis eigenfunction."""
 import time
 
 import numpy as np
+from conftest import graphs
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from netwave import counterexample, spectral
-from netwave.graph import (build_graph, make_chain, make_circuit, make_star,
-                           make_tree_chain)
+from netwave.graph import make_circuit, make_tree_chain
 from netwave.spectral import (_state_norm, eigenfunction, find_eigenvalues,
                               newton_refine)
 
 BOX = (-3.0, 0.5, -12.0, 12.0)
-
-
-def lengths(count):
-    return st.lists(st.integers(50, 150).map(lambda k: f"{k}/100"),
-                    min_size=count, max_size=count)
-
-
-@st.composite
-def trees(draw):
-    """A root on mass a1; each further mass hangs off an earlier one, and
-    every mass without a mass child carries at least one controlled leaf."""
-    n = draw(st.integers(1, 3))
-    parent = {1: 0}
-    for k in range(2, n + 1):
-        parent[k] = draw(st.integers(1, k - 1))
-    edges = [(parent[k], k) for k in range(1, n + 1)]
-    leaf = n + 1
-    for k in range(1, n + 1):
-        has_child = k in parent.values()
-        for _ in range(draw(st.integers(0 if has_child else 1, 1))):
-            edges.append((k, leaf))
-            leaf += 1
-    masses = st.sampled_from((0.5, 1.0, 2.0))
-    vertices = ([{"id": "a0", "kind": "root"}]
-                + [{"id": f"a{k}", "kind": "mass", "mass": draw(masses)}
-                   for k in range(1, n + 1)]
-                + [{"id": f"a{k}", "kind": "controlled"} for k in range(n + 1, leaf)])
-    ells = draw(lengths(len(edges)))
-    return build_graph({"variant": "tree", "vertices": vertices, "edges": [
-        {"id": f"e{j}", "tail": f"a{t}", "head": f"a{h}", "length": ell}
-        for j, ((t, h), ell) in enumerate(zip(edges, ells))]})
-
-
-@st.composite
-def chains(draw):
-    k = draw(st.integers(2, 3))
-    masses = [draw(st.sampled_from((0.5, 1.0, 2.0))) for _ in range(k - 1)]
-    return make_chain(draw(lengths(k)), masses)
-
-
-graphs = st.one_of(
-    trees(),
-    chains(),
-    lengths(3).map(lambda ells: make_star(*ells)),
-    lengths(1).map(lambda ells: make_circuit(ells[0])),
-)
 
 
 def vertex_value(graph, ef, vid):

@@ -1,8 +1,12 @@
 import cmath
 import math
 
+import random
+
 import numpy as np
 import pytest
+import scipy.linalg
+from conftest import graphs, undamped_star
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,11 +15,14 @@ from netwave.graph import (build_graph, make_chain, make_circuit, make_star,
                            make_tree_chain)
 from netwave.spectral import (
     SpectralError,
+    _edge_laws,
+    _trace_blocks,
     char_det,
     char_matrix,
     eigenfunction,
     find_eigenvalues,
     newton_refine,
+    vertex_laws,
 )
 
 
@@ -150,7 +157,8 @@ def test_newton_refine_stops_where_m_overflows():
 
 
 def test_find_eigenvalues_skips_mass_resonance():
-    # stable chain: the cleared factor roots at i/sqrt(m) are not reported
+    # the stable chain has no root at its mass resonance i, where |det M| = 0.84,
+    # and the search reports none there
     g = make_tree_chain(["1", "0.9"], [1.0])
     report = find_eigenvalues(g, (-0.5, 0.1, 0.5, 1.5))
     for r in report.roots:
@@ -300,3 +308,106 @@ def test_spectrum_agrees_with_chain_predicate(graph):
     for r in roots:
         assert r.residual <= 1e-9
         assert min(abs(s.lam - r.lam.conjugate()) for s in roots) <= 1e-8 * (1 + abs(r.lam))
+
+
+# -- the law table ------------------------------------------------------------
+
+
+def cleared_laws(graph):
+    """The cubic law table written out by hand, the oracle for `_edge_laws`:
+    y = 0 at a pinned vertex, else continuity and the flux law with the
+    oscillator eliminated, its denominator (m lam^2 + 1) cleared:
+    (m lam^2 + 1)(sum d y' + c lam y) + lam^2 y [oscillator] = 0."""
+    ne = len(graph.edges)
+    offset = {e.id: 4 * j for j, e in enumerate(graph.edges)}
+    table = np.zeros((4, 2 * ne, 4 * ne))
+    pinned, damped = graph.dirichlet_vertices, graph.damped_vertices
+    row = 0
+    for v in graph.vertices:
+        ends = [offset[e.id] + (2 if d == 1 else 0) for e, d in graph.incident(v.id)]
+        ref = ends[0]
+        if v in pinned:
+            table[0, row, ref] = 1.0
+        else:
+            for end in ends[1:]:
+                table[0, row, end] = 1.0
+                table[0, row, ref] = -1.0
+                row += 1
+            m, c = v.mass or 0.0, float(v in damped)
+            fluxes = [end + 1 for end in ends]
+            table[0, row, fluxes] = 1.0
+            table[2, row, fluxes] = m
+            table[1, row, ref] = c
+            table[3, row, ref] = c * m
+            table[2, row, ref] = v.mass is not None
+        row += 1
+    table = table.reshape(4, 2 * ne, ne, 4).transpose(2, 1, 0, 3)
+    return np.ascontiguousarray(table.reshape(ne, 2 * ne, 16))
+
+
+def random_network(rng, n_edges):
+    """A tree (root leaf, masses inside, controlled leaves) or a chain
+    (controlled, masses, fixed) of n_edges edges, masses in [1/2, 2]."""
+    masses = [round(rng.uniform(0.5, 2.0), 2) for _ in range(n_edges)]
+    lengths = [f"{rng.randint(500, 1500)}/1000" for _ in range(n_edges)]
+    if rng.random() < 0.5:
+        return make_chain(lengths, masses[1:])
+    parent = {1: 0, **{k: rng.randint(1, k - 1) for k in range(2, n_edges + 1)}}
+    inner = set(parent.values())
+    vertices = [{"id": "v0", "kind": "root"}] + [
+        {"id": f"v{k}", "kind": "mass", "mass": masses[k - 1]} if k in inner
+        else {"id": f"v{k}", "kind": "controlled"} for k in range(1, n_edges + 1)]
+    return build_graph({"variant": "tree", "vertices": vertices, "edges": [
+        {"id": f"e{k}", "tail": f"v{p}", "head": f"v{k}", "length": length}
+        for (k, p), length in zip(sorted(parent.items()), lengths)]})
+
+
+NAMED_GRAPHS = [
+    make_circuit("sqrt(2)"),
+    make_circuit("1/2"),
+    make_star("1", "1", "sqrt(2)"),
+    make_tree_chain(["1", "0.9"], [1.0]),
+    make_tree_chain(["1", "0.9"], [4.0]),
+    make_tree_chain(["1", "0.8", "1.3"], [1.0, 2.0]),
+    make_tree_chain(["1"] * 7, [1.0] * 6),
+    make_tree_chain(["pi*1/2", "1"], [2.0]),
+    make_chain(["1", "1.5", "0.7"], [1.0, 2.0]),
+    make_chain(["1.3", "0.7"], [0.5]),
+    make_chain(["1", "pi*1"], [1.0]),
+    pi_chain(),
+    matched_edge(),
+    double_root_tree(),
+    undamped_star(),
+]
+
+
+@pytest.mark.parametrize("graph", NAMED_GRAPHS + [
+    random_network(random.Random(seed), n) for seed, n in enumerate((1, 2, 3, 5, 8, 13, 21, 34, 48) * 3)])
+def test_edge_laws_are_the_hand_cleared_table(graph):
+    """Eliminating each oscillator from `vertex_laws` gives the hand-cleared
+    cubic table to the bit, zero signs included."""
+    assert _edge_laws(graph).tobytes() == cleared_laws(graph).tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(graphs)
+def test_edge_laws_are_the_hand_cleared_table_on_random_networks(graph):
+    assert _edge_laws(graph).tobytes() == cleared_laws(graph).tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(graphs)
+def test_clearing_adds_no_roots(graph):
+    """det M = +-det F for the first-order system F(lam) = R(lam) diag(T(lam),
+    I) of `vertex_laws`, also at each mass resonance +-i/sqrt(m), where the
+    cleared denominator m lam^2 + 1 vanishes: clearing adds no root."""
+    laws, nk = vertex_laws(graph), len(graph.mass_vertices)
+    rng = np.random.default_rng(len(graph.edges) + 10 * nk)
+    lams = [complex(rng.uniform(-2.0, 0.5), rng.uniform(-8.0, 8.0)) for _ in range(4)]
+    lams += [s * 1j / math.sqrt(v.mass) for v in graph.mass_vertices for s in (1, -1)]
+    for lam in lams:
+        t = _trace_blocks(graph, np.array([lam]))[:, :, 0, :, 0]
+        det_f = np.linalg.det((laws[0] + lam * laws[1])
+                              @ scipy.linalg.block_diag(*t, np.eye(2 * nk)))
+        det_m = char_matrix(graph, lam).det()
+        assert min(abs(det_m - det_f), abs(det_m + det_f)) <= 1e-11 * abs(det_f)
