@@ -376,6 +376,8 @@ def _cmd_simulate(graph: MetricGraph, p, em, svg):
 def _cmd_spectrum(graph: MetricGraph, p, em, svg):
     box = _floats(p["box"], '"box"', 4)
     report = find_eigenvalues(graph, box, tol=_float(p["tol"], '"tol"'))
+    em.stats = {"strips": report.strips, "mirrored": report.mirrored,
+                "roots": len(report.roots)}
     rows = [(r.lam.real, r.lam.imag, r.residual, r.box_count)
             for r in report.roots]
     em.csv("spectrum.csv", ["re", "im", "residual", "box_count"], rows)

@@ -15,6 +15,10 @@ d/dlam log det M = tr(M^{-1} M'), with M' assembled analytically.  A strip
 evaluates M at all of its quadrature nodes in one stacked pass: one basis
 broadcast over the nodes and the edge lengths, one batched inverse.  M' is
 built only for Newton, whose char_matrix is the same pass on a single lam.
+The laws, the masses and the basis are real, so M(conj lam) = conj M(lam)
+and the roots come in conjugate pairs: a box symmetric about the real axis
+whose strips are cut on it is searched in its upper strips only, and each
+root found above the axis brings its conjugate.
 
 eigenfunction lifts a null vector of M(lam) to a unit-norm state of the
 energy space: each oscillator from the rows of the law table that hold it,
@@ -253,9 +257,15 @@ class EigenRecord:
 
 @dataclass
 class EigenReport:
+    """The roots found in box, and what the search did: strips counts the
+    strips of the box it searched (before any split), mirrored the roots it
+    added as conjugates of roots found above the real axis."""
+
     roots: list
     box: tuple
     tol: float
+    strips: int
+    mirrored: int
 
 
 def newton_refine(graph: MetricGraph, lam0: complex) -> tuple[complex, float]:
@@ -421,9 +431,18 @@ def find_eigenvalues(graph: MetricGraph, box, tol: float = DET_TOL) -> EigenRepo
     One contour-integral pass per horizontal strip of the box gives the
     candidates; each is polished by Newton and kept when its residual is at
     most tol and it lies in its strip.  A root's box_count is its
-    multiplicity.  An empty box, one whose width or height is not finite, a
-    tol that is not finite and positive, or a contour node where M(lam)
-    cannot be inverted, raises SpectralError.
+    multiplicity.
+
+    Roots come in conjugate pairs.  When im0 == -im1 and the box has an even
+    number of strips, its middle cut lies on the real axis (within
+    BOX_SLACK); then only the strips above that cut are searched, the lowest
+    of them finds the real roots, and every root with Im > 0 adds its
+    conjugate with the same residual and box_count.  Every other box is
+    searched whole.
+
+    An empty box, one whose width or height is not finite, a tol that is
+    not finite and positive, or a contour node where M(lam) cannot be
+    inverted, raises SpectralError.
     """
     box = tuple(float(b) for b in box)
     re0, re1, im0, im1 = box
@@ -434,10 +453,20 @@ def find_eigenvalues(graph: MetricGraph, box, tol: float = DET_TOL) -> EigenRepo
             f"box {box} needs re0 < re1 and im0 < im1 with a finite width and height")
     if not 0 < tol < math.inf:
         raise SpectralError(f"tol {tol} must be finite and positive")
-    roots = [r for strip in _strips(box) for r in _strip_roots(graph, strip, tol)]
-    roots = _dedupe(roots)
+    strips = _strips(box)
+    half = len(strips) // 2
+    # M(conj lam) = conj M(lam), so a box cut on the axis needs its upper strips only
+    mirror = (im0 == -im1 and len(strips) % 2 == 0
+              and abs(strips[half][2]) <= BOX_SLACK)
+    if mirror:
+        strips = strips[half:]
+    roots = [r for strip in strips for r in _strip_roots(graph, strip, tol)]
+    mirrored = [EigenRecord(r.lam.conjugate(), r.residual, r.box_count)
+                for r in roots if mirror and r.lam.imag > 0]
+    roots = _dedupe(roots + mirrored)
     roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
-    return EigenReport(roots, box, tol)
+    added = {id(r) for r in mirrored}
+    return EigenReport(roots, box, tol, len(strips), sum(id(r) in added for r in roots))
 
 
 def _dedupe(roots):

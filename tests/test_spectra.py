@@ -411,3 +411,16 @@ def test_clearing_adds_no_roots(graph):
                               @ scipy.linalg.block_diag(*t, np.eye(2 * nk)))
         det_m = char_matrix(graph, lam).det()
         assert min(abs(det_m - det_f), abs(det_m + det_f)) <= 1e-11 * abs(det_f)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(graphs, st.floats(-3.0, 0.5, exclude_min=True, exclude_max=True),
+       st.floats(0.0, 12.0, exclude_min=True, exclude_max=True))
+def test_char_matrix_at_the_conjugate_is_the_conjugate(graph, re, im):
+    """The laws, the masses and the basis are real, so M(conj lam) =
+    conj M(lam) and M'(conj lam) = conj M'(lam): what lets find_eigenvalues
+    search a symmetric box above the axis only."""
+    lam = complex(re, im)
+    sys, mirror = char_matrix(graph, lam), char_matrix(graph, lam.conjugate())
+    for a, b in ((mirror.matrix, sys.matrix), (mirror.dmatrix, sys.dmatrix)):
+        assert np.max(np.abs(a - b.conj())) <= 1e-15 * np.max(np.abs(b))
