@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from netwave import spectral
 from netwave.graph import (build_graph, make_chain, make_circuit, make_star,
                            make_tree_chain)
 from netwave.spectral import SpectralError, _inverses, char_matrix, find_eigenvalues
@@ -343,3 +344,79 @@ def test_root_sets_are_unchanged(graph, expected):
         left.remove(nearest)
         assert abs(nearest.lam - lam) <= 1e-10 * abs(lam)
         assert nearest.box_count == box_count
+
+
+def matched(roots, expected):
+    """Each expected record against the nearest of roots, one to one."""
+    assert len(roots) == len(expected)
+    left = list(roots)
+    for r in expected:
+        nearest = min(left, key=lambda m: abs(m.lam - r.lam))
+        left.remove(nearest)
+        assert abs(nearest.lam - r.lam) <= 1e-10 * abs(r.lam)
+        assert nearest.box_count == r.box_count
+
+
+# the 2-edge chain has 26 roots in ROOT_BOX, more than its strips resolve well
+CROWDED_CHAIN = next(g for g, _ in ROOT_SETS if g.variant == "chain" and len(g.edges) == 2)
+HALF_GRAPHS = [g for g, _ in ROOT_SETS if g is not CROWDED_CHAIN] + [pi_chain()]
+
+
+def half_searches(graph):
+    re0, re1, im0, im1 = ROOT_BOX
+    upper = find_eigenvalues(graph, (re0, re1, 0.0, im1))
+    lower = find_eigenvalues(graph, (re0, re1, im0, 0.0))
+    assert upper.strips == lower.strips == 2
+    assert upper.mirrored == lower.mirrored == 0
+    return upper, lower
+
+
+@pytest.mark.parametrize("graph", HALF_GRAPHS,
+                         ids=[f"{g.variant}-{len(g.edges)}-edges" for g in HALF_GRAPHS])
+def test_a_symmetric_box_mirrors_its_upper_half(graph):
+    """ROOT_BOX is cut on the axis.  Its roots above the axis are, to the
+    bit, those of a whole search of its upper half, and its roots below are
+    their conjugates, which a whole search of its lower half finds too."""
+    report = find_eigenvalues(graph, ROOT_BOX)
+    upper, lower = half_searches(graph)
+    assert report.strips == 2
+    assert ([r for r in report.roots if r.lam.imag > 1e-6]
+            == [r for r in upper.roots if r.lam.imag > 1e-6])
+    below = [r for r in report.roots if r.lam.imag < -1e-6]
+    assert report.mirrored == len(below)
+    matched(below, [r for r in lower.roots if r.lam.imag < -1e-6])
+
+
+def test_a_crowded_strip_has_the_box_searched_whole(monkeypatch):
+    """A strip above the axis whose Hankel rank passes CROWDED of its
+    capacity may keep other roots than its mirror image, so the box is
+    searched whole: its roots are, to the bit, those of whole searches of
+    its two halves, and none is mirrored."""
+    strips = spectral._strips(ROOT_BOX)
+    assert any(spectral._strip_roots(CROWDED_CHAIN, s, spectral.DET_TOL)[1]
+               for s in strips[2:])
+    report = find_eigenvalues(CROWDED_CHAIN, ROOT_BOX)
+    upper, lower = half_searches(CROWDED_CHAIN)
+    assert (report.strips, report.mirrored) == (4, 0)
+    whole = spectral._dedupe(lower.roots + upper.roots)
+    whole.sort(key=lambda r: (r.lam.real, r.lam.imag))
+    assert report.roots == whole
+    monkeypatch.setattr(spectral, "CROWDED", 1.0)
+    assert find_eigenvalues(CROWDED_CHAIN, ROOT_BOX).strips == 2
+
+
+def test_a_box_with_an_odd_strip_count_is_searched_whole():
+    # the middle of its three strips straddles the axis
+    report = find_eigenvalues(pi_chain(), (-3.0, 0.5, -8.0, 8.0))
+    assert (report.strips, report.mirrored) == (3, 0)
+    matched(report.roots, [r for r in find_eigenvalues(pi_chain(), ROOT_BOX).roots
+                           if abs(r.lam.imag) < 8.0])
+
+
+def test_a_middle_cut_off_the_axis_is_searched_whole(monkeypatch):
+    # linspace puts the middle of the six cuts of this box one ulp above the axis
+    box = (-0.23, 0.05, -1.502, 1.502)
+    assert spectral._strips(box)[3][2] > 0.0
+    assert find_eigenvalues(pi_chain(), box).strips == 3
+    monkeypatch.setattr(spectral, "BOX_SLACK", 0.0)
+    assert find_eigenvalues(pi_chain(), box).strips == 6
